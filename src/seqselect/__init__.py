@@ -8,7 +8,6 @@ from seqselect.core import (
     compute_quality,
     generate_instance,
     offline_optimum,
-    rank_of,
     realized_regret,
 )
 from seqselect.policies import (
@@ -29,6 +28,7 @@ from seqselect.analytics import (
     gamma0,
     mu_hat_curve,
     optimal_cutoff,
+    resolve_cutoff,
     threshold_curve,
     translate_cutoff,
 )

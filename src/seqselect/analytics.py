@@ -12,7 +12,7 @@ built from it instead of the recursion.
 
 Quality enters only through gamma_0, the expected rank of the worst referent;
 settings of arbitrary quality are handled by translating to a gamma_0-similar
-setting with medium quality (translate_cutoff).
+setting with medium quality (resolve_cutoff).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import betaln, gammainc, gammaincc, gammaln
@@ -107,7 +107,6 @@ class AnalyticCurve:
     p: tuple
     lam: tuple
     g_b: tuple
-    g_delta: tuple
     e_hires: float
     e_offline: float
     candidate_term: float
@@ -149,13 +148,12 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     g0 = gamma0(q, n, b)
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
-    ref_coef = g0 * (b + 1) / (b * (b - r + 1))
+    ref_coef = expected_available_rank(1, q, n, b, r)
 
     gamma_j = np.zeros(n + 1)
     p = np.zeros(n + 1)
     lam = np.zeros(n + 1)
     g_b = np.zeros(n + 1)
-    g_delta = np.zeros(n + 1)
     lam_running = 0.0
     hired_mass = 0.0  # sum of p_i g_i(b), i < j
     cand = 0.0
@@ -173,7 +171,6 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
         p[j] = pj
         lam[j] = lam_running
         g_b[j] = gjb
-        g_delta[j] = gjd
     e_hires = min(hired_mass, float(b))  # the summed intensity can overshoot the cap
     return AnalyticCurve(
         params=params,
@@ -184,7 +181,6 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
         p=tuple(p.tolist()),
         lam=tuple(lam.tolist()),
         g_b=tuple(g_b.tolist()),
-        g_delta=tuple(g_delta.tolist()),
         e_hires=e_hires,
         e_offline=expected_offline(n, b, r, q),
         candidate_term=cand / (n + b),
@@ -256,7 +252,6 @@ def _full_resignation_curve(params: AnalyticParams) -> AnalyticCurve:
         p=per_step(p_acc),
         lam=per_step(p_acc * np.arange(1, m + 1)),
         g_b=per_step(np.minimum(low[:m].sum(axis=1), 1.0)),
-        g_delta=per_step(1.0),
         e_hires=e_hires,
         e_offline=expected_offline(n, b, b, q),
         candidate_term=e_hires * (b + m * p_acc) / 2.0,
@@ -309,41 +304,41 @@ class TranslationResult:
     c_target: int
     degenerate: bool = False
 
-    def __iter__(self):
-        yield from (self.n_source, self.c_source, self.c_target)
 
+def resolve_cutoff(n: int, b: int, r: int, q: float) -> TranslationResult:
+    """The cutoff policy's cutoff at reference quality q, via the
+    gamma_0-similar medium-quality setting.
 
-def translate_cutoff(
-    n_t: int,
-    b: int,
-    q_t: float,
-    r: int,
-    cutoff_source: Optional[Callable[[int, int, int], int]] = None,
-) -> TranslationResult:
-    """Optimal cutoff for arbitrary quality via a gamma_0-similar medium-quality setting.
-
-    The similar setting has n_s = floor((n_t + b - 1)(1 - q_t)/(1 - 1/2) - b + 1),
-    which matches gamma_0 exactly; the source optimum is scaled back by the
-    same similarity factor (n_t + b - 1)/(n_s + b - 1) and floored.  A
-    degenerate similar setting (n_s < b) yields cutoff 0 with a warning.
+    The similar setting has n_s = floor((n + b - 1)(1 - q)/(1 - 1/2) - b + 1),
+    which matches gamma_0 exactly; its optimal cutoff is scaled back by the
+    same similarity factor (n + b - 1)/(n_s + b - 1) and floored.  At q = 1/2
+    this is the identity: n_s = n and the factor is 1.  Every q is accepted:
+    q below 1e-9 (a reference set at the bottom of the pool) is read as 1e-9,
+    and q >= 1 gives n_s < b, a degenerate similar setting whose cutoff is 0
+    (the reference set already beats the field).
     """
+    n_s = math.floor((n + b - 1) * (1.0 - max(q, 1e-9)) / 0.5 - b + 1)
+    if n_s < b:
+        return TranslationResult(n_source=n_s, c_source=0, c_target=0, degenerate=True)
+    c_s = optimal_cutoff(n_s, b, r)[0]
+    c_t = math.floor(c_s * (n + b - 1) / (n_s + b - 1))
+    return TranslationResult(n_source=n_s, c_source=c_s, c_target=min(c_t, n))
+
+
+def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
+    """resolve_cutoff for a setting inside the model's domain (0 < q_t < 1),
+    with a warning when the similar setting is degenerate."""
     if not (0.0 < q_t < 1.0):
         raise DomainError("need 0 < q_t < 1")
     if not (0 <= r <= b <= n_t):
         raise DomainError("need 0 <= r <= b <= n_t")
-    n_s = math.floor((n_t + b - 1) * (1.0 - q_t) / 0.5 - b + 1)
-    if n_s < b:
+    res = resolve_cutoff(n_t, b, r, q_t)
+    if res.degenerate:
         warnings.warn(
-            f"degenerate similar setting (n_s={n_s} < b={b}); returning cutoff 0",
+            f"degenerate similar setting (n_s={res.n_source} < b={b}); returning cutoff 0",
             stacklevel=2,
         )
-        return TranslationResult(n_source=n_s, c_source=0, c_target=0, degenerate=True)
-    if cutoff_source is None:
-        c_s = optimal_cutoff(n_s, b, r)[0]
-    else:
-        c_s = int(cutoff_source(n_s, b, r))
-    c_t = math.floor(c_s * (n_t + b - 1) / (n_s + b - 1))
-    return TranslationResult(n_source=n_s, c_source=c_s, c_target=min(c_t, n_t))
+    return res
 
 
 def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
@@ -396,39 +391,6 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
     return out
 
 
-class CutoffTable:
-    """Precomputed optimal cutoffs keyed by (n, b, r), loadable from the CSV
-    with header n,b,r,c_star,expected_regret; usable as a translate_cutoff
-    cutoff_source."""
-
-    def __init__(self, entries: dict):
-        self._entries = dict(entries)
-
-    @classmethod
-    def load(cls, path) -> "CutoffTable":
-        entries = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "n,b,r,c_star,expected_regret":
-                raise DomainError(f"unexpected cutoff table header: {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                n_s, b_s, r_s, c_s, er_s = line.strip().split(",")
-                entries[(int(n_s), int(b_s), int(r_s))] = (int(c_s), float(er_s))
-        return cls(entries)
-
-    def __call__(self, n: int, b: int, r: int) -> int:
-        key = (n, b, r)
-        if key not in self._entries:
-            raise DomainError(f"cutoff table has no entry for (n={n}, b={b}, r={r})")
-        return self._entries[key][0]
-
-    def rows(self):
-        for (n, b, r), (c_star, er) in sorted(self._entries.items()):
-            yield n, b, r, c_star, er
-
-
 def cutoff_table_rows(n_values, b_values, r_values):
     """CSV rows for the cutoff table over a (n, b, r) grid at medium quality."""
     yield "n,b,r,c_star,expected_regret"
@@ -466,38 +428,23 @@ class AnalysisReport:
 def analyze_setting(n: int, b: int, r: int, q: float, c: Optional[int] = None) -> AnalysisReport:
     """Optimal cutoff plus the closed-form summary for one setting.
 
-    Medium quality is solved directly.  Other qualities go through the
-    gamma_0-similar translation: the regret summary is the similar source
+    Every quality goes through the gamma_0-similar translation, which is the
+    identity at medium quality: the regret summary is the similar source
     curve at its own optimum, while the hire forecast evaluates the source
     curve at the translated cutoff (the number of steps the target setting
     actually leaves after its learning phase, on the similar scale).
     """
-    if abs(q - 0.5) < 1e-12:
-        c_star = c if c is not None else optimal_cutoff(n, b, r)[0]
-        curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c_star))
-        e_hires = expected_max_hires(curve)
-        e_reg = curve.expected_regret("total")
-        return AnalysisReport(
-            n=n, b=b, r=r, q=q,
-            gamma_0=gamma0(q, n, b),
-            e_offline=expected_offline(n, b, r, q),
-            c_star=c_star,
-            gamma_at_c=curve.gamma,
-            e_hires=e_hires,
-            e_regret=e_reg,
-            e_regret_per_item=e_reg / b,
-            n_source=n,
-            c_source=c_star,
-            cutoff_given=c is not None,
-        )
+    if c is not None and not (0 <= c <= n):
+        raise DomainError(f"need 0 <= c <= n, got c={c}")
     tr = translate_cutoff(n, b, q, r)
     n_src = tr.n_source
-    if c is None:
-        c_star, c_src = tr.c_target, tr.c_source
+    c_star = tr.c_target if c is None else c
+    c_src = tr.c_source if c is None or tr.degenerate else min(c, n_src)
+    if tr.degenerate:  # nothing to learn from, referents decide
+        e_hires = float(r)
+        e_reg = 0.0
+        gamma_at_c = float(b)
     else:
-        c_star = c
-        c_src = min(c, n_src) if n_src >= b else 0
-    if n_src >= b:
         reg_curve = threshold_curve(AnalyticParams(n=n_src, b=b, r=r, q=0.5, c=c_src))
         hire_curve = threshold_curve(
             AnalyticParams(n=n_src, b=b, r=r, q=0.5, c=min(c_star, n_src))
@@ -505,10 +452,6 @@ def analyze_setting(n: int, b: int, r: int, q: float, c: Optional[int] = None) -
         e_hires = expected_max_hires(hire_curve)
         e_reg = reg_curve.expected_regret("total")
         gamma_at_c = hire_curve.gamma
-    else:  # degenerate translation: nothing to learn from, referents decide
-        e_hires = float(r)
-        e_reg = 0.0
-        gamma_at_c = float(b)
     return AnalysisReport(
         n=n, b=b, r=r, q=q,
         gamma_0=gamma0(q, n, b),

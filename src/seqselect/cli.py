@@ -22,6 +22,7 @@ from seqselect.analytics import (
 from seqselect.core import ContractError, DomainError
 from seqselect.montecarlo import (
     ExperimentSpec,
+    cell_csv_rows,
     cutoff_csv_rows,
     cutoff_curves,
     heatmap_csv_rows,
@@ -97,11 +98,7 @@ def cmd_simulate(args) -> int:
         args.n, args.b, args.c, args.q, args.r, args.policy,
         args.trials, args.seed, workers=args.workers,
     )
-    lines = [
-        "b,c,mean_regret,stderr,mean_hires,failure_rate,trials",
-        f"{args.b},{args.c},{stats.mean_regret:.6f},{stats.stderr:.6f},"
-        f"{stats.mean_hires:.6f},{stats.failure_rate:.6f},{stats.trials}",
-    ]
+    lines = list(cell_csv_rows([(args.b, args.c, stats)]))
     if args.format == "json":
         payload = {
             "b": args.b, "c": args.c,
@@ -188,13 +185,8 @@ def cmd_multiround(args) -> int:
 
 def cmd_failure(args) -> int:
     started = time.time()
-    if args.c is not None:
-        c = args.c
-    elif abs(args.q - 0.5) < 1e-12:
-        from seqselect.analytics import optimal_cutoff
-
-        c = optimal_cutoff(args.n, args.b, args.r)[0]
-    else:
+    c = args.c
+    if c is None:
         c = translate_cutoff(args.n, args.b, args.q, args.r).c_target
     stats = run_cell(
         args.n, args.b, c, args.q, args.r, args.policy,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -90,7 +89,6 @@ class Instance:
 class RankContext:
     """Absolute ranks of every score in the combined pool (rank 1 = best)."""
 
-    pool: tuple
     rank_of_referent: tuple
     rank_of_candidate: tuple
 
@@ -125,18 +123,6 @@ class SelectionOutcome:
         )
 
 
-def rank_of(s: float, pool: Sequence[float]) -> int:
-    """Rank of s within pool: 1 + number of strictly greater elements.
-
-    Rank 1 is the highest score.  s must be an element of pool and pool
-    elements must be pairwise distinct.
-    """
-    pool = list(pool)
-    if s not in pool:
-        raise DomainError(f"{s!r} is not an element of the pool")
-    return 1 + sum(1 for x in pool if x > s)
-
-
 def build_rank_context(instance: Instance) -> RankContext:
     """Rank all n + b scores jointly; ranks form a permutation of 1..n+b.
 
@@ -149,7 +135,6 @@ def build_rank_context(instance: Instance) -> RankContext:
     ranks[order] = np.arange(1, len(pool) + 1)
     b = instance.b
     return RankContext(
-        pool=tuple(pool.tolist()),
         rank_of_referent=tuple(int(x) for x in ranks[:b]),
         rank_of_candidate=tuple(int(x) for x in ranks[b:]),
     )
@@ -199,7 +184,10 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
 def offline_optimum(instance: Instance) -> int:
     """Minimal rank sum achievable choosing b items from candidates plus
     available referents, by an oracle that sees every rank."""
-    ctx = build_rank_context(instance)
+    return _offline_optimum(instance, build_rank_context(instance))
+
+
+def _offline_optimum(instance: Instance, ctx: RankContext) -> int:
     selectable = [
         rank for rank, avail in zip(ctx.rank_of_referent, instance.availability) if avail
     ]
@@ -221,4 +209,4 @@ def realized_regret(instance: Instance, outcome: SelectionOutcome) -> int:
     ctx = build_rank_context(instance)
     online = sum(rank for rank, keep in zip(ctx.rank_of_referent, K) if keep)
     online += sum(rank for rank, hire in zip(ctx.rank_of_candidate, A) if hire)
-    return int(online) - offline_optimum(instance)
+    return int(online) - _offline_optimum(instance, ctx)

@@ -10,15 +10,18 @@ worker count.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from seqselect.analytics import AnalyticParams, mu_hat_curve, optimal_cutoff, translate_cutoff
+from seqselect.analytics import translate_cutoff
 from seqselect.core import DomainError, generate_instance
-from seqselect.policies import PolicySpec, ZoneConfig, run_policy
+from seqselect.multiround import acsm_spec
+from seqselect.policies import PolicySpec, run_policy
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class ExperimentSpec:
     b_values: tuple
     c_values: tuple
     q: float
-    r_rule: float  # int: absolute count; float in [0, 1]: fraction of b
+    r_rule: float  # integer: absolute count; otherwise a fraction of b in [0, 1]
     policy: str = "csm"
     trials: int = 1000
     master_seed: int = 0
@@ -39,12 +42,19 @@ class ExperimentSpec:
             raise DomainError("trials must be >= 1")
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
+        if not self._r_is_count() and not (0.0 <= self.r_rule <= 1.0):
+            raise DomainError(f"a resignation fraction must lie in [0, 1], got {self.r_rule}")
+
+    def _r_is_count(self) -> bool:
+        # bool is an Integral, but True is read as the fraction 1, not the count 1
+        return isinstance(self.r_rule, numbers.Integral) and not isinstance(self.r_rule, bool)
 
     def r_for(self, b: int) -> int:
-        """Resignations for one b: ints are absolute, floats are fractions of b."""
-        if isinstance(self.r_rule, int):
-            return self.r_rule
-        return round(self.r_rule * b)
+        """Resignations for one b: integers are absolute, anything else is a
+        fraction of b."""
+        if self._r_is_count():
+            return int(self.r_rule)
+        return round(float(self.r_rule) * b)
 
 
 @dataclass(frozen=True)
@@ -67,13 +77,12 @@ def trial_seed(cell_seed: Sequence[int], trial_index: int) -> np.random.SeedSequ
     return np.random.SeedSequence([*cell_seed, trial_index])
 
 
-def _policy_spec(policy: str, n: int, b: int, r: int, q: float, c: int) -> PolicySpec:
-    if policy == "acsm":
-        # the zone is built at the effective cutoff the engine will use, so the
-        # no-failure conditioning stays well defined for every scanned c
-        mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=min(c, n - r)))
-        return PolicySpec(variant="acsm", cutoff=c, zone=ZoneConfig.default(n, b, mu))
-    return PolicySpec(variant=policy, cutoff=c)
+def clamp_workers(workers: int, cpus: Optional[int]) -> int:
+    """Worker processes to start: at least 1 requested, at most cpus (the
+    machine's processor count, None when unknown)."""
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    return min(workers, cpus or 1)
 
 
 def _run_trials(n, b, c, q, r, spec: PolicySpec, cell_seed, indices):
@@ -104,8 +113,9 @@ def run_cell(
 ) -> CellStats:
     """Run one parameter cell; deterministic in (arguments, seed) for any workers."""
     cell_seed = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    spec = _policy_spec(policy, n, b, r, q, c)
-    if workers <= 1 or trials < 2 * workers:
+    workers = clamp_workers(workers, os.cpu_count())
+    spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
+    if workers == 1 or trials < 2 * workers:
         data = _run_trials(n, b, c, q, r, spec, cell_seed, range(trials))
     else:
         chunks = np.array_split(np.arange(trials), workers)
@@ -160,10 +170,7 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
             if st.mean_regret < best_val:
                 best_val, best_c = st.mean_regret, c
         sim_path[b] = best_c
-        if abs(spec.q - 0.5) < 1e-12:
-            analytic_path[b] = optimal_cutoff(spec.n, b, r)[0]
-        else:
-            analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
+        analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
     return HeatmapResult(spec=spec, cells=cells, sim_path=sim_path, analytic_path=analytic_path)
 
 
@@ -193,14 +200,20 @@ def cutoff_curves(
     return rows
 
 
-def heatmap_csv_rows(result: HeatmapResult):
-    """Rows for the heatmap CSV: b,c,mean_regret,stderr,mean_hires,failure_rate,trials."""
+def cell_csv_rows(cells):
+    """CSV rows for (b, c, CellStats) triples:
+    b,c,mean_regret,stderr,mean_hires,failure_rate,trials."""
     yield "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
-    for b, c, st in result.rows():
+    for b, c, st in cells:
         yield (
             f"{b},{c},{st.mean_regret:.6f},{st.stderr:.6f},"
             f"{st.mean_hires:.6f},{st.failure_rate:.6f},{st.trials}"
         )
+
+
+def heatmap_csv_rows(result: HeatmapResult):
+    """Rows for the heatmap CSV, one per (b, c) cell."""
+    yield from cell_csv_rows(result.rows())
 
 
 def cutoff_csv_rows(rows):

@@ -17,12 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from seqselect.analytics import (
-    AnalyticParams,
-    mu_hat_curve,
-    optimal_cutoff,
-    translate_cutoff,
-)
+from seqselect.analytics import AnalyticParams, mu_hat_curve, resolve_cutoff
 from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality
 from seqselect.policies import PolicySpec, ZoneConfig, run_policy
 
@@ -54,16 +49,15 @@ class RoundRecord:
         return self.outcome.regret
 
 
-def _quiet_cutoff(n: int, b: int, r: int, q: float) -> int:
-    """Translated optimal cutoff, handling quality values at or beyond the
-    ends of the open interval without warning noise."""
-    if q >= 1.0:
-        return 0  # reference set already dominates every candidate
-    q = max(q, 1e-9)
-    n_s = math.floor((n + b - 1) * (1.0 - q) / 0.5 - b + 1)
-    if n_s < b:
-        return 0
-    return translate_cutoff(n, b, q, r).c_target
+def acsm_spec(n: int, b: int, r: int, q: float, c: int) -> PolicySpec:
+    """Adjusted cutoff policy at cutoff c with the default zone around mu_hat.
+
+    The zone is built at the effective cutoff the engine will use,
+    min(c, n - r), so the no-failure conditioning stays well defined for
+    every c.
+    """
+    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=min(c, n - r)))
+    return PolicySpec(variant="acsm", cutoff=c, zone=ZoneConfig.default(n, b, mu))
 
 
 def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySpec]:
@@ -73,16 +67,15 @@ def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySp
 
     def select(n: int, b: int, r: int, q: float) -> PolicySpec:
         if name == "csm-star":
-            return PolicySpec(variant="csm", cutoff=_quiet_cutoff(n, b, r, q))
+            return PolicySpec(variant="csm", cutoff=resolve_cutoff(n, b, r, q).c_target)
         if name == "csm-e":
             return PolicySpec(variant="csm", cutoff=math.floor(n / math.e))
         if name == "csm-0":
             return PolicySpec(variant="csm", cutoff=0)
         if name == "acsm-star":
-            c = _quiet_cutoff(n, b, r, q)
+            # the zone's curve needs a quality inside (0, 1); the chain's can sit on an end
             q_model = min(max(q, 1e-6), 1.0 - 1e-6)
-            mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q_model, c=min(c, n - r)))
-            return PolicySpec(variant="acsm", cutoff=c, zone=ZoneConfig.default(n, b, mu))
+            return acsm_spec(n, b, r, q_model, resolve_cutoff(n, b, r, q).c_target)
         if name == "mean":
             return PolicySpec(variant="mean")
         return PolicySpec(variant="rand")

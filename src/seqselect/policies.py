@@ -116,14 +116,10 @@ def _run_round(
         regret=0,
         threshold_trace=tuple(trace),
     )
-    return SelectionOutcome(
-        candidate_decisions=outcome.candidate_decisions,
-        referent_decisions=outcome.referent_decisions,
-        hires=outcome.hires,
-        failures=outcome.failures,
-        regret=realized_regret(instance, outcome),
-        threshold_trace=outcome.threshold_trace,
-    )
+    # the regret needs the finished decisions; nothing else holds this object
+    # yet, so it is set in place rather than on a second outcome
+    object.__setattr__(outcome, "regret", realized_regret(instance, outcome))
+    return outcome
 
 
 def _learning_phase(instance: Instance, c: int):

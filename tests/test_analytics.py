@@ -1,5 +1,6 @@
 """Closed-form machinery tests: formulas, solver anchors, translation, mu-hat."""
 
+import csv
 import itertools
 import math
 
@@ -8,7 +9,6 @@ import pytest
 
 from seqselect.analytics import (
     AnalyticParams,
-    CutoffTable,
     analyze_setting,
     cutoff_table_rows,
     expected_available_rank,
@@ -251,17 +251,6 @@ class TestTranslateCutoff:
             res = translate_cutoff(100, 15, 0.99, 0)
         assert res.degenerate and res.c_target == 0
 
-    def test_custom_cutoff_source(self):
-        seen = {}
-
-        def source(n, b, r):
-            seen["args"] = (n, b, r)
-            return 9
-
-        res = translate_cutoff(100, 15, 0.8, 0, cutoff_source=source)
-        assert seen["args"] == (31, 15, 0)
-        assert res.c_target == 22
-
     def test_domain(self):
         with pytest.raises(DomainError):
             translate_cutoff(100, 5, 1.0, 0)
@@ -436,9 +425,12 @@ class TestCutoffTable:
         rows = list(cutoff_table_rows([20, 30], [3], [0, 3]))
         path = tmp_path / "table.csv"
         path.write_text("\n".join(rows) + "\n")
-        table = CutoffTable.load(path)
-        assert table(20, 3, 0) == optimal_cutoff(20, 3, 0)[0]
-        res = translate_cutoff(42, 3, 0.75, 0, cutoff_source=table)
-        assert res.n_source == 20
-        with pytest.raises(DomainError):
-            table(99, 3, 0)
+        with open(path, newline="") as fh:
+            table = {(int(d["n"]), int(d["b"]), int(d["r"])): int(d["c_star"])
+                     for d in csv.DictReader(fh)}
+        assert sorted(table) == [(20, 3, 0), (20, 3, 3), (30, 3, 0), (30, 3, 3)]
+        for (n, b, r), c_star in table.items():
+            assert c_star == optimal_cutoff(n, b, r)[0]
+        # the translation's source setting is a row of the table
+        res = translate_cutoff(42, 3, 0.75, 0)
+        assert (res.n_source, res.c_source) == (20, table[(20, 3, 0)])

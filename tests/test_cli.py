@@ -35,6 +35,13 @@ class TestAnalyze:
     def test_bad_params_exit_code(self):
         assert run_cli(["analyze", "--n", "5", "--b", "9", "--r", "0", "--q", "0.5"]) == 2
 
+    def test_cutoff_outside_range_exit_code(self, capsys):
+        for q in ("0.5", "0.75", "0.99"):
+            for c in ("500", "-1", "101"):
+                argv = ["analyze", "--n", "100", "--b", "5", "--q", q, "--c", c]
+                assert run_cli(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestTranslate:
     def test_published_example(self, capsys):
@@ -82,6 +89,14 @@ class TestSimulate:
         run_cli(argv(str(tmp_path / "a.csv")))
         run_cli(argv(str(tmp_path / "b.csv")))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_workers_below_one_exit_code(self, tmp_path):
+        for workers in ("0", "-2"):
+            assert run_cli(
+                ["simulate", "--n", "15", "--b", "2", "--c", "3", "--trials", "20",
+                 "--workers", workers, "--out", str(tmp_path / "w.csv")]
+            ) == 2
+        assert not (tmp_path / "w.csv").exists()
 
     def test_json_format(self, capsys):
         assert run_cli(

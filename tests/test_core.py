@@ -16,7 +16,6 @@ from seqselect.core import (
     compute_quality,
     generate_instance,
     offline_optimum,
-    rank_of,
     realized_regret,
 )
 
@@ -27,21 +26,6 @@ def make_instance(refs, avail, cands):
         reference_scores=tuple(refs), availability=tuple(avail),
         candidate_scores=tuple(cands),
     )
-
-
-class TestRankOf:
-    def test_maximum_gets_rank_one(self):
-        assert rank_of(0.9, [0.1, 0.5, 0.9]) == 1
-
-    def test_minimum_gets_rank_n(self):
-        assert rank_of(0.1, [0.1, 0.5, 0.9]) == 3
-
-    def test_middle(self):
-        assert rank_of(0.5, [0.1, 0.5, 0.9]) == 2
-
-    def test_not_in_pool(self):
-        with pytest.raises(DomainError):
-            rank_of(0.3, [0.1, 0.5, 0.9])
 
 
 class TestRankContext:

@@ -9,6 +9,7 @@ from seqselect.core import DomainError, generate_instance
 from seqselect.montecarlo import (
     CellStats,
     ExperimentSpec,
+    clamp_workers,
     cutoff_csv_rows,
     cutoff_curves,
     heatmap_csv_rows,
@@ -74,11 +75,44 @@ class TestExperimentSpec:
         spec_abs = ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=3)
         assert spec_abs.r_for(5) == 3
 
+    def test_r_rule_integer_types(self):
+        def spec(rule):
+            return ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=rule)
+
+        # numpy integers are counts, not fractions
+        assert spec(np.int64(2)).r_for(5) == 2
+        assert type(spec(np.int64(2)).r_for(5)) is int
+        # bools are fractions: True is all of b, False none
+        assert spec(True).r_for(5) == 5 and type(spec(True).r_for(5)) is int
+        assert spec(False).r_for(5) == 0
+        assert spec(np.float64(0.4)).r_for(5) == 2
+
+    def test_fraction_outside_unit_interval(self):
+        for rule in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=rule)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_rule=0)
         with pytest.raises(DomainError):
             ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=0, trials=0)
+
+
+class TestClampWorkers:
+    def test_within_processor_count(self):
+        assert clamp_workers(1, 8) == 1
+        assert clamp_workers(3, 8) == 3
+
+    def test_clamped_to_processor_count(self):
+        assert clamp_workers(8, 8) == 8
+        assert clamp_workers(10**6, 8) == 8
+        assert clamp_workers(4, None) == 1  # unknown processor count
+
+    def test_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(DomainError):
+                clamp_workers(workers, 8)
 
 
 class TestHeatmap:
