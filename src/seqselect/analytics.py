@@ -116,19 +116,11 @@ class AnalyticCurve:
     def lam_n(self) -> float:
         return self.lam[-1]
 
-    def expected_regret(self, normalization: str = "total") -> float:
-        """Expected regret of the cutoff policy.
-
-        'total' is the raw closed form on the rank-sum scale (candidate term
-        scaled by 1/(n+b), referent term and offline subtraction unscaled);
-        'per-item' divides the whole expression by b.
-        """
-        raw = self.candidate_term + self.referent_term - self.e_offline
-        if normalization == "total":
-            return raw
-        if normalization == "per-item":
-            return raw / self.params.b
-        raise DomainError(f"unknown normalization {normalization!r}")
+    def expected_regret(self) -> float:
+        """Expected regret of the cutoff policy on the rank-sum scale
+        (candidate term scaled by 1/(n+b), referent term and offline
+        subtraction unscaled)."""
+        return self.candidate_term + self.referent_term - self.e_offline
 
 
 def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
@@ -273,25 +265,23 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
     return float((np.maximum(ks, r) * pmf).sum() + max(b, r) * (1.0 - pmf.sum()))
 
 
-@lru_cache(maxsize=100_000)
-def _regret_scan(n: int, b: int, r: int, q: float) -> tuple:
-    """Expected regret over every cutoff c in [0, n] (total scale)."""
-    vals = []
-    for c in range(n + 1):
-        curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c))
-        vals.append(curve.expected_regret("total"))
-    return tuple(vals)
+def _regret_scan(n: int, b: int, r: int) -> tuple:
+    """Expected regret over every cutoff c in [0, n] at medium quality."""
+    return tuple(
+        threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c)).expected_regret()
+        for c in range(n + 1)
+    )
 
 
 @lru_cache(maxsize=100_000)
-def optimal_cutoff(n: int, b: int, r: int, q: float = 0.5) -> tuple:
-    """Optimal learning-phase length and its expected regret.
+def optimal_cutoff(n: int, b: int, r: int) -> tuple:
+    """Optimal learning-phase length at medium quality and its expected regret.
 
     Scans c in {0..n} exhaustively (ties toward smaller c).  For r < b the
     recursion's argmin is moved down by CUTOFF_CORRECTION; the r = b argmin is
-    used as is.
+    used as is.  Other qualities go through resolve_cutoff.
     """
-    vals = _regret_scan(n, b, r, q)
+    vals = _regret_scan(n, b, r)
     raw = int(np.argmin(vals))
     c_star = raw if r == b else max(raw - CUTOFF_CORRECTION, 0)
     return c_star, float(vals[c_star])
@@ -450,7 +440,7 @@ def analyze_setting(n: int, b: int, r: int, q: float, c: Optional[int] = None) -
             AnalyticParams(n=n_src, b=b, r=r, q=0.5, c=min(c_star, n_src))
         )
         e_hires = expected_max_hires(hire_curve)
-        e_reg = reg_curve.expected_regret("total")
+        e_reg = reg_curve.expected_regret()
         gamma_at_c = hire_curve.gamma
     return AnalysisReport(
         n=n, b=b, r=r, q=q,

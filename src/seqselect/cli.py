@@ -25,12 +25,10 @@ from seqselect.montecarlo import (
     cell_csv_rows,
     cutoff_csv_rows,
     cutoff_curves,
-    heatmap_csv_rows,
     regret_heatmap,
     run_cell,
 )
 from seqselect.multiround import (
-    POLICY_NAMES,
     PopulationSpec,
     aggregate_csv_rows,
     compare_policies,
@@ -44,6 +42,31 @@ def _int_list(text: str):
 
 def _float_list(text: str):
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
+
+
+def _c_values(args):
+    """The swept cutoffs: --c-values, else 0..n in steps of --c-step."""
+    if args.c_values:
+        return args.c_values
+    if args.c_step < 1:
+        raise DomainError(f"--c-step must be >= 1, got {args.c_step}")
+    return tuple(range(0, args.n + 1, args.c_step))
+
+
+def _r_rule(args):
+    """--r-frac, else --r.  --r defaults to 0 here, not in argparse: the
+    exclusive group would read an explicit "--r 0" as absent."""
+    if args.r is None:
+        args.r = 0
+    return args.r_frac if args.r_frac is not None else args.r
+
+
+def _add_resignation_flags(p) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--r", type=int, default=None,
+                       help="absolute resignations per b (default 0)")
+    group.add_argument("--r-frac", type=float, default=None,
+                       help="resignations as a fraction of b")
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -121,15 +144,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_heatmap(args) -> int:
     started = time.time()
-    c_values = args.c_values or tuple(range(0, args.n + 1, args.c_step))
     spec = ExperimentSpec(
-        n=args.n, b_values=args.b_values, c_values=c_values, q=args.q,
-        r_rule=args.r_frac if args.r_frac is not None else args.r,
-        policy=args.policy, trials=args.trials, master_seed=args.seed,
+        n=args.n, b_values=args.b_values, c_values=_c_values(args), q=args.q,
+        r_rule=_r_rule(args), policy=args.policy, trials=args.trials, master_seed=args.seed,
     )
     result = regret_heatmap(spec, workers=args.workers)
     out = Path(args.out)
-    _write_lines(out, heatmap_csv_rows(result))
+    _write_lines(out, cell_csv_rows((b, c, st) for (b, c), st in sorted(result.cells.items())))
     path_lines = ["b,c_star_sim,c_star_analytic"]
     for b in spec.b_values:
         path_lines.append(f"{b},{result.sim_path[b]},{result.analytic_path[b]}")
@@ -148,13 +169,12 @@ def cmd_cutoff_table(args) -> int:
 
 def cmd_cutoff_curves(args) -> int:
     started = time.time()
-    c_values = args.c_values or tuple(range(0, args.n + 1, args.c_step))
     rows = cutoff_curves(
         n=args.n,
-        r_rule=args.r_frac if args.r_frac is not None else args.r,
+        r_rule=_r_rule(args),
         q_list=args.q_values,
         b_values=args.b_values,
-        c_values=c_values,
+        c_values=_c_values(args),
         trials=args.trials,
         master_seed=args.seed,
         workers=args.workers,
@@ -169,9 +189,6 @@ def cmd_multiround(args) -> int:
     started = time.time()
     pop = PopulationSpec(size=args.pop_size, n=args.n, b=args.b)
     policies = tuple(args.policies.split(","))
-    for p in policies:
-        if p not in POLICY_NAMES:
-            raise DomainError(f"unknown policy {p!r}; choose from {','.join(POLICY_NAMES)}")
     curves = compare_policies(pop, args.rounds, args.p_res, policies, args.runs, args.seed)
     out = Path(args.out)
     _write_lines(out, multiround_csv_rows(curves))
@@ -249,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="regret heatmap over (b, c) cells")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--r", type=int, default=0, help="absolute resignations per b")
-    p.add_argument("--r-frac", type=float, default=None, help="resignations as a fraction of b")
+    _add_resignation_flags(p)
     p.add_argument("--b-values", type=_int_list, default=(5, 20, 50))
     p.add_argument("--c-values", type=_int_list, default=None)
     p.add_argument("--c-step", type=int, default=1)
@@ -273,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q-values", type=_float_list, default=(0.5,))
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--r-frac", type=float, default=None)
+    _add_resignation_flags(p)
     p.add_argument("--b-values", type=_int_list, default=(5, 20, 50))
     p.add_argument("--c-values", type=_int_list, default=None)
     p.add_argument("--c-step", type=int, default=1)

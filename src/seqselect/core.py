@@ -8,8 +8,8 @@ rank 1 is the best score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,27 +62,11 @@ class Instance:
         """Number of resignations (empty positions at the start)."""
         return self.b - sum(self.availability)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "b": self.b,
-                "reference_scores": list(self.reference_scores),
-                "availability": list(self.availability),
-                "candidate_scores": list(self.candidate_scores),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        d = json.loads(text)
-        return cls(
-            n=d["n"],
-            b=d["b"],
-            reference_scores=tuple(d["reference_scores"]),
-            availability=tuple(d["availability"]),
-            candidate_scores=tuple(d["candidate_scores"]),
-        )
+    @cached_property
+    def ranks(self) -> "RankContext":
+        """The joint ranking, computed on first use and kept: every consumer of
+        one round (quality, oracle, regret) reads the same ranks."""
+        return build_rank_context(self)
 
 
 @dataclass(frozen=True)
@@ -110,18 +94,6 @@ class SelectionOutcome:
     regret: int
     threshold_trace: tuple = field(default=())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "decisions": list(self.candidate_decisions),
-                "referent_decisions": list(self.referent_decisions),
-                "hires": self.hires,
-                "failures": self.failures,
-                "regret": self.regret,
-                "thresholds": [t if t is None else float(t) for t in self.threshold_trace],
-            }
-        )
-
 
 def build_rank_context(instance: Instance) -> RankContext:
     """Rank all n + b scores jointly; ranks form a permutation of 1..n+b.
@@ -147,8 +119,7 @@ def compute_quality(instance: Instance) -> float:
     x_min = (b+1)/2 and x_max = n + (b+1)/2, so the denominator is n and
     a mean rank of (n+b+1)/2 gives exactly q = 1/2.
     """
-    ctx = build_rank_context(instance)
-    mean_rank = float(np.mean(ctx.rank_of_referent))
+    mean_rank = float(np.mean(instance.ranks.rank_of_referent))
     x_min = (instance.b + 1) / 2.0
     return 1.0 - (mean_rank - x_min) / instance.n
 
@@ -184,10 +155,7 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
 def offline_optimum(instance: Instance) -> int:
     """Minimal rank sum achievable choosing b items from candidates plus
     available referents, by an oracle that sees every rank."""
-    return _offline_optimum(instance, build_rank_context(instance))
-
-
-def _offline_optimum(instance: Instance, ctx: RankContext) -> int:
+    ctx = instance.ranks
     selectable = [
         rank for rank, avail in zip(ctx.rank_of_referent, instance.availability) if avail
     ]
@@ -198,15 +166,17 @@ def _offline_optimum(instance: Instance, ctx: RankContext) -> int:
     return int(sum(selectable[: instance.b]))
 
 
-def realized_regret(instance: Instance, outcome: SelectionOutcome) -> int:
-    """Rank sum of the final assignment minus the offline optimum (always >= 0)."""
-    A = outcome.candidate_decisions
-    K = outcome.referent_decisions
+def realized_regret(instance: Instance, candidate_decisions, referent_decisions) -> int:
+    """Rank sum of a final assignment minus the offline optimum (always >= 0).
+
+    candidate_decisions and referent_decisions are as in SelectionOutcome.
+    """
+    A, K = candidate_decisions, referent_decisions
     if sum(A) + sum(K) != instance.b:
         raise ContractError("fill constraint violated: assignments != b")
     if any(k and not a for k, a in zip(K, instance.availability)):
         raise ContractError("a resigned referent cannot keep the position")
-    ctx = build_rank_context(instance)
+    ctx = instance.ranks
     online = sum(rank for rank, keep in zip(ctx.rank_of_referent, K) if keep)
     online += sum(rank for rank, hire in zip(ctx.rank_of_candidate, A) if hire)
-    return int(online) - _offline_optimum(instance, ctx)
+    return int(online) - offline_optimum(instance)

@@ -13,7 +13,8 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,8 @@ class ExperimentSpec:
             raise DomainError("b and c ranges must be non-empty")
         if not self._r_is_count() and not (0.0 <= self.r_rule <= 1.0):
             raise DomainError(f"a resignation fraction must lie in [0, 1], got {self.r_rule}")
+        if not all(0 <= c <= self.n for c in self.c_values):
+            raise DomainError(f"cutoffs must lie in [0, n={self.n}], got {self.c_values}")
 
     def _r_is_count(self) -> bool:
         # bool is an Integral, but True is read as the fraction 1, not the count 1
@@ -96,10 +99,6 @@ def _run_trials(n, b, c, q, r, spec: PolicySpec, cell_seed, indices):
     return out
 
 
-def _worker(args):
-    return _run_trials(*args)
-
-
 def run_cell(
     n: int,
     b: int,
@@ -113,6 +112,10 @@ def run_cell(
 ) -> CellStats:
     """Run one parameter cell; deterministic in (arguments, seed) for any workers."""
     cell_seed = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if min(cell_seed) < 0:
+        raise DomainError(f"seeds must be >= 0, got {seed}")
     workers = clamp_workers(workers, os.cpu_count())
     spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
     if workers == 1 or trials < 2 * workers:
@@ -120,12 +123,8 @@ def run_cell(
     else:
         chunks = np.array_split(np.arange(trials), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _worker,
-                    [(n, b, c, q, r, spec, cell_seed, chunk.tolist()) for chunk in chunks],
-                )
-            )
+            run = partial(_run_trials, n, b, c, q, r, spec, cell_seed)
+            parts = list(pool.map(run, [chunk.tolist() for chunk in chunks]))
         data = np.concatenate(parts, axis=0)  # chunks are in trial-index order
     regrets = data[:, 0].astype(float)
     mean = float(regrets.mean())
@@ -146,10 +145,6 @@ class HeatmapResult:
     sim_path: dict  # b -> empirical argmin cutoff
     analytic_path: dict  # b -> analytic optimal cutoff
 
-    def rows(self):
-        for (b, c), st in sorted(self.cells.items()):
-            yield b, c, st
-
 
 def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
     """Mean empirical regret per (b, c) cell plus both optimal-cutoff paths."""
@@ -160,8 +155,6 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
         r = spec.r_for(b)
         best_c, best_val = None, math.inf
         for c in spec.c_values:
-            if c > spec.n:
-                continue
             st = run_cell(
                 spec.n, b, c, spec.q, r, spec.policy, spec.trials,
                 (spec.master_seed, b, c), workers=workers,
@@ -209,11 +202,6 @@ def cell_csv_rows(cells):
             f"{b},{c},{st.mean_regret:.6f},{st.stderr:.6f},"
             f"{st.mean_hires:.6f},{st.failure_rate:.6f},{st.trials}"
         )
-
-
-def heatmap_csv_rows(result: HeatmapResult):
-    """Rows for the heatmap CSV, one per (b, c) cell."""
-    yield from cell_csv_rows(result.rows())
 
 
 def cutoff_csv_rows(rows):

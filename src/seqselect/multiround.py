@@ -90,11 +90,21 @@ def run_chain(
     policy_selector: Callable[[int, int, int, float], PolicySpec],
     seed,
 ) -> list:
-    """Run one multi-round chain; fully deterministic in (arguments, seed)."""
+    """Run one multi-round chain; fully deterministic in (arguments, seed).
+
+    seed is a SeedSequence or the entropy for one: an integer >= 0 or a
+    sequence of them.
+    """
+    if rounds < 1:
+        raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
         raise DomainError("p_res must lie in [0, 1]")
-    root = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    pop_ss, stream_ss = root.spawn(2)
+    if not isinstance(seed, np.random.SeedSequence):
+        try:
+            seed = np.random.SeedSequence(seed)
+        except ValueError as exc:  # a negative entry
+            raise DomainError(f"bad seed {seed}: {exc}") from None
+    pop_ss, stream_ss = seed.spawn(2)
     pop_rng = np.random.default_rng(pop_ss)
     scores = pop_rng.uniform(0.0, 1.0, size=pop.size)
     employed = list(pop_rng.choice(pop.size, size=pop.b, replace=False))
@@ -167,30 +177,27 @@ def compare_policies(
     """
     if not policy_names:
         raise DomainError("policy list must be non-empty")
-    regs = {p: np.zeros((runs, rounds)) for p in policy_names}
+    if runs < 1:
+        raise DomainError(f"runs must be >= 1, got {runs}")
+    # every name is checked here, before any chain runs
+    selectors = {p: make_policy_selector(p) for p in policy_names}
     rows = {p: [] for p in policy_names}
     for i in range(runs):
         for p in policy_names:
-            selector = make_policy_selector(p)
-            # fresh SeedSequence per policy: identical identity => paired streams
-            recs = run_chain(pop, rounds, p_res, selector, np.random.SeedSequence([seed, i]))
-            for rec in recs:
-                regs[p][i, rec.round_index - 1] = rec.regret
-                rows[p].append(
-                    (
-                        i,
-                        rec.round_index,
-                        rec.regret,
-                        rec.outcome.hires,
-                        rec.outcome.failures,
-                        rec.quality,
-                        rec.cutoff,
-                    )
-                )
+            # a fresh SeedSequence per policy: identical identity => paired streams
+            recs = run_chain(pop, rounds, p_res, selectors[p], [seed, i])
+            rows[p].extend(
+                (i, rec.round_index, rec.regret, rec.outcome.hires, rec.outcome.failures,
+                 rec.quality, rec.cutoff)
+                for rec in recs
+            )
     out = {}
     for p in policy_names:
-        mean = regs[p].mean(axis=0)
-        se = regs[p].std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
+        regs = np.zeros((runs, rounds))
+        for i, rnd, regret, *_ in rows[p]:
+            regs[i, rnd - 1] = regret
+        mean = regs.mean(axis=0)
+        se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(
             policy=p,
             mean_regret=tuple(mean.tolist()),

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.core import (
-    ContractError,
     DomainError,
     Instance,
     SelectionOutcome,
@@ -98,118 +97,103 @@ def _run_round(
         s = instance.candidate_scores[j - 1]
         tau = threshold_at(j, l) if l < b else None
         trace.append(tau)
-        forced = l < b and (j - l >= n - r + 1)
-        if l < b and ((tau is not None and s > tau) or forced):
-            if forced and (tau is None or s < tau):
-                failures += 1
+        if l < b and ((tau is not None and s > tau) or j - l >= n - r + 1):
+            failures += is_failure(j, l, n, r, s, tau)
             if l >= r:
                 kept[avail_idx[len(avail_idx) - 1 - (l - r)]] = 0
             l += 1
             A[j - 1] = 1
         if after_step is not None:
             after_step(j, l)
-    outcome = SelectionOutcome(
-        candidate_decisions=tuple(A),
-        referent_decisions=tuple(kept),
+    A, kept = tuple(A), tuple(kept)
+    return SelectionOutcome(
+        candidate_decisions=A,
+        referent_decisions=kept,
         hires=l,
         failures=failures,
-        regret=0,
+        regret=realized_regret(instance, A, kept),
         threshold_trace=tuple(trace),
     )
-    # the regret needs the finished decisions; nothing else holds this object
-    # yet, so it is set in place rather than on a second outcome
-    object.__setattr__(outcome, "regret", realized_regret(instance, outcome))
-    return outcome
 
 
 def _learning_phase(instance: Instance, c: int):
-    """Clamp the cutoff, compute the updated reference set and n_rej.
+    """Clamp the cutoff; return (c_eff, y_b, n_rej, avail_scores, seen).
 
-    The cutoff is clamped to n - r so the forced-fill window is never
-    swallowed by the learning phase; for larger c the final r candidates are
-    still force-accepted, which keeps the fill constraint satisfiable.
+    y_b is the b-th best score of the reference set and the first c_eff
+    candidates, n_rej the number of those candidates strictly above it, and
+    seen every one of those scores in ascending order.  The cutoff is clamped
+    to n - r so the forced-fill window is never swallowed by the learning
+    phase; for larger c the final r candidates are still force-accepted,
+    which keeps the fill constraint satisfiable.
     """
     n, b, r = instance.n, instance.b, instance.r
     if not (0 <= c <= n):
         raise DomainError(f"cutoff must lie in [0, n], got {c}")
     c_eff = min(c, n - r)
-    pool = sorted(instance.reference_scores + instance.candidate_scores[:c_eff], reverse=True)
-    y_b = pool[b - 1]
+    seen = sorted(instance.reference_scores + instance.candidate_scores[:c_eff])
+    y_b = seen[-b]
     n_rej = sum(1 for s in instance.candidate_scores[:c_eff] if s > y_b)
     avail_scores = [s for s, a in zip(instance.reference_scores, instance.availability) if a]
-    return c_eff, y_b, n_rej, avail_scores
+    return c_eff, y_b, n_rej, avail_scores, seen
+
+
+def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> SelectionOutcome:
+    """The cutoff policy, with the feedback band of zone when one is given.
+
+    Plain rule: while hires have not yet covered the resignations plus the
+    learning-phase intruders (n_rej), the threshold is y_b, the b-th best
+    score seen during learning; afterwards it is the worst remaining
+    available referent, so no position is ever refilled by a worse item.
+
+    Band: after each step the running hire count is compared to
+    mu[j] +- width[j].  Inside, the plain rule holds; below, the next
+    threshold is relaxed by floor(D+) positions in the sorted list of all
+    scores seen so far; above, tightened by floor(D-).  The two accumulators
+    gain increment[j] per consecutive out-of-band step and reset on re-entry.
+    Forced acceptances are unchanged.
+    """
+    n, b, r = instance.n, instance.b, instance.r
+    if zone is not None and len(zone.mu) != n:
+        raise DomainError("zone mu curve length must equal n")
+    c_eff, y_b, n_rej, avail_scores, seen = _learning_phase(instance, c)
+    d_plus = d_minus = 0.0
+    mode = "in"
+
+    def threshold_at(j, l):
+        if mode == "in":
+            return y_b if l < n_rej + r else avail_scores[b - l - 1]
+        # position of the learning threshold among everything seen (1 = best)
+        m = len(seen) - bisect.bisect_left(seen, y_b)
+        idx = m + math.floor(d_plus) if mode == "below" else m - math.floor(d_minus)
+        return seen[len(seen) - min(max(idx, 1), len(seen))]
+
+    def after_step(j, l):
+        nonlocal d_plus, d_minus, mode
+        bisect.insort(seen, instance.candidate_scores[j - 1])
+        mu, width = zone.mu[j - 1], zone.width[j - 1]
+        if l < mu - width:
+            d_plus += zone.increment[j - 1]
+            mode = "below"
+        elif l > mu + width:
+            d_minus += zone.increment[j - 1]
+            mode = "above"
+        else:
+            d_plus = d_minus = 0.0
+            mode = "in"
+
+    return _run_round(instance, c_eff, threshold_at, None if zone is None else after_step)
 
 
 def run_cutoff(instance: Instance, c: int) -> SelectionOutcome:
     """Cutoff policy: auto-reject the first c candidates, then accept above a
-    learned threshold.
-
-    While hires have not yet covered the resignations plus the learning-phase
-    intruders (n_rej), the threshold is the b-th best score seen during
-    learning; afterwards it is the worst remaining available referent, so no
-    position is ever refilled by a worse item.
-    """
-    b, r = instance.b, instance.r
-    c_eff, y_b, n_rej, avail_scores = _learning_phase(instance, c)
-
-    def threshold_at(j, l):
-        if l < n_rej + r:
-            return y_b
-        return avail_scores[b - l - 1]
-
-    return _run_round(instance, c_eff, threshold_at)
+    learned threshold (the plain rule of _cutoff_round)."""
+    return _cutoff_round(instance, c, None)
 
 
 def run_adjusted_cutoff(instance: Instance, c: int, zone: ZoneConfig) -> SelectionOutcome:
-    """Cutoff policy with a feedback band on the acceptance count.
-
-    After each step the running hire count is compared to the band
-    mu[j] +- width[j]: inside, the threshold is the plain cutoff-policy one;
-    below, the next threshold is relaxed by floor(D+) positions in the sorted
-    list of all scores seen so far; above, tightened by floor(D-).  The two
-    accumulators gain increment[j] per consecutive out-of-band step and reset
-    on re-entry.  Forced acceptances are unchanged.
-    """
-    n, b, r = instance.n, instance.b, instance.r
-    if len(zone.mu) != n:
-        raise DomainError("zone mu curve length must equal n")
-    c_eff, y_b, n_rej, avail_scores = _learning_phase(instance, c)
-    seen = sorted(instance.reference_scores + instance.candidate_scores[:c_eff])
-    state = {"d_plus": 0.0, "d_minus": 0.0, "mode": "in"}
-
-    def adjusted_value() -> float:
-        # position of the learning threshold among everything seen (1 = best)
-        m = len(seen) - bisect.bisect_left(seen, y_b)
-        if state["mode"] == "below":
-            idx = m + math.floor(state["d_plus"])
-        else:
-            idx = m - math.floor(state["d_minus"])
-        idx = min(max(idx, 1), len(seen))
-        return seen[len(seen) - idx]
-
-    def threshold_at(j, l):
-        if state["mode"] == "below" or state["mode"] == "above":
-            return adjusted_value()
-        if l < n_rej + r:
-            return y_b
-        return avail_scores[b - l - 1]
-
-    def after_step(j, l):
-        bisect.insort(seen, instance.candidate_scores[j - 1])
-        lo = zone.mu[j - 1] - zone.width[j - 1]
-        hi = zone.mu[j - 1] + zone.width[j - 1]
-        if l < lo:
-            state["d_plus"] += zone.increment[j - 1]
-            state["mode"] = "below"
-        elif l > hi:
-            state["d_minus"] += zone.increment[j - 1]
-            state["mode"] = "above"
-        else:
-            state["d_plus"] = 0.0
-            state["d_minus"] = 0.0
-            state["mode"] = "in"
-
-    return _run_round(instance, c_eff, threshold_at, after_step)
+    """Cutoff policy with a feedback band on the acceptance count (the band
+    of _cutoff_round)."""
+    return _cutoff_round(instance, c, zone)
 
 
 def run_mean_baseline(instance: Instance) -> SelectionOutcome:

@@ -169,14 +169,6 @@ class TestThresholdCurve:
             curve.referent_term - curve.e_offline
         )
 
-    def test_regret_normalizations(self):
-        curve = threshold_curve(AnalyticParams(n=60, b=5, r=2, q=0.5, c=15))
-        assert curve.expected_regret("per-item") == pytest.approx(
-            curve.expected_regret("total") / 5
-        )
-        with pytest.raises(DomainError):
-            curve.expected_regret("bogus")
-
 
 class TestExpectedMaxHires:
     def test_full_resignation_is_exactly_b(self):
@@ -225,7 +217,7 @@ class TestOptimalCutoff:
     def test_scale_invariance_of_argmin(self):
         from seqselect.analytics import _regret_scan
 
-        vals = np.array(_regret_scan(40, 4, 1, 0.5))
+        vals = np.array(_regret_scan(40, 4, 1))
         assert np.argmin(vals) == np.argmin(2.7 * vals)
 
     def test_memoized_and_deterministic(self):

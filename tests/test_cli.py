@@ -98,6 +98,13 @@ class TestSimulate:
             ) == 2
         assert not (tmp_path / "w.csv").exists()
 
+    def test_zero_trials_exit_code(self, tmp_path):
+        assert run_cli(
+            ["simulate", "--n", "10", "--b", "2", "--c", "3", "--trials", "0",
+             "--out", str(tmp_path / "t.csv")]
+        ) == 2
+        assert not (tmp_path / "t.csv").exists()
+
     def test_json_format(self, capsys):
         assert run_cli(
             ["simulate", "--n", "15", "--b", "2", "--c", "3", "--trials", "20",
@@ -123,6 +130,14 @@ class TestHeatmap:
         assert cut[0] == "b,c_star_sim,c_star_analytic"
 
 
+    def test_cutoffs_outside_range_exit_code(self, tmp_path):
+        out = tmp_path / "h.csv"
+        base = ["heatmap", "--n", "5", "--b-values", "2", "--trials", "5", "--out", str(out)]
+        for extra in (["--c-values", "0,-3"], ["--c-values", "6,7"], ["--c-step", "0"]):
+            assert run_cli(base + extra) == 2
+        assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
+
+
 class TestCutoffCurves:
     def test_curve_file(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -133,6 +148,55 @@ class TestCutoffCurves:
         lines = out.read_text().splitlines()
         assert lines[0] == "q,b,c_star_sim,c_star_analytic"
         assert len(lines) == 2
+
+
+class TestResignationFlags:
+    def test_r_and_r_frac_exclusive(self, tmp_path, capsys):
+        for command in (["heatmap"], ["cutoff-curves"]):
+            for r in ("0", "1"):
+                argv = command + ["--n", "12", "--b-values", "3", "--c-values", "0,6",
+                                  "--trials", "5", "--r", r, "--r-frac", "0.5",
+                                  "--out", str(tmp_path / "x.csv")]
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(argv)
+                assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_r_defaults_to_zero(self, tmp_path):
+        out = tmp_path / "h.csv"
+        argv = ["heatmap", "--n", "12", "--b-values", "3", "--c-values", "0,6",
+                "--trials", "5", "--out", str(out)]
+        assert run_cli(argv) == 0
+        explicit = tmp_path / "e.csv"
+        assert run_cli(argv[:-1] + [str(explicit), "--r", "0"]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["flags"]["r"] == 0 and manifest["flags"]["r_frac"] is None
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--b", "2", "--c", "3", "--trials", "5"],
+        ["heatmap", "--n", "10", "--b-values", "2", "--c-values", "0,5", "--trials", "5"],
+        ["cutoff-curves", "--n", "10", "--b-values", "2", "--c-values", "0,5",
+         "--trials", "5"],
+        ["failure", "--n", "10", "--b", "2", "--r", "1", "--q", "0.6", "--trials", "5"],
+        ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
+         "--runs", "2", "--p-res", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exit_code(self, argv, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_zero_runs_and_rounds_exit_code(self, tmp_path):
+        out = tmp_path / "m.csv"
+        base = ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--p-res", "0.5",
+                "--out", str(out)]
+        assert run_cli(base + ["--runs", "0", "--rounds", "2"]) == 2
+        assert run_cli(base + ["--runs", "2", "--rounds", "0"]) == 2
+        assert not out.exists()
 
 
 class TestCutoffTable:

@@ -1,7 +1,6 @@
 """Core domain tests: ranking, quality, generation, offline oracle, regret."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from seqselect.core import (
     ContractError,
     DomainError,
     Instance,
-    SelectionOutcome,
     build_rank_context,
     compute_quality,
     generate_instance,
@@ -147,23 +145,21 @@ class TestOfflineOptimum:
 class TestRealizedRegret:
     def test_optimal_selection_gives_zero(self):
         inst = make_instance([0.9], [1], [0.5, 0.4])
-        out = SelectionOutcome((0, 0), (1,), 0, 0, 0)
-        assert realized_regret(inst, out) == 0
+        assert realized_regret(inst, (0, 0), (1,)) == 0
 
     def test_hand_trace(self):
         inst = make_instance([0.5], [0], [0.9, 0.1, 0.3])
-        out = SelectionOutcome((0, 1, 0), (0,), 1, 1, 0)
-        assert realized_regret(inst, out) == 3  # rank 4 chosen, offline rank 1
+        assert realized_regret(inst, (0, 1, 0), (0,)) == 3  # rank 4 chosen, offline rank 1
 
     def test_fill_constraint_enforced(self):
         inst = make_instance([0.5], [1], [0.9, 0.1])
         with pytest.raises(ContractError):
-            realized_regret(inst, SelectionOutcome((1, 0), (1,), 1, 0, 0))
+            realized_regret(inst, (1, 0), (1,))
 
     def test_cannot_keep_resigned(self):
         inst = make_instance([0.5], [0], [0.9, 0.1])
         with pytest.raises(ContractError):
-            realized_regret(inst, SelectionOutcome((0, 0), (1,), 0, 0, 0))
+            realized_regret(inst, (0, 0), (1,))
 
     def test_nonnegative_over_random_outcomes(self):
         rng = np.random.default_rng(41)
@@ -178,8 +174,7 @@ class TestRealizedRegret:
             hires_needed = inst.b - sum(keep)
             hire_at = rng.choice(n, size=hires_needed, replace=False)
             A = [1 if j in hire_at else 0 for j in range(n)]
-            out = SelectionOutcome(tuple(A), tuple(keep), sum(A), 0, 0)
-            assert realized_regret(inst, out) >= 0
+            assert realized_regret(inst, tuple(A), tuple(keep)) >= 0
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(17)
@@ -190,28 +185,11 @@ class TestRealizedRegret:
             keep[drop] = 0
             A = [0] * 8
             A[2] = A[5] = 1
-            out = SelectionOutcome(tuple(A), tuple(keep), 2, 0, 0)
-            base = realized_regret(inst, out)
+            base = realized_regret(inst, tuple(A), tuple(keep))
             warped = Instance(
                 n=inst.n, b=inst.b,
                 reference_scores=tuple(math.exp(3 * s) for s in inst.reference_scores),
                 availability=inst.availability,
                 candidate_scores=tuple(math.exp(3 * s) for s in inst.candidate_scores),
             )
-            assert realized_regret(warped, out) == base
-
-
-class TestSerialization:
-    def test_round_trip_and_field_names(self):
-        inst = generate_instance(6, 2, 0.5, 1, 0)
-        d = json.loads(inst.to_json())
-        assert set(d) == {"n", "b", "reference_scores", "availability", "candidate_scores"}
-        assert Instance.from_json(inst.to_json()) == inst
-
-    def test_outcome_fields(self):
-        out = SelectionOutcome((0, 1), (0,), 1, 0, 2, (0.5, None))
-        d = json.loads(out.to_json())
-        assert set(d) == {
-            "decisions", "referent_decisions", "hires", "failures", "regret", "thresholds",
-        }
-        assert d["thresholds"] == [0.5, None]
+            assert realized_regret(warped, tuple(A), tuple(keep)) == base

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import seqselect.core
 from seqselect.core import DomainError, generate_instance
 from seqselect.montecarlo import (
     CellStats,
     ExperimentSpec,
+    cell_csv_rows,
     clamp_workers,
     cutoff_csv_rows,
     cutoff_curves,
-    heatmap_csv_rows,
     regret_heatmap,
     run_cell,
     trial_seed,
@@ -38,6 +39,22 @@ class TestRunCell:
         a = run_cell(30, 3, 8, 0.5, 1, "csm", 120, 5, workers=1)
         b = run_cell(30, 3, 8, 0.5, 1, "csm", 120, 5, workers=3)
         assert a == b
+
+    def test_ranks_each_trial_once(self, monkeypatch):
+        calls = []
+        rank = seqselect.core.build_rank_context
+        monkeypatch.setattr(
+            seqselect.core, "build_rank_context", lambda inst: calls.append(1) or rank(inst)
+        )
+        for policy in ("csm", "acsm", "mean", "rand"):
+            calls.clear()
+            run_cell(20, 3, 5, 0.5, 1, policy, 7, 3, workers=1)
+            assert len(calls) == 7, policy
+
+    def test_rejects_bad_counts_and_seeds(self):
+        for trials, seed in ((0, 1), (-3, 1), (5, -1), (5, (2, -1))):
+            with pytest.raises(DomainError):
+                run_cell(20, 3, 5, 0.5, 1, "csm", trials, seed)
 
     def test_rand_policy_deterministic(self):
         a = run_cell(20, 2, 0, 0.5, 0, "rand", 80, 9)
@@ -92,6 +109,12 @@ class TestExperimentSpec:
             with pytest.raises(DomainError):
                 ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=rule)
 
+    def test_cutoffs_outside_range(self):
+        for c_values in ((0, -3), (6, 7), (5, 6)):
+            with pytest.raises(DomainError):
+                ExperimentSpec(n=5, b_values=(2,), c_values=c_values, q=0.5, r_rule=0)
+        ExperimentSpec(n=5, b_values=(2,), c_values=(0, 5), q=0.5, r_rule=0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_rule=0)
@@ -133,7 +156,8 @@ class TestHeatmap:
         spec = ExperimentSpec(
             n=10, b_values=(2,), c_values=(0, 5), q=0.5, r_rule=0, trials=20, master_seed=0,
         )
-        rows = list(heatmap_csv_rows(regret_heatmap(spec)))
+        cells = regret_heatmap(spec).cells
+        rows = list(cell_csv_rows((b, c, st) for (b, c), st in sorted(cells.items())))
         assert rows[0] == "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
         assert len(rows) == 3
         parts = rows[1].split(",")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import seqselect.core
+import seqselect.multiround
 from seqselect.core import DomainError
 from seqselect.multiround import (
     POLICY_NAMES,
@@ -62,6 +64,22 @@ class TestRunChain:
             lasts.append(recs[-1].regret)
         assert np.mean(lasts) < np.mean(firsts)
 
+    def test_ranks_each_round_once(self, monkeypatch):
+        calls = []
+        rank = seqselect.core.build_rank_context
+        monkeypatch.setattr(
+            seqselect.core, "build_rank_context", lambda inst: calls.append(1) or rank(inst)
+        )
+        for name in POLICY_NAMES:
+            calls.clear()
+            run_chain(SMALL, 4, 0.5, make_policy_selector(name), 8)
+            assert len(calls) == 4, name
+
+    def test_rejects_bad_rounds_and_seeds(self):
+        for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):
+            with pytest.raises(DomainError):
+                run_chain(SMALL, rounds, 0.5, make_policy_selector("csm-0"), seed)
+
     def test_p_res_domain(self):
         with pytest.raises(DomainError):
             run_chain(SMALL, 2, 1.5, make_policy_selector("csm-0"), 1)
@@ -116,6 +134,18 @@ class TestComparePolicies:
         agg = list(aggregate_csv_rows(curves))
         assert agg[0] == "round,policy,mean_regret,ci95_low,ci95_high"
         assert len(agg) == 1 + 2 * 2
+
+    def test_bad_name_fails_before_any_chain(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(seqselect.multiround, "run_chain", lambda *a: chains.append(a))
+        with pytest.raises(DomainError):
+            compare_policies(SMALL, 2, 0.3, ("csm-star", "nope"), 3, 2)
+        assert chains == []
+
+    def test_rejects_bad_counts_and_seeds(self):
+        for rounds, runs, seed in ((0, 3, 2), (2, 0, 2), (2, -1, 2), (2, 3, -1)):
+            with pytest.raises(DomainError):
+                compare_policies(SMALL, rounds, 0.3, ("csm-0",), runs, seed)
 
     def test_empty_policy_list(self):
         with pytest.raises(DomainError):

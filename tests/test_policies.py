@@ -108,7 +108,9 @@ class TestInvariants:
             assert sum(out.candidate_decisions) + sum(out.referent_decisions) == b
             assert r <= out.hires <= b
             assert out.regret >= 0
-            assert out.regret == realized_regret(inst, out)
+            assert out.regret == realized_regret(
+                inst, out.candidate_decisions, out.referent_decisions
+            )
 
     def test_no_failures_when_no_resignations(self):
         rng = np.random.default_rng(5)
