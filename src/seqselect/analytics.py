@@ -24,8 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaln, gammainc, gammaincc, gammaln
-from scipy.stats import poisson
+from scipy.special import betaln, gammainc, gammaincc, gammaln, xlogy
 
 from seqselect.core import ContractError, DomainError
 
@@ -70,6 +69,11 @@ def g_fn(count: float, lam: float) -> float:
     return float(gammaincc(count, lam))
 
 
+def _poisson_pmf(k, lam):
+    """P(Poisson(lam) = k) by scipy.stats.poisson's own expression, elementwise."""
+    return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+
+
 @dataclass(frozen=True)
 class AnalyticParams:
     n: int
@@ -79,8 +83,8 @@ class AnalyticParams:
     c: int
 
     def __post_init__(self):
-        if not (0 <= self.r <= self.b <= self.n):
-            raise DomainError("need 0 <= r <= b <= n")
+        if not (0 <= self.r <= self.b <= self.n and self.b >= 1):
+            raise DomainError("need 0 <= r <= b <= n and b >= 1")
         if not (0 <= self.c <= self.n):
             raise DomainError("need 0 <= c <= n")
         if not (0.0 < self.q < 1.0):
@@ -261,7 +265,7 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
     b, r = curve.params.b, curve.params.r
     lam_n = curve.lam_n
     ks = np.arange(b)
-    pmf = poisson.pmf(ks, lam_n)
+    pmf = _poisson_pmf(ks, lam_n)
     return float((np.maximum(ks, r) * pmf).sum() + max(b, r) * (1.0 - pmf.sum()))
 
 
@@ -320,8 +324,8 @@ def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
     with a warning when the similar setting is degenerate."""
     if not (0.0 < q_t < 1.0):
         raise DomainError("need 0 < q_t < 1")
-    if not (0 <= r <= b <= n_t):
-        raise DomainError("need 0 <= r <= b <= n_t")
+    if not (0 <= r <= b <= n_t and b >= 1):
+        raise DomainError("need 0 <= r <= b <= n_t and b >= 1")
     res = resolve_cutoff(n_t, b, r, q_t)
     if res.degenerate:
         warnings.warn(
@@ -370,7 +374,7 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
             need > 0, gammainc(np.maximum(need, 1), (lam_n - lam)[:, None]), 1.0
         )
         p_ok = float(gammainc(r, lam_n)) if r > 0 else 1.0
-        low = poisson.pmf(i, lam[:, None])
+        low = _poisson_pmf(i, lam[:, None])
         num = (i * low * reach).sum(axis=1) + b * gammainc(b, lam)
     if r > 0 and p_ok <= 1e-12:
         raise DomainError("conditioning event has probability zero")
@@ -383,6 +387,8 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
 
 def cutoff_table_rows(n_values, b_values, r_values):
     """CSV rows for the cutoff table over a (n, b, r) grid at medium quality."""
+    if any(b < 1 for b in b_values):
+        raise DomainError(f"b values must be >= 1, got {tuple(b_values)}")
     yield "n,b,r,c_star,expected_regret"
     for n in n_values:
         for b in b_values:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every file-emitting subcommand also writes a JSON run manifest
+Each subcommand returns the path of the data file it wrote, or None when it
+wrote none; main then writes a JSON run manifest next to it
 (<output>.manifest.json) carrying the flags, seed, package version and wall
-time; identical flags and seed always reproduce the data files byte for byte.
+time.  Identical flags and seed always reproduce the data files byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 from seqselect import __version__
 from seqselect.analytics import (
@@ -34,6 +37,7 @@ from seqselect.multiround import (
     compare_policies,
     multiround_csv_rows,
 )
+from seqselect.policies import VARIANTS
 
 
 def _int_list(text: str):
@@ -61,19 +65,32 @@ def _r_rule(args):
     return args.r_frac if args.r_frac is not None else args.r
 
 
-def _add_resignation_flags(p) -> None:
+def _add_run_flags(p, trials: int) -> None:
+    """--trials, --seed and --workers of a simulating subcommand."""
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _add_sweep_flags(p) -> None:
+    """The (b, c, r) grid of heatmap and cutoff-curves."""
     group = p.add_mutually_exclusive_group()
     group.add_argument("--r", type=int, default=None,
                        help="absolute resignations per b (default 0)")
     group.add_argument("--r-frac", type=float, default=None,
                        help="resignations as a fraction of b")
+    p.add_argument("--b-values", type=_int_list, default=(5, 20, 50))
+    p.add_argument("--c-values", type=_int_list, default=None)
+    p.add_argument("--c-step", type=int, default=1)
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_lines(path: Path, lines) -> Path:
+    lines = list(lines)  # built before the file opens: a failing run leaves no file
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+    return path
 
 
 def _write_manifest(out: Path, args: argparse.Namespace, started: float) -> None:
@@ -82,14 +99,14 @@ def _write_manifest(out: Path, args: argparse.Namespace, started: float) -> None
         "flags": flags,
         "seed": flags.get("seed"),
         "version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
     with open(out.with_suffix(out.suffix + ".manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     rep = analyze_setting(args.n, args.b, args.r, args.q, c=args.c)
     print(f"n={rep.n} b={rep.b} r={rep.r} q={rep.q}")
     print(f"gamma0 = {rep.gamma_0:.6f}")
@@ -102,73 +119,53 @@ def cmd_analyze(args) -> int:
     print(f"expected_hires = {rep.e_hires:.6f}")
     print(f"expected_regret = {rep.e_regret:.6f}")
     print(f"expected_regret_per_item = {rep.e_regret_per_item:.6f}")
-    return 0
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> None:
     res = translate_cutoff(args.n, args.b, args.q, args.r)
     print(f"n_source = {res.n_source}")
     print(f"c_star_source = {res.c_source}")
     print(f"c_star_target = {res.c_target}")
     if res.degenerate:
         print("warning: degenerate similar setting (n_source < b); cutoff forced to 0")
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args) -> Optional[Path]:
     stats = run_cell(
         args.n, args.b, args.c, args.q, args.r, args.policy,
         args.trials, args.seed, workers=args.workers,
     )
-    lines = list(cell_csv_rows([(args.b, args.c, stats)]))
+    lines = cell_csv_rows([(args.b, args.c, stats)])
     if args.format == "json":
-        payload = {
-            "b": args.b, "c": args.c,
-            "mean_regret": round(stats.mean_regret, 6),
-            "stderr": round(stats.stderr, 6),
-            "mean_hires": round(stats.mean_hires, 6),
-            "failure_rate": round(stats.failure_rate, 6),
-            "trials": stats.trials,
-        }
-        lines = [json.dumps(payload, sort_keys=True)]
+        payload = {k: round(v, 6) for k, v in asdict(stats).items()}  # trials stays an int
+        lines = [json.dumps({"b": args.b, "c": args.c, **payload}, sort_keys=True)]
     if args.out:
-        out = Path(args.out)
-        _write_lines(out, lines)
-        _write_manifest(out, args, started)
-    else:
-        for line in lines:
-            print(line)
-    return 0
+        return _write_lines(Path(args.out), lines)
+    print("\n".join(lines))
+    return None
 
 
-def cmd_heatmap(args) -> int:
-    started = time.time()
+def cmd_heatmap(args) -> Path:
     spec = ExperimentSpec(
         n=args.n, b_values=args.b_values, c_values=_c_values(args), q=args.q,
         r_rule=_r_rule(args), policy=args.policy, trials=args.trials, master_seed=args.seed,
     )
     result = regret_heatmap(spec, workers=args.workers)
-    out = Path(args.out)
-    _write_lines(out, cell_csv_rows((b, c, st) for (b, c), st in sorted(result.cells.items())))
+    cells = sorted(result.cells.items())
+    out = _write_lines(Path(args.out), cell_csv_rows((b, c, st) for (b, c), st in cells))
     path_lines = ["b,c_star_sim,c_star_analytic"]
     for b in spec.b_values:
         path_lines.append(f"{b},{result.sim_path[b]},{result.analytic_path[b]}")
     _write_lines(out.with_name(out.stem + "_cutoffs" + out.suffix), path_lines)
-    _write_manifest(out, args, started)
-    return 0
+    return out
 
 
-def cmd_cutoff_table(args) -> int:
-    started = time.time()
-    out = Path(args.out)
-    _write_lines(out, cutoff_table_rows(args.n_values, args.b_values, args.r_values))
-    _write_manifest(out, args, started)
-    return 0
+def cmd_cutoff_table(args) -> Path:
+    rows = cutoff_table_rows(args.n_values, args.b_values, args.r_values)
+    return _write_lines(Path(args.out), rows)
 
 
-def cmd_cutoff_curves(args) -> int:
-    started = time.time()
+def cmd_cutoff_curves(args) -> Path:
     rows = cutoff_curves(
         n=args.n,
         r_rule=_r_rule(args),
@@ -179,29 +176,22 @@ def cmd_cutoff_curves(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    out = Path(args.out)
-    _write_lines(out, cutoff_csv_rows(rows))
-    _write_manifest(out, args, started)
-    return 0
+    return _write_lines(Path(args.out), cutoff_csv_rows(rows))
 
 
-def cmd_multiround(args) -> int:
-    started = time.time()
+def cmd_multiround(args) -> Path:
     pop = PopulationSpec(size=args.pop_size, n=args.n, b=args.b)
     policies = tuple(args.policies.split(","))
     curves = compare_policies(pop, args.rounds, args.p_res, policies, args.runs, args.seed)
-    out = Path(args.out)
-    _write_lines(out, multiround_csv_rows(curves))
+    out = _write_lines(Path(args.out), multiround_csv_rows(curves))
     _write_lines(out.with_name(out.stem + "_agg" + out.suffix), aggregate_csv_rows(curves))
-    _write_manifest(out, args, started)
     for p in policies:
         final = curves[p].mean_regret[-1]
         print(f"{p}: final-round mean regret = {final:.3f}")
-    return 0
+    return out
 
 
-def cmd_failure(args) -> int:
-    started = time.time()
+def cmd_failure(args) -> Optional[Path]:
     c = args.c
     if c is None:
         c = translate_cutoff(args.n, args.b, args.q, args.r).c_target
@@ -213,18 +203,13 @@ def cmd_failure(args) -> int:
     print(f"failure_rate = {stats.failure_rate:.6f}")
     print(f"mean_regret = {stats.mean_regret:.6f}")
     print(f"mean_hires = {stats.mean_hires:.6f}")
-    if args.out:
-        out = Path(args.out)
-        _write_lines(
-            out,
-            [
-                "policy,c,failure_rate,mean_regret,mean_hires,trials",
-                f"{args.policy},{c},{stats.failure_rate:.6f},"
-                f"{stats.mean_regret:.6f},{stats.mean_hires:.6f},{stats.trials}",
-            ],
-        )
-        _write_manifest(out, args, started)
-    return 0
+    if not args.out:
+        return None
+    return _write_lines(Path(args.out), [
+        "policy,c,failure_rate,mean_regret,mean_hires,trials",
+        f"{args.policy},{c},{stats.failure_rate:.6f},"
+        f"{stats.mean_regret:.6f},{stats.mean_hires:.6f},{stats.trials}",
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,10 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--policy", choices=["csm", "acsm", "mean", "rand"], default="csm")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--policy", choices=VARIANTS, default="csm")
+    _add_run_flags(p, trials=1000)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_simulate)
@@ -266,14 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="regret heatmap over (b, c) cells")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, default=0.5)
-    _add_resignation_flags(p)
-    p.add_argument("--b-values", type=_int_list, default=(5, 20, 50))
-    p.add_argument("--c-values", type=_int_list, default=None)
-    p.add_argument("--c-step", type=int, default=1)
-    p.add_argument("--policy", choices=["csm", "acsm", "mean", "rand"], default="csm")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_sweep_flags(p)
+    p.add_argument("--policy", choices=VARIANTS, default="csm")
+    _add_run_flags(p, trials=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_heatmap)
 
@@ -289,13 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q-values", type=_float_list, default=(0.5,))
-    _add_resignation_flags(p)
-    p.add_argument("--b-values", type=_int_list, default=(5, 20, 50))
-    p.add_argument("--c-values", type=_int_list, default=None)
-    p.add_argument("--c-step", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_sweep_flags(p)
+    _add_run_flags(p, trials=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cutoff_curves)
 
@@ -317,10 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--c", type=int, default=None)
-    p.add_argument("--policy", choices=["csm", "acsm"], default="csm")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--policy", choices=VARIANTS[:2], default="csm")  # the cutoff policies
+    _add_run_flags(p, trials=10000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_failure)
 
@@ -328,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        out = args.func(args)
+        if out is not None:
+            _write_manifest(out, args, started)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -341,6 +314,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

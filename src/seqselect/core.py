@@ -8,6 +8,7 @@ rank 1 is the best score.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +21,14 @@ class DomainError(ValueError):
 
 class ContractError(RuntimeError):
     """An internal invariant or caller contract was violated."""
+
+
+def seed_entropy(seed) -> tuple:
+    """A seed as SeedSequence entropy: an integer >= 0 or a non-empty sequence of them."""
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if not entropy or not all(isinstance(x, numbers.Integral) and x >= 0 for x in entropy):
+        raise DomainError(f"seeds must be >= 0 and whole, got {seed!r}")
+    return tuple(int(x) for x in entropy)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, generate_instance
+from seqselect.core import DomainError, generate_instance, seed_entropy
 from seqselect.multiround import acsm_spec
 from seqselect.policies import PolicySpec, run_policy
 
@@ -43,6 +43,8 @@ class ExperimentSpec:
             raise DomainError("trials must be >= 1")
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
+        if not all(1 <= b <= self.n for b in self.b_values):
+            raise DomainError(f"b values must lie in [1, n={self.n}], got {self.b_values}")
         if not self._r_is_count() and not (0.0 <= self.r_rule <= 1.0):
             raise DomainError(f"a resignation fraction must lie in [0, 1], got {self.r_rule}")
         if not all(0 <= c <= self.n for c in self.c_values):
@@ -111,11 +113,9 @@ def run_cell(
     workers: int = 1,
 ) -> CellStats:
     """Run one parameter cell; deterministic in (arguments, seed) for any workers."""
-    cell_seed = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    cell_seed = seed_entropy(seed)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if min(cell_seed) < 0:
-        raise DomainError(f"seeds must be >= 0, got {seed}")
     workers = clamp_workers(workers, os.cpu_count())
     spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
     if workers == 1 or trials < 2 * workers:
@@ -140,7 +140,6 @@ def run_cell(
 
 @dataclass(frozen=True)
 class HeatmapResult:
-    spec: ExperimentSpec
     cells: dict  # (b, c) -> CellStats
     sim_path: dict  # b -> empirical argmin cutoff
     analytic_path: dict  # b -> analytic optimal cutoff
@@ -164,7 +163,7 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
                 best_val, best_c = st.mean_regret, c
         sim_path[b] = best_c
         analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
-    return HeatmapResult(spec=spec, cells=cells, sim_path=sim_path, analytic_path=analytic_path)
+    return HeatmapResult(cells=cells, sim_path=sim_path, analytic_path=analytic_path)
 
 
 def cutoff_curves(

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import AnalyticParams, mu_hat_curve, resolve_cutoff
-from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality
+from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality, seed_entropy
 from seqselect.policies import PolicySpec, ZoneConfig, run_policy
 
 POLICY_NAMES = ("csm-star", "csm-e", "csm-0", "acsm-star", "mean", "rand")
@@ -92,19 +92,13 @@ def run_chain(
 ) -> list:
     """Run one multi-round chain; fully deterministic in (arguments, seed).
 
-    seed is a SeedSequence or the entropy for one: an integer >= 0 or a
-    sequence of them.
+    seed is an integer >= 0 or a sequence of them (core.seed_entropy).
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
         raise DomainError("p_res must lie in [0, 1]")
-    if not isinstance(seed, np.random.SeedSequence):
-        try:
-            seed = np.random.SeedSequence(seed)
-        except ValueError as exc:  # a negative entry
-            raise DomainError(f"bad seed {seed}: {exc}") from None
-    pop_ss, stream_ss = seed.spawn(2)
+    pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
     pop_rng = np.random.default_rng(pop_ss)
     scores = pop_rng.uniform(0.0, 1.0, size=pop.size)
     employed = list(pop_rng.choice(pop.size, size=pop.b, replace=False))
@@ -181,6 +175,8 @@ def compare_policies(
         raise DomainError(f"runs must be >= 1, got {runs}")
     # every name is checked here, before any chain runs
     selectors = {p: make_policy_selector(p) for p in policy_names}
+    if len(selectors) != len(policy_names):
+        raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
     rows = {p: [] for p in policy_names}
     for i in range(runs):
         for p in policy_names:

@@ -24,43 +24,44 @@ from seqselect.core import (
 )
 
 
+VARIANTS = ("csm", "acsm", "mean", "rand")  # the two cutoff policies first
+
+
 @dataclass(frozen=True)
 class ZoneConfig:
     """Band around the expected no-failure acceptance trajectory.
 
     mu[j-1] is the expected number of accepted candidates at step j given no
-    failure occurs; width[j-1] the band half-width; increment[j-1] the amount
-    added to the relax/tighten accumulator per consecutive out-of-band step.
+    failure occurs; width[j-1] the band half-width.
     """
 
     mu: tuple
     width: tuple
-    increment: tuple
 
     @classmethod
     def default(cls, n: int, b: int, mu: Sequence[float]) -> "ZoneConfig":
         if len(mu) != n:
             raise DomainError("mu curve must have length n")
         width = tuple(0.5 * b * (1.0 - j / n) for j in range(1, n + 1))
-        return cls(mu=tuple(float(x) for x in mu), width=width, increment=(1.0,) * n)
+        return cls(mu=tuple(float(x) for x in mu), width=width)
 
     @classmethod
     def infinite(cls, n: int) -> "ZoneConfig":
         """Band that never triggers an adjustment (engine coincides with the
         plain cutoff policy decision-by-decision)."""
-        return cls(mu=(0.0,) * n, width=(math.inf,) * n, increment=(1.0,) * n)
+        return cls(mu=(0.0,) * n, width=(math.inf,) * n)
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """Which policy to run and its parameters."""
 
-    variant: str  # one of csm | acsm | mean | rand
+    variant: str  # one of VARIANTS
     cutoff: int = 0
     zone: Optional[ZoneConfig] = None
 
     def __post_init__(self):
-        if self.variant not in ("csm", "acsm", "mean", "rand"):
+        if self.variant not in VARIANTS:
             raise DomainError(f"unknown policy variant {self.variant!r}")
         if self.variant == "acsm" and self.zone is None:
             raise DomainError("acsm requires a zone config")
@@ -147,16 +148,16 @@ def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> Sel
 
     Band: after each step the running hire count is compared to
     mu[j] +- width[j].  Inside, the plain rule holds; below, the next
-    threshold is relaxed by floor(D+) positions in the sorted list of all
-    scores seen so far; above, tightened by floor(D-).  The two accumulators
-    gain increment[j] per consecutive out-of-band step and reset on re-entry.
+    threshold is relaxed by D+ positions in the sorted list of all scores
+    seen so far; above, tightened by D-.  The two counters count consecutive
+    out-of-band steps and reset on re-entry.
     Forced acceptances are unchanged.
     """
     n, b, r = instance.n, instance.b, instance.r
     if zone is not None and len(zone.mu) != n:
         raise DomainError("zone mu curve length must equal n")
     c_eff, y_b, n_rej, avail_scores, seen = _learning_phase(instance, c)
-    d_plus = d_minus = 0.0
+    d_plus = d_minus = 0
     mode = "in"
 
     def threshold_at(j, l):
@@ -164,7 +165,7 @@ def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> Sel
             return y_b if l < n_rej + r else avail_scores[b - l - 1]
         # position of the learning threshold among everything seen (1 = best)
         m = len(seen) - bisect.bisect_left(seen, y_b)
-        idx = m + math.floor(d_plus) if mode == "below" else m - math.floor(d_minus)
+        idx = m + d_plus if mode == "below" else m - d_minus
         return seen[len(seen) - min(max(idx, 1), len(seen))]
 
     def after_step(j, l):
@@ -172,13 +173,13 @@ def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> Sel
         bisect.insort(seen, instance.candidate_scores[j - 1])
         mu, width = zone.mu[j - 1], zone.width[j - 1]
         if l < mu - width:
-            d_plus += zone.increment[j - 1]
+            d_plus += 1
             mode = "below"
         elif l > mu + width:
-            d_minus += zone.increment[j - 1]
+            d_minus += 1
             mode = "above"
         else:
-            d_plus = d_minus = 0.0
+            d_plus = d_minus = 0
             mode = "in"
 
     return _run_round(instance, c_eff, threshold_at, None if zone is None else after_step)

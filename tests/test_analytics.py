@@ -9,6 +9,7 @@ import pytest
 
 from seqselect.analytics import (
     AnalyticParams,
+    _poisson_pmf,
     analyze_setting,
     cutoff_table_rows,
     expected_available_rank,
@@ -426,3 +427,23 @@ class TestCutoffTable:
         # the translation's source setting is a row of the table
         res = translate_cutoff(42, 3, 0.75, 0)
         assert (res.n_source, res.c_source) == (20, table[(20, 3, 0)])
+
+
+class TestPoissonPmf:
+    def test_bit_identical_to_scipy_stats(self):
+        from scipy.stats import poisson
+
+        lam = np.concatenate([[0.0], np.geomspace(1e-6, 80.0, 400)])[:, None]
+        k = np.arange(60)
+        assert np.array_equal(_poisson_pmf(k, lam), poisson.pmf(k, lam))
+
+
+class TestAtLeastOnePosition:
+    def test_b_below_one_rejected(self):
+        for b in (0, -2):
+            with pytest.raises(DomainError):
+                AnalyticParams(n=10, b=b, r=0, q=0.5, c=3)
+            with pytest.raises(DomainError):
+                translate_cutoff(10, b, 0.7, 0)
+            with pytest.raises(DomainError):
+                list(cutoff_table_rows((10,), (2, b), (0,)))

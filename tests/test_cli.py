@@ -1,11 +1,15 @@
 """CLI surface tests: subcommands, file emission, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from seqselect.cli import main
+import seqselect
+from seqselect.cli import build_parser, main
 
 
 def run_cli(args):
@@ -250,3 +254,138 @@ class TestFailure:
              "--c", "10", "--policy", "acsm", "--trials", "100", "--seed", "5"]
         ) == 0
         assert "policy=acsm" in capsys.readouterr().out
+
+
+# parsed flags (func aside) of a minimal argv per subcommand; the manifest's
+# "flags" holds the same keys
+PARSED_DEFAULTS = {
+    "analyze": (
+        ["analyze", "--n", "10", "--b", "2"],
+        {"command": "analyze", "n": 10, "b": 2, "r": 0, "q": 0.5, "c": None},
+    ),
+    "translate": (
+        ["translate", "--n", "10", "--b", "2", "--q", "0.7"],
+        {"command": "translate", "n": 10, "b": 2, "q": 0.7, "r": 0},
+    ),
+    "simulate": (
+        ["simulate", "--n", "10", "--b", "2", "--c", "3"],
+        {"command": "simulate", "n": 10, "b": 2, "c": 3, "q": 0.5, "r": 0, "policy": "csm",
+         "trials": 1000, "seed": 0, "workers": 1, "out": None, "format": "csv"},
+    ),
+    "heatmap": (
+        ["heatmap", "--n", "10", "--out", "h.csv"],
+        {"command": "heatmap", "n": 10, "q": 0.5, "r": None, "r_frac": None,
+         "b_values": (5, 20, 50), "c_values": None, "c_step": 1, "policy": "csm",
+         "trials": 1000, "seed": 0, "workers": 1, "out": "h.csv"},
+    ),
+    "cutoff-table": (
+        ["cutoff-table", "--n-values", "10", "--b-values", "2", "--out", "t.csv"],
+        {"command": "cutoff-table", "n_values": (10,), "b_values": (2,), "r_values": (0,),
+         "out": "t.csv"},
+    ),
+    "cutoff-curves": (
+        ["cutoff-curves", "--n", "10", "--out", "c.csv"],
+        {"command": "cutoff-curves", "n": 10, "q_values": (0.5,), "r": None, "r_frac": None,
+         "b_values": (5, 20, 50), "c_values": None, "c_step": 1, "trials": 1000, "seed": 0,
+         "workers": 1, "out": "c.csv"},
+    ),
+    "multiround": (
+        ["multiround", "--p-res", "0.5", "--out", "m.csv"],
+        {"command": "multiround", "n": 100, "b": 5, "pop_size": 1000, "rounds": 10,
+         "runs": 200, "p_res": 0.5, "policies": "csm-star,rand", "seed": 0, "out": "m.csv"},
+    ),
+    "failure": (
+        ["failure", "--n", "10", "--b", "2", "--r", "1", "--q", "0.6"],
+        {"command": "failure", "n": 10, "b": 2, "r": 1, "q": 0.6, "c": None, "policy": "csm",
+         "trials": 10000, "seed": 0, "workers": 1, "out": None},
+    ),
+}
+
+# small runs of the six file-writing subcommands, without --out
+FILE_RUNS = {
+    "simulate": ["simulate", "--n", "10", "--b", "2", "--c", "3", "--trials", "5"],
+    "heatmap": ["heatmap", "--n", "6", "--b-values", "2", "--c-values", "0,3",
+                "--trials", "5"],
+    "cutoff-table": ["cutoff-table", "--n-values", "10", "--b-values", "2"],
+    "cutoff-curves": ["cutoff-curves", "--n", "6", "--b-values", "2", "--c-values", "0,3",
+                      "--trials", "5"],
+    "multiround": ["multiround", "--n", "10", "--b", "2", "--pop-size", "30",
+                   "--rounds", "2", "--runs", "2", "--p-res", "0.5"],
+    "failure": ["failure", "--n", "10", "--b", "2", "--r", "1", "--q", "0.6", "--c", "3",
+                "--trials", "5"],
+}
+
+
+class TestRunProtocol:
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_parsed_defaults(self, command):
+        argv, expected = PARSED_DEFAULTS[command]
+        flags = vars(build_parser().parse_args(argv))
+        assert callable(flags.pop("func"))
+        assert flags == expected
+
+    @pytest.mark.parametrize("command", sorted(FILE_RUNS))
+    def test_one_manifest_per_file_run(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run" / "out.csv"
+        assert run_cli(FILE_RUNS[command] + ["--out", str(out)]) == 0
+        manifests = sorted(tmp_path.rglob("*.manifest.json"))
+        assert manifests == [tmp_path / "run" / "out.csv.manifest.json"]
+        manifest = json.loads(manifests[0].read_text())
+        assert set(manifest) == {"flags", "seed", "version", "wall_time_s"}
+        assert set(manifest["flags"]) == set(PARSED_DEFAULTS[command][1])
+        assert manifest["seed"] == manifest["flags"].get("seed")
+
+    @pytest.mark.parametrize("command", ["simulate", "failure"])
+    def test_no_manifest_without_out(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(FILE_RUNS[command]) == 0
+        assert capsys.readouterr().out != ""
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command", sorted(FILE_RUNS))
+    def test_no_manifest_on_domain_error(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = ["--r-values", "-1"] if command == "cutoff-table" else ["--n", "1"]
+        assert run_cli(FILE_RUNS[command] + bad + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert list(tmp_path.rglob("*.manifest.json")) == []
+
+
+
+class TestRejectsBelowOnePosition:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "10", "--b", "0"],
+        ["translate", "--n", "10", "--b", "0", "--q", "0.7"],
+    ], ids=lambda argv: argv[0])
+    def test_printing_commands(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["cutoff-table", "--n-values", "10", "--b-values", "0"],
+        ["heatmap", "--n", "10", "--b-values", "-3", "--c-values", "0,5", "--trials", "5"],
+        ["heatmap", "--n", "10", "--b-values", "0", "--c-values", "0,5", "--trials", "5"],
+    ], ids=["cutoff-table", "heatmap-negative", "heatmap-zero"])
+    def test_file_commands(self, argv, tmp_path, capsys):
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "seeds" not in capsys.readouterr().err
+
+
+class TestRepeatedPolicyName:
+    def test_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run_cli(
+            ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
+             "--runs", "2", "--p-res", "0.5", "--policies", "rand,rand", "--out", str(out)]
+        ) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, seqselect.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(seqselect.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -15,6 +15,7 @@ from seqselect.core import (
     generate_instance,
     offline_optimum,
     realized_regret,
+    seed_entropy,
 )
 
 
@@ -193,3 +194,19 @@ class TestRealizedRegret:
                 candidate_scores=tuple(math.exp(3 * s) for s in inst.candidate_scores),
             )
             assert realized_regret(warped, tuple(A), tuple(keep)) == base
+
+
+class TestSeedEntropy:
+    def test_integer_or_sequence(self):
+        assert seed_entropy(5) == (5,)
+        assert seed_entropy(np.int64(5)) == (5,)
+        assert seed_entropy([3, np.int64(4)]) == (3, 4)
+        assert seed_entropy((0, 2, 9)) == (0, 2, 9)
+        # an integer seed and its one-tuple give the same stream
+        ss = np.random.SeedSequence
+        assert ss(5).generate_state(4).tolist() == ss(seed_entropy(5)).generate_state(4).tolist()
+
+    def test_rejects_negative_empty_and_fractional(self):
+        for seed in (-1, (2, -1), (), [], 1.5, (1, 2.5), "7", None):
+            with pytest.raises(DomainError, match="seeds must be >= 0"):
+                seed_entropy(seed)

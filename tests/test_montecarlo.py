@@ -176,3 +176,10 @@ class TestCutoffCurves:
         csv = list(cutoff_csv_rows(rows))
         assert csv[0] == "q,b,c_star_sim,c_star_analytic"
         assert csv[1].startswith("0.500000,2,")
+
+
+class TestExperimentSpecB:
+    def test_b_outside_range(self):
+        for b_values in ((0,), (-3,), (2, 11)):
+            with pytest.raises(DomainError, match="b values"):
+                ExperimentSpec(n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_rule=0)

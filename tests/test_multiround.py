@@ -150,3 +150,12 @@ class TestComparePolicies:
     def test_empty_policy_list(self):
         with pytest.raises(DomainError):
             compare_policies(SMALL, 2, 0.3, (), 3, 2)
+
+
+class TestRepeatedPolicy:
+    def test_repeated_name_fails_before_any_chain(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(seqselect.multiround, "run_chain", lambda *a: chains.append(a))
+        with pytest.raises(DomainError, match="repeat"):
+            compare_policies(SMALL, 2, 0.3, ("rand", "csm-0", "rand"), 3, 2)
+        assert chains == []

@@ -156,7 +156,7 @@ class TestAdjustedCutoff:
             n, b, r = 20, 3, 1
             inst = generate_instance(n, b, 0.5, r, rng)
             c = 5
-            zone = ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n, increment=(1.0,) * n)
+            zone = ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n)
             plain = run_cutoff(inst, c)
             adj = run_adjusted_cutoff(inst, c, zone)
             first = next((j for j, a in enumerate(plain.candidate_decisions) if a), n)
@@ -166,7 +166,7 @@ class TestAdjustedCutoff:
         # an unreachable band from above forces a relaxed (worse) threshold
         inst = make_instance([0.9, 0.85], [1, 1], [0.5, 0.6, 0.55, 0.52, 0.58])
         n, b = 5, 2
-        zone = ZoneConfig(mu=(2.0,) * n, width=(0.0,) * n, increment=(1.0,) * n)
+        zone = ZoneConfig(mu=(2.0,) * n, width=(0.0,) * n)
         plain = run_cutoff(inst, 1)
         adj = run_adjusted_cutoff(inst, 1, zone)
         # plain policy accepts nothing (thresholds 0.85 then stay); adjusted one
@@ -179,7 +179,7 @@ class TestAdjustedCutoff:
         # zone, so the next threshold is tightened and mediocre scores stop passing
         inst = make_instance([0.5, 0.45], [1, 1], [0.8, 0.6, 0.62, 0.61, 0.2])
         n = 5
-        zone = ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n, increment=(1.0,) * n)
+        zone = ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n)
         plain = run_cutoff(inst, 0)
         adj = run_adjusted_cutoff(inst, 0, zone)
         assert sum(adj.candidate_decisions) <= sum(plain.candidate_decisions)
@@ -187,8 +187,7 @@ class TestAdjustedCutoff:
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)
         with pytest.raises(Exception):
-            run_adjusted_cutoff(inst, 2, ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5,
-                                                    increment=(1.0,) * 5))
+            run_adjusted_cutoff(inst, 2, ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
 
 
 class TestBaselines:
