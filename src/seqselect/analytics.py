@@ -105,8 +105,6 @@ class AnalyticCurve:
 
     params: AnalyticParams
     gamma: float
-    delta: float
-    gamma_0: float
     gamma_j: tuple
     p: tuple
     lam: tuple
@@ -141,7 +139,6 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     if params.r == params.b:
         return _full_resignation_curve(params)
     n, b, r, q, c = params.n, params.b, params.r, params.q, params.c
-    g0 = gamma0(q, n, b)
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
     ref_coef = expected_available_rank(1, q, n, b, r)
@@ -171,8 +168,6 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     return AnalyticCurve(
         params=params,
         gamma=gam,
-        delta=delta,
-        gamma_0=g0,
         gamma_j=tuple(gamma_j.tolist()),
         p=tuple(p.tolist()),
         lam=tuple(lam.tolist()),
@@ -242,8 +237,6 @@ def _full_resignation_curve(params: AnalyticParams) -> AnalyticCurve:
     return AnalyticCurve(
         params=params,
         gamma=gam,
-        delta=b + c * (gam - 1.0) / (n + b),
-        gamma_0=gamma0(q, n, b),
         gamma_j=per_step(gam),
         p=per_step(p_acc),
         lam=per_step(p_acc * np.arange(1, m + 1)),
@@ -386,19 +379,17 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
 
 
 def cutoff_table_rows(n_values, b_values, r_values):
-    """CSV rows for the cutoff table over a (n, b, r) grid at medium quality."""
+    """CSV rows for the cutoff table at medium quality: one row per (n, b, r)
+    of the grid with r <= b <= n, and DomainError when there is none."""
     if any(b < 1 for b in b_values):
         raise DomainError(f"b values must be >= 1, got {tuple(b_values)}")
+    grid = [(n, b, r) for n in n_values for b in b_values for r in r_values if r <= b <= n]
+    if not grid:
+        raise DomainError("the (n, b, r) grid has no point with r <= b <= n")
     yield "n,b,r,c_star,expected_regret"
-    for n in n_values:
-        for b in b_values:
-            if b > n:
-                continue
-            for r in r_values:
-                if r > b:
-                    continue
-                c_star, er = optimal_cutoff(n, b, r)
-                yield f"{n},{b},{r},{c_star},{er:.6f}"
+    for n, b, r in grid:
+        c_star, er = optimal_cutoff(n, b, r)
+        yield f"{n},{b},{r},{c_star},{er:.6f}"
 
 
 @dataclass(frozen=True)
@@ -425,10 +416,13 @@ def analyze_setting(n: int, b: int, r: int, q: float, c: Optional[int] = None) -
     """Optimal cutoff plus the closed-form summary for one setting.
 
     Every quality goes through the gamma_0-similar translation, which is the
-    identity at medium quality: the regret summary is the similar source
-    curve at its own optimum, while the hire forecast evaluates the source
-    curve at the translated cutoff (the number of steps the target setting
-    actually leaves after its learning phase, on the similar scale).
+    identity at medium quality.  The regret summary is the similar source
+    curve at its own optimum, or at min(c, n_source) for a given c.  The hire
+    forecast is the source curve at cutoff min(c_star, n_source), where
+    c_star is the target's cutoff (c_target, or the given c) taken as a
+    source cutoff without rescaling.  It describes the source setting, not
+    the target's expected hire count; the two agree at medium quality.  A
+    degenerate similar setting forecasts r hires and zero regret.
     """
     if c is not None and not (0 <= c <= n):
         raise DomainError(f"need 0 <= c <= n, got c={c}")

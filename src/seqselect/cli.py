@@ -27,7 +27,6 @@ from seqselect.montecarlo import (
     ExperimentSpec,
     cell_csv_rows,
     cutoff_csv_rows,
-    cutoff_curves,
     regret_heatmap,
     run_cell,
 )
@@ -40,29 +39,46 @@ from seqselect.multiround import (
 from seqselect.policies import VARIANTS
 
 
+def _list(text: str, convert) -> tuple:
+    values = tuple(convert(x) for x in text.split(",") if x.strip() != "")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return values
+
+
 def _int_list(text: str):
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    return _list(text, int)
 
 
 def _float_list(text: str):
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    return _list(text, float)
 
 
 def _c_values(args):
     """The swept cutoffs: --c-values, else 0..n in steps of --c-step."""
-    if args.c_values:
+    if args.c_values is not None:
         return args.c_values
     if args.c_step < 1:
         raise DomainError(f"--c-step must be >= 1, got {args.c_step}")
     return tuple(range(0, args.n + 1, args.c_step))
 
 
-def _r_rule(args):
-    """--r-frac, else --r.  --r defaults to 0 here, not in argparse: the
-    exclusive group would read an explicit "--r 0" as absent."""
+def _sweep_spec(args, q: float, policy: str) -> ExperimentSpec:
+    """The (b, c) sweep of heatmap and cutoff-curves at quality q, with --r or
+    round(r_frac * b) resignations per b.  --r defaults to 0 here, not in
+    argparse: the exclusive group would read an explicit "--r 0" as absent."""
     if args.r is None:
         args.r = 0
-    return args.r_frac if args.r_frac is not None else args.r
+    if args.r_frac is None:
+        r_values = (args.r,) * len(args.b_values)
+    elif 0.0 <= args.r_frac <= 1.0:
+        r_values = tuple(round(args.r_frac * b) for b in args.b_values)
+    else:
+        raise DomainError(f"--r-frac must lie in [0, 1], got {args.r_frac}")
+    return ExperimentSpec(
+        n=args.n, b_values=args.b_values, c_values=_c_values(args), q=q,
+        r_values=r_values, policy=policy, trials=args.trials, master_seed=args.seed,
+    )
 
 
 def _add_run_flags(p, trials: int) -> None:
@@ -146,10 +162,7 @@ def cmd_simulate(args) -> Optional[Path]:
 
 
 def cmd_heatmap(args) -> Path:
-    spec = ExperimentSpec(
-        n=args.n, b_values=args.b_values, c_values=_c_values(args), q=args.q,
-        r_rule=_r_rule(args), policy=args.policy, trials=args.trials, master_seed=args.seed,
-    )
+    spec = _sweep_spec(args, args.q, args.policy)
     result = regret_heatmap(spec, workers=args.workers)
     cells = sorted(result.cells.items())
     out = _write_lines(Path(args.out), cell_csv_rows((b, c, st) for (b, c), st in cells))
@@ -166,16 +179,12 @@ def cmd_cutoff_table(args) -> Path:
 
 
 def cmd_cutoff_curves(args) -> Path:
-    rows = cutoff_curves(
-        n=args.n,
-        r_rule=_r_rule(args),
-        q_list=args.q_values,
-        b_values=args.b_values,
-        c_values=_c_values(args),
-        trials=args.trials,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
+    """The csm heatmap's two optimal-cutoff paths, one sweep per quality."""
+    rows = []
+    for q in args.q_values:
+        spec = _sweep_spec(args, q, "csm")
+        result = regret_heatmap(spec, workers=args.workers)
+        rows.extend((q, b, result.sim_path[b], result.analytic_path[b]) for b in spec.b_values)
     return _write_lines(Path(args.out), cutoff_csv_rows(rows))
 
 

@@ -10,7 +10,6 @@ worker count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ class ExperimentSpec:
     b_values: tuple
     c_values: tuple
     q: float
-    r_rule: float  # integer: absolute count; otherwise a fraction of b in [0, 1]
+    r_values: tuple  # resignation count of each entry of b_values
     policy: str = "csm"
     trials: int = 1000
     master_seed: int = 0
@@ -43,23 +42,12 @@ class ExperimentSpec:
             raise DomainError("trials must be >= 1")
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
+        if len(self.r_values) != len(self.b_values):
+            raise DomainError(f"need one r per b, got r={self.r_values} for b={self.b_values}")
         if not all(1 <= b <= self.n for b in self.b_values):
             raise DomainError(f"b values must lie in [1, n={self.n}], got {self.b_values}")
-        if not self._r_is_count() and not (0.0 <= self.r_rule <= 1.0):
-            raise DomainError(f"a resignation fraction must lie in [0, 1], got {self.r_rule}")
         if not all(0 <= c <= self.n for c in self.c_values):
             raise DomainError(f"cutoffs must lie in [0, n={self.n}], got {self.c_values}")
-
-    def _r_is_count(self) -> bool:
-        # bool is an Integral, but True is read as the fraction 1, not the count 1
-        return isinstance(self.r_rule, numbers.Integral) and not isinstance(self.r_rule, bool)
-
-    def r_for(self, b: int) -> int:
-        """Resignations for one b: integers are absolute, anything else is a
-        fraction of b."""
-        if self._r_is_count():
-            return int(self.r_rule)
-        return round(float(self.r_rule) * b)
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ def clamp_workers(workers: int, cpus: Optional[int]) -> int:
     return min(workers, cpus or 1)
 
 
-def _run_trials(n, b, c, q, r, spec: PolicySpec, cell_seed, indices):
+def _run_trials(n, b, q, r, spec: PolicySpec, cell_seed, indices):
     out = np.empty((len(indices), 3), dtype=np.int64)
     for row, i in enumerate(indices):
         ss = trial_seed(cell_seed, i)
@@ -119,11 +107,11 @@ def run_cell(
     workers = clamp_workers(workers, os.cpu_count())
     spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
     if workers == 1 or trials < 2 * workers:
-        data = _run_trials(n, b, c, q, r, spec, cell_seed, range(trials))
+        data = _run_trials(n, b, q, r, spec, cell_seed, range(trials))
     else:
         chunks = np.array_split(np.arange(trials), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            run = partial(_run_trials, n, b, c, q, r, spec, cell_seed)
+            run = partial(_run_trials, n, b, q, r, spec, cell_seed)
             parts = list(pool.map(run, [chunk.tolist() for chunk in chunks]))
         data = np.concatenate(parts, axis=0)  # chunks are in trial-index order
     regrets = data[:, 0].astype(float)
@@ -150,8 +138,7 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
     cells = {}
     sim_path = {}
     analytic_path = {}
-    for b in spec.b_values:
-        r = spec.r_for(b)
+    for b, r in zip(spec.b_values, spec.r_values):
         best_c, best_val = None, math.inf
         for c in spec.c_values:
             st = run_cell(
@@ -164,32 +151,6 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
         sim_path[b] = best_c
         analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
     return HeatmapResult(cells=cells, sim_path=sim_path, analytic_path=analytic_path)
-
-
-def cutoff_curves(
-    n: int,
-    r_rule,
-    q_list: Sequence[float],
-    b_values: Sequence[int],
-    c_values: Sequence[int],
-    trials: int = 1000,
-    master_seed: int = 0,
-    workers: int = 1,
-):
-    """Empirical and analytic optimal-cutoff curves c*(b) for each quality.
-
-    Returns rows (q, b, c_star_sim, c_star_analytic).
-    """
-    rows = []
-    for q in q_list:
-        spec = ExperimentSpec(
-            n=n, b_values=tuple(b_values), c_values=tuple(c_values), q=q,
-            r_rule=r_rule, policy="csm", trials=trials, master_seed=master_seed,
-        )
-        hm = regret_heatmap(spec, workers=workers)
-        for b in spec.b_values:
-            rows.append((q, b, hm.sim_path[b], hm.analytic_path[b]))
-    return rows
 
 
 def cell_csv_rows(cells):

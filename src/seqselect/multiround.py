@@ -148,7 +148,6 @@ def run_chain(
 class PolicyCurve:
     """Per-round regret aggregate of one policy over paired runs."""
 
-    policy: str
     mean_regret: tuple
     ci95_low: tuple
     ci95_high: tuple
@@ -178,10 +177,12 @@ def compare_policies(
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
     rows = {p: [] for p in policy_names}
+    regs = {p: np.zeros((runs, rounds)) for p in policy_names}  # (run, round) -> regret
     for i in range(runs):
         for p in policy_names:
             # a fresh SeedSequence per policy: identical identity => paired streams
             recs = run_chain(pop, rounds, p_res, selectors[p], [seed, i])
+            regs[p][i] = [rec.regret for rec in recs]
             rows[p].extend(
                 (i, rec.round_index, rec.regret, rec.outcome.hires, rec.outcome.failures,
                  rec.quality, rec.cutoff)
@@ -189,13 +190,9 @@ def compare_policies(
             )
     out = {}
     for p in policy_names:
-        regs = np.zeros((runs, rounds))
-        for i, rnd, regret, *_ in rows[p]:
-            regs[i, rnd - 1] = regret
-        mean = regs.mean(axis=0)
-        se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
+        mean = regs[p].mean(axis=0)
+        se = regs[p].std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(
-            policy=p,
             mean_regret=tuple(mean.tolist()),
             ci95_low=tuple((mean - 1.96 * se).tolist()),
             ci95_high=tuple((mean + 1.96 * se).tolist()),

@@ -389,3 +389,77 @@ def test_import_leaves_scipy_stats_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit an argparse error raises."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestSweepSpec:
+    def test_r_frac_outside_unit_interval_exit_code(self, tmp_path, capsys):
+        for command in ("heatmap", "cutoff-curves"):
+            for frac in ("1.5", "-0.1", "nan"):
+                argv = [command, "--n", "12", "--b-values", "3", "--c-values", "0,6",
+                        "--trials", "5", "--r-frac", frac, "--out", str(tmp_path / "x.csv")]
+                assert run_cli(argv) == 2
+                assert "--r-frac must lie in [0, 1]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_r_frac_rounds_per_b(self, tmp_path):
+        # round(0.5 * b) for b = 3, 5, 20 is 2, 2, 10 (ties go to the even count)
+        def heatmap(name, b_values, r_flags):
+            out = tmp_path / f"{name}.csv"
+            argv = ["heatmap", "--n", "24", "--b-values", b_values, "--c-values", "0,12",
+                    "--trials", "5", "--seed", "3", "--out", str(out)] + r_flags
+            assert run_cli(argv) == 0
+            cutoffs = out.with_name(f"{name}_cutoffs.csv")
+            return out.read_text().splitlines(), cutoffs.read_text().splitlines()
+
+        frac = heatmap("frac", "3,5,20", ["--r-frac", "0.5"])
+        small = heatmap("small", "3,5", ["--r", "2"])
+        large = heatmap("large", "20", ["--r", "10"])
+        for got, low, high in zip(frac, small, large):
+            assert got == low + high[1:]
+
+
+class TestCutoffCurvesRows:
+    def test_one_row_per_q_and_b(self, tmp_path):
+        sweep = ["--n", "12", "--b-values", "2,3", "--c-values", "0,6,12", "--r-frac", "0.5",
+                 "--trials", "5", "--seed", "4"]
+        out = tmp_path / "curves.csv"
+        assert run_cli(["cutoff-curves", "--q-values", "0.5,0.75"] + sweep
+                       + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "q,b,c_star_sim,c_star_analytic"
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["0.500000", "2"], ["0.500000", "3"], ["0.750000", "2"], ["0.750000", "3"]
+        ]
+        # each quality's rows are the paths of the csm heatmap at that quality
+        for q, own in (("0.5", rows[1:3]), ("0.75", rows[3:5])):
+            hm = tmp_path / f"h{q}.csv"
+            assert run_cli(["heatmap", "--q", q, "--policy", "csm"] + sweep
+                           + ["--out", str(hm)]) == 0
+            paths = hm.with_name(hm.stem + "_cutoffs.csv").read_text().splitlines()
+            assert [row.split(",", 1)[1] for row in own] == paths[1:]
+
+
+class TestEmptyLists:
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--n", "6", "--b-values", "2", "--c-values", ",", "--trials", "5"],
+        ["heatmap", "--n", "6", "--b-values", ",", "--c-values", "0,3", "--trials", "5"],
+        ["cutoff-curves", "--n", "6", "--q-values", ",", "--b-values", "2",
+         "--c-values", "0,3", "--trials", "5"],
+        ["cutoff-table", "--n-values", "10", "--b-values", ","],
+        ["cutoff-table", "--n-values", "3,4", "--b-values", "5,6"],
+        ["cutoff-table", "--n-values", "10", "--b-values", "2,3", "--r-values", "4,5"],
+    ], ids=["heatmap-c", "heatmap-b", "cutoff-curves-q", "cutoff-table-b",
+            "cutoff-table-n-below-b", "cutoff-table-r-above-b"])
+    def test_exit_code_and_no_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""

@@ -1,8 +1,5 @@
 """Harness tests: substreams, determinism, worker independence, sweeps."""
 
-import math
-
-import numpy as np
 import pytest
 
 import seqselect.core
@@ -12,8 +9,6 @@ from seqselect.montecarlo import (
     ExperimentSpec,
     cell_csv_rows,
     clamp_workers,
-    cutoff_csv_rows,
-    cutoff_curves,
     regret_heatmap,
     run_cell,
     trial_seed,
@@ -86,40 +81,24 @@ class TestRunCell:
 
 
 class TestExperimentSpec:
-    def test_r_rule(self):
-        spec = ExperimentSpec(n=50, b_values=(5, 20), c_values=(0, 10), q=0.5, r_rule=0.5)
-        assert spec.r_for(5) == 2 and spec.r_for(20) == 10
-        spec_abs = ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=3)
-        assert spec_abs.r_for(5) == 3
-
-    def test_r_rule_integer_types(self):
-        def spec(rule):
-            return ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=rule)
-
-        # numpy integers are counts, not fractions
-        assert spec(np.int64(2)).r_for(5) == 2
-        assert type(spec(np.int64(2)).r_for(5)) is int
-        # bools are fractions: True is all of b, False none
-        assert spec(True).r_for(5) == 5 and type(spec(True).r_for(5)) is int
-        assert spec(False).r_for(5) == 0
-        assert spec(np.float64(0.4)).r_for(5) == 2
-
-    def test_fraction_outside_unit_interval(self):
-        for rule in (1.5, -0.1, float("nan")):
-            with pytest.raises(DomainError):
-                ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=rule)
+    def test_one_r_per_b(self):
+        for b_values, r_values in (((5, 20), (1,)), ((5,), (1, 2)), ((5,), ())):
+            with pytest.raises(DomainError, match="one r per b"):
+                ExperimentSpec(n=50, b_values=b_values, c_values=(0,), q=0.5, r_values=r_values)
+        spec = ExperimentSpec(n=50, b_values=(5, 20), c_values=(0,), q=0.5, r_values=(1, 2))
+        assert spec.r_values == (1, 2)
 
     def test_cutoffs_outside_range(self):
         for c_values in ((0, -3), (6, 7), (5, 6)):
             with pytest.raises(DomainError):
-                ExperimentSpec(n=5, b_values=(2,), c_values=c_values, q=0.5, r_rule=0)
-        ExperimentSpec(n=5, b_values=(2,), c_values=(0, 5), q=0.5, r_rule=0)
+                ExperimentSpec(n=5, b_values=(2,), c_values=c_values, q=0.5, r_values=(0,))
+        ExperimentSpec(n=5, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,))
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_rule=0)
+            ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_values=())
         with pytest.raises(DomainError):
-            ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_rule=0, trials=0)
+            ExperimentSpec(n=50, b_values=(5,), c_values=(0,), q=0.5, r_values=(0,), trials=0)
 
 
 class TestClampWorkers:
@@ -142,7 +121,7 @@ class TestHeatmap:
     def test_grid_and_paths(self):
         spec = ExperimentSpec(
             n=20, b_values=(2, 4), c_values=tuple(range(0, 21, 5)), q=0.5,
-            r_rule=0, trials=60, master_seed=3,
+            r_values=(0, 0), trials=60, master_seed=3,
         )
         result = regret_heatmap(spec)
         assert set(result.cells) == {(b, c) for b in (2, 4) for c in range(0, 21, 5)}
@@ -152,9 +131,19 @@ class TestHeatmap:
         again = regret_heatmap(spec)
         assert again.cells == result.cells
 
+    def test_each_b_runs_at_its_own_r(self):
+        spec = ExperimentSpec(
+            n=12, b_values=(2, 4), c_values=(0, 6), q=0.5, r_values=(1, 3), trials=10,
+            master_seed=2,
+        )
+        result = regret_heatmap(spec)
+        for b, r in ((2, 1), (4, 3)):
+            for c in (0, 6):
+                assert result.cells[(b, c)] == run_cell(12, b, c, 0.5, r, "csm", 10, (2, b, c))
+
     def test_csv_rows_format(self):
         spec = ExperimentSpec(
-            n=10, b_values=(2,), c_values=(0, 5), q=0.5, r_rule=0, trials=20, master_seed=0,
+            n=10, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,), trials=20, master_seed=0,
         )
         cells = regret_heatmap(spec).cells
         rows = list(cell_csv_rows((b, c, st) for (b, c), st in sorted(cells.items())))
@@ -164,22 +153,10 @@ class TestHeatmap:
         assert len(parts) == 7 and parts[0] == "2"
 
 
-class TestCutoffCurves:
-    def test_rows_structure(self):
-        rows = cutoff_curves(
-            n=20, r_rule=0, q_list=(0.5,), b_values=(2,), c_values=tuple(range(0, 21, 4)),
-            trials=40, master_seed=1,
-        )
-        assert len(rows) == 1
-        q, b, cs, ca = rows[0]
-        assert (q, b) == (0.5, 2)
-        csv = list(cutoff_csv_rows(rows))
-        assert csv[0] == "q,b,c_star_sim,c_star_analytic"
-        assert csv[1].startswith("0.500000,2,")
-
-
 class TestExperimentSpecB:
     def test_b_outside_range(self):
         for b_values in ((0,), (-3,), (2, 11)):
             with pytest.raises(DomainError, match="b values"):
-                ExperimentSpec(n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_rule=0)
+                ExperimentSpec(
+                    n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_values=(0,) * len(b_values)
+                )
