@@ -378,18 +378,16 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
     return out
 
 
-def cutoff_table_rows(n_values, b_values, r_values):
-    """CSV rows for the cutoff table at medium quality: one row per (n, b, r)
-    of the grid with r <= b <= n, and DomainError when there is none."""
+def cutoff_table(n_values, b_values, r_values) -> list:
+    """The cutoff table at medium quality: (n, b, r, c_star, expected_regret)
+    for each (n, b, r) of the grid with r <= b <= n, and DomainError when
+    there is none."""
     if any(b < 1 for b in b_values):
         raise DomainError(f"b values must be >= 1, got {tuple(b_values)}")
     grid = [(n, b, r) for n in n_values for b in b_values for r in r_values if r <= b <= n]
     if not grid:
         raise DomainError("the (n, b, r) grid has no point with r <= b <= n")
-    yield "n,b,r,c_star,expected_regret"
-    for n, b, r in grid:
-        c_star, er = optimal_cutoff(n, b, r)
-        yield f"{n},{b},{r},{c_star},{er:.6f}"
+    return [(n, b, r, *optimal_cutoff(n, b, r)) for n, b, r in grid]
 
 
 @dataclass(frozen=True)

@@ -12,37 +12,26 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import Optional
 
 from seqselect import __version__
-from seqselect.analytics import (
-    analyze_setting,
-    cutoff_table_rows,
-    translate_cutoff,
-)
+from seqselect.analytics import analyze_setting, cutoff_table, translate_cutoff
 from seqselect.core import ContractError, DomainError
-from seqselect.montecarlo import (
-    ExperimentSpec,
-    cell_csv_rows,
-    cutoff_csv_rows,
-    regret_heatmap,
-    run_cell,
-)
-from seqselect.multiround import (
-    PopulationSpec,
-    aggregate_csv_rows,
-    compare_policies,
-    multiround_csv_rows,
-)
+from seqselect.montecarlo import ExperimentSpec, regret_heatmap, run_cell
+from seqselect.multiround import PopulationSpec, compare_policies
 from seqselect.policies import VARIANTS
+
+CELL_HEADER = "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
 
 
 def _list(text: str, convert) -> tuple:
     values = tuple(convert(x) for x in text.split(",") if x.strip() != "")
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"values must not repeat, got {text!r}")
     return values
 
 
@@ -65,11 +54,12 @@ def _c_values(args):
 
 def _sweep_spec(args, q: float, policy: str) -> ExperimentSpec:
     """The (b, c) sweep of heatmap and cutoff-curves at quality q, with --r or
-    round(r_frac * b) resignations per b.  --r defaults to 0 here, not in
-    argparse: the exclusive group would read an explicit "--r 0" as absent."""
-    if args.r is None:
-        args.r = 0
+    round(r_frac * b) resignations per b.  Without either, --r is 0; it is set
+    here, not in argparse, because the exclusive group would read an explicit
+    "--r 0" as absent."""
     if args.r_frac is None:
+        if args.r is None:
+            args.r = 0
         r_values = (args.r,) * len(args.b_values)
     elif 0.0 <= args.r_frac <= 1.0:
         r_values = tuple(round(args.r_frac * b) for b in args.b_values)
@@ -100,8 +90,20 @@ def _add_sweep_flags(p) -> None:
     p.add_argument("--c-step", type=int, default=1)
 
 
-def _write_lines(path: Path, lines) -> Path:
-    lines = list(lines)  # built before the file opens: a failing run leaves no file
+def _csv_lines(header: str, rows) -> list:
+    """The one CSV format of every data file: the header line, then one line
+    per row, with a float to six decimals, None as an empty field and any
+    other value through str.  The lines are built before any file opens, so
+    a failing run leaves no file."""
+    def field(value) -> str:
+        if value is None:
+            return ""
+        return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+    return [header, *(",".join(map(field, row)) for row in rows)]
+
+
+def _write_lines(path: Path, lines: list) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -151,7 +153,7 @@ def cmd_simulate(args) -> Optional[Path]:
         args.n, args.b, args.c, args.q, args.r, args.policy,
         args.trials, args.seed, workers=args.workers,
     )
-    lines = cell_csv_rows([(args.b, args.c, stats)])
+    lines = _csv_lines(CELL_HEADER, [(args.b, args.c, *astuple(stats))])
     if args.format == "json":
         payload = {k: round(v, 6) for k, v in asdict(stats).items()}  # trials stays an int
         lines = [json.dumps({"b": args.b, "c": args.c, **payload}, sort_keys=True)]
@@ -164,18 +166,17 @@ def cmd_simulate(args) -> Optional[Path]:
 def cmd_heatmap(args) -> Path:
     spec = _sweep_spec(args, args.q, args.policy)
     result = regret_heatmap(spec, workers=args.workers)
-    cells = sorted(result.cells.items())
-    out = _write_lines(Path(args.out), cell_csv_rows((b, c, st) for (b, c), st in cells))
-    path_lines = ["b,c_star_sim,c_star_analytic"]
-    for b in spec.b_values:
-        path_lines.append(f"{b},{result.sim_path[b]},{result.analytic_path[b]}")
-    _write_lines(out.with_name(out.stem + "_cutoffs" + out.suffix), path_lines)
+    cells = [(b, c, *astuple(st)) for (b, c), st in sorted(result.cells.items())]
+    out = _write_lines(Path(args.out), _csv_lines(CELL_HEADER, cells))
+    paths = [(b, result.sim_path[b], result.analytic_path[b]) for b in spec.b_values]
+    _write_lines(out.with_name(out.stem + "_cutoffs" + out.suffix),
+                 _csv_lines("b,c_star_sim,c_star_analytic", paths))
     return out
 
 
 def cmd_cutoff_table(args) -> Path:
-    rows = cutoff_table_rows(args.n_values, args.b_values, args.r_values)
-    return _write_lines(Path(args.out), rows)
+    rows = cutoff_table(args.n_values, args.b_values, args.r_values)
+    return _write_lines(Path(args.out), _csv_lines("n,b,r,c_star,expected_regret", rows))
 
 
 def cmd_cutoff_curves(args) -> Path:
@@ -185,15 +186,21 @@ def cmd_cutoff_curves(args) -> Path:
         spec = _sweep_spec(args, q, "csm")
         result = regret_heatmap(spec, workers=args.workers)
         rows.extend((q, b, result.sim_path[b], result.analytic_path[b]) for b in spec.b_values)
-    return _write_lines(Path(args.out), cutoff_csv_rows(rows))
+    return _write_lines(Path(args.out), _csv_lines("q,b,c_star_sim,c_star_analytic", rows))
 
 
 def cmd_multiround(args) -> Path:
     pop = PopulationSpec(size=args.pop_size, n=args.n, b=args.b)
     policies = tuple(args.policies.split(","))
     curves = compare_policies(pop, args.rounds, args.p_res, policies, args.runs, args.seed)
-    out = _write_lines(Path(args.out), multiround_csv_rows(curves))
-    _write_lines(out.with_name(out.stem + "_agg" + out.suffix), aggregate_csv_rows(curves))
+    per_run = [(run, rnd, p, *rest)
+               for p, curve in curves.items() for run, rnd, *rest in curve.per_run]
+    out = _write_lines(Path(args.out),
+                       _csv_lines("run,round,policy,regret,hires,failures,q,c_used", per_run))
+    agg = [(k, p, *ci) for p, curve in curves.items()
+           for k, ci in enumerate(zip(curve.mean_regret, curve.ci95_low, curve.ci95_high), 1)]
+    _write_lines(out.with_name(out.stem + "_agg" + out.suffix),
+                 _csv_lines("round,policy,mean_regret,ci95_low,ci95_high", agg))
     for p in policies:
         final = curves[p].mean_regret[-1]
         print(f"{p}: final-round mean regret = {final:.3f}")
@@ -214,11 +221,9 @@ def cmd_failure(args) -> Optional[Path]:
     print(f"mean_hires = {stats.mean_hires:.6f}")
     if not args.out:
         return None
-    return _write_lines(Path(args.out), [
-        "policy,c,failure_rate,mean_regret,mean_hires,trials",
-        f"{args.policy},{c},{stats.failure_rate:.6f},"
-        f"{stats.mean_regret:.6f},{stats.mean_hires:.6f},{stats.trials}",
-    ])
+    row = (args.policy, c, stats.failure_rate, stats.mean_regret, stats.mean_hires, stats.trials)
+    return _write_lines(Path(args.out), _csv_lines(
+        "policy,c,failure_rate,mean_regret,mean_hires,trials", [row]))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,6 +42,9 @@ class ExperimentSpec:
             raise DomainError("trials must be >= 1")
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
+        for name, values in (("b", self.b_values), ("c", self.c_values)):
+            if len(set(values)) < len(values):
+                raise DomainError(f"{name} values must not repeat, got {values}")
         if len(self.r_values) != len(self.b_values):
             raise DomainError(f"need one r per b, got r={self.r_values} for b={self.b_values}")
         if not all(1 <= b <= self.n for b in self.b_values):
@@ -151,21 +154,3 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
         sim_path[b] = best_c
         analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
     return HeatmapResult(cells=cells, sim_path=sim_path, analytic_path=analytic_path)
-
-
-def cell_csv_rows(cells):
-    """CSV rows for (b, c, CellStats) triples:
-    b,c,mean_regret,stderr,mean_hires,failure_rate,trials."""
-    yield "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
-    for b, c, st in cells:
-        yield (
-            f"{b},{c},{st.mean_regret:.6f},{st.stderr:.6f},"
-            f"{st.mean_hires:.6f},{st.failure_rate:.6f},{st.trials}"
-        )
-
-
-def cutoff_csv_rows(rows):
-    """Rows for the cutoff-curve CSV: q,b,c_star_sim,c_star_analytic."""
-    yield "q,b,c_star_sim,c_star_analytic"
-    for q, b, cs, ca in rows:
-        yield f"{q:.6f},{b},{cs},{ca}"

@@ -199,23 +199,3 @@ def compare_policies(
             per_run=tuple(rows[p]),
         )
     return out
-
-
-def multiround_csv_rows(curves: dict):
-    """Per-run CSV: run,round,policy,regret,hires,failures,q,c_used."""
-    yield "run,round,policy,regret,hires,failures,q,c_used"
-    for p, curve in curves.items():
-        for run, rnd, regret, hires, failures, q, c_used in curve.per_run:
-            c_txt = "" if c_used is None else str(c_used)
-            yield f"{run},{rnd},{p},{regret},{hires},{failures},{q:.6f},{c_txt}"
-
-
-def aggregate_csv_rows(curves: dict):
-    """Aggregated CSV: round,policy,mean_regret,ci95_low,ci95_high."""
-    yield "round,policy,mean_regret,ci95_low,ci95_high"
-    for p, curve in curves.items():
-        for idx in range(len(curve.mean_regret)):
-            yield (
-                f"{idx + 1},{p},{curve.mean_regret[idx]:.6f},"
-                f"{curve.ci95_low[idx]:.6f},{curve.ci95_high[idx]:.6f}"
-            )

@@ -1,6 +1,5 @@
 """Closed-form machinery tests: formulas, solver anchors, translation, mu-hat."""
 
-import csv
 import itertools
 import math
 
@@ -11,7 +10,7 @@ from seqselect.analytics import (
     AnalyticParams,
     _poisson_pmf,
     analyze_setting,
-    cutoff_table_rows,
+    cutoff_table,
     expected_available_rank,
     expected_max_hires,
     expected_offline,
@@ -414,13 +413,8 @@ class TestFullResignation:
 
 
 class TestCutoffTable:
-    def test_rows_and_load(self, tmp_path):
-        rows = list(cutoff_table_rows([20, 30], [3], [0, 3]))
-        path = tmp_path / "table.csv"
-        path.write_text("\n".join(rows) + "\n")
-        with open(path, newline="") as fh:
-            table = {(int(d["n"]), int(d["b"]), int(d["r"])): int(d["c_star"])
-                     for d in csv.DictReader(fh)}
+    def test_rows_and_load(self):
+        table = {(n, b, r): c_star for n, b, r, c_star, _ in cutoff_table([20, 30], [3], [0, 3])}
         assert sorted(table) == [(20, 3, 0), (20, 3, 3), (30, 3, 0), (30, 3, 3)]
         for (n, b, r), c_star in table.items():
             assert c_star == optimal_cutoff(n, b, r)[0]
@@ -446,4 +440,4 @@ class TestAtLeastOnePosition:
             with pytest.raises(DomainError):
                 translate_cutoff(10, b, 0.7, 0)
             with pytest.raises(DomainError):
-                list(cutoff_table_rows((10,), (2, b), (0,)))
+                cutoff_table((10,), (2, b), (0,))

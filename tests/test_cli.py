@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqselect
-from seqselect.cli import build_parser, main
+from seqselect.cli import _csv_lines, build_parser, main
 
 
 def run_cli(args):
@@ -177,6 +178,14 @@ class TestResignationFlags:
         assert out.read_bytes() == explicit.read_bytes()
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["flags"]["r"] == 0 and manifest["flags"]["r_frac"] is None
+
+    def test_r_frac_manifest_records_no_r(self, tmp_path):
+        # the counts come from the fraction, one per b, so no single r is recorded
+        out = tmp_path / "f.csv"
+        assert run_cli(["heatmap", "--n", "12", "--b-values", "3", "--c-values", "0,6",
+                        "--trials", "5", "--r-frac", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["flags"]["r"] is None and manifest["flags"]["r_frac"] == 0.5
 
 
 class TestBadCounts:
@@ -463,3 +472,32 @@ class TestEmptyLists:
         assert exit_code(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
+
+
+class TestRepeatedValues:
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--n", "12", "--b-values", "3,3", "--c-values", "0,6", "--trials", "5"],
+        ["heatmap", "--n", "12", "--b-values", "3", "--c-values", "0,6,6", "--trials", "5"],
+        ["cutoff-curves", "--n", "12", "--q-values", "0.5,0.5", "--b-values", "3",
+         "--c-values", "0,6", "--trials", "5"],
+        ["cutoff-table", "--n-values", "20,20", "--b-values", "3"],
+        ["cutoff-table", "--n-values", "20", "--b-values", "3", "--r-values", "0,0"],
+    ], ids=["b-values", "c-values", "q-values", "n-values", "r-values"])
+    def test_exit_code_and_no_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "must not repeat" in capsys.readouterr().err
+
+
+class TestCsvLines:
+    def test_one_rule_per_field_type(self):
+        rows = [(1.5, np.float64(2.0) / 3, 7, np.int64(-4), None, "csm"), (0.0,)]
+        assert _csv_lines("a,b,c,d,e,f", rows) == [
+            "a,b,c,d,e,f",
+            "1.500000,0.666667,7,-4,,csm",
+            "0.000000",
+        ]
+
+    def test_header_only(self):
+        assert _csv_lines("q,b", []) == ["q,b"]

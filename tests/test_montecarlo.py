@@ -7,7 +7,6 @@ from seqselect.core import DomainError, generate_instance
 from seqselect.montecarlo import (
     CellStats,
     ExperimentSpec,
-    cell_csv_rows,
     clamp_workers,
     regret_heatmap,
     run_cell,
@@ -141,17 +140,6 @@ class TestHeatmap:
             for c in (0, 6):
                 assert result.cells[(b, c)] == run_cell(12, b, c, 0.5, r, "csm", 10, (2, b, c))
 
-    def test_csv_rows_format(self):
-        spec = ExperimentSpec(
-            n=10, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,), trials=20, master_seed=0,
-        )
-        cells = regret_heatmap(spec).cells
-        rows = list(cell_csv_rows((b, c, st) for (b, c), st in sorted(cells.items())))
-        assert rows[0] == "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
-        assert len(rows) == 3
-        parts = rows[1].split(",")
-        assert len(parts) == 7 and parts[0] == "2"
-
 
 class TestExperimentSpecB:
     def test_b_outside_range(self):
@@ -159,4 +147,12 @@ class TestExperimentSpecB:
             with pytest.raises(DomainError, match="b values"):
                 ExperimentSpec(
                     n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_values=(0,) * len(b_values)
+                )
+
+    def test_repeated_b_or_c(self):
+        for b_values, c_values in (((3, 3), (0, 6)), ((3,), (0, 6, 6))):
+            with pytest.raises(DomainError, match="must not repeat"):
+                ExperimentSpec(
+                    n=12, b_values=b_values, c_values=c_values, q=0.5,
+                    r_values=(0,) * len(b_values),
                 )

@@ -11,8 +11,6 @@ from seqselect.multiround import (
     PopulationSpec,
     compare_policies,
     make_policy_selector,
-    multiround_csv_rows,
-    aggregate_csv_rows,
     run_chain,
 )
 
@@ -123,17 +121,6 @@ class TestComparePolicies:
     def test_star_beats_rand(self):
         curves = compare_policies(SMALL, 6, 0.5, ("csm-star", "rand"), 30, 13)
         assert curves["csm-star"].mean_regret[-1] < curves["rand"].mean_regret[-1]
-
-    def test_csv_rows(self):
-        curves = compare_policies(SMALL, 2, 0.3, ("csm-star", "mean"), 3, 2)
-        rows = list(multiround_csv_rows(curves))
-        assert rows[0] == "run,round,policy,regret,hires,failures,q,c_used"
-        assert len(rows) == 1 + 2 * 3 * 2
-        # mean baseline carries no cutoff
-        assert any(row.endswith(",") for row in rows[1:] if ",mean," in row)
-        agg = list(aggregate_csv_rows(curves))
-        assert agg[0] == "round,policy,mean_regret,ci95_low,ci95_high"
-        assert len(agg) == 1 + 2 * 2
 
     def test_bad_name_fails_before_any_chain(self, monkeypatch):
         chains = []
