@@ -55,23 +55,39 @@ def expected_offline(n: int, b: int, r: int, q: float) -> float:
     return b * (b + 1) / 2.0 + r * b * b * (g0 + r) / (2.0 * g0 * g0)
 
 
-def g_fn(count: float, lam: float) -> float:
-    """P(Poisson(lam) < count), extended to real count.
+def g_fn(count, lam):
+    """P(Poisson(lam) < count), extended to real count, elementwise.
 
     Equals the Poisson CDF sum e^-lam * sum_{i<count} lam^i / i! at integer
     count; the regularized upper incomplete gamma function provides the smooth
-    extension in between.  Returns 0 for count <= 0.
+    extension in between.  Gives 0 where count <= 0 (gammaincc(0, 0) is nan).
     """
-    if lam < 0:
+    lam = np.asarray(lam)
+    if lam.min(initial=0.0) < 0:
         raise DomainError("lam must be nonnegative")
-    if count <= 0:
-        return 0.0
-    return float(gammaincc(count, lam))
+    pos = np.greater(count, 0)  # count 1 stands in elsewhere; the product zeroes it
+    return gammaincc(np.where(pos, count, 1), lam) * pos
+
+
+def _g_due(count, lam, s):
+    """g_fn under the recursion's branch rule: 1 while count exceeds the s
+    steps completed since the cutoff, so gammaincc runs only past that point."""
+    if not isinstance(count, np.ndarray):
+        return 1.0 if count > s else g_fn(count, lam)
+    out = np.ones(len(count))
+    due = count <= s
+    out[due] = g_fn(count[due], lam[due])
+    return out
 
 
 def _poisson_pmf(k, lam):
     """P(Poisson(lam) = k) by scipy.stats.poisson's own expression, elementwise."""
     return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+
+
+def _check_domain(n: int, b: int, r: int) -> None:
+    if not (0 <= r <= b <= n and b >= 1):
+        raise DomainError("need 0 <= r <= b <= n and b >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,8 +99,7 @@ class AnalyticParams:
     c: int
 
     def __post_init__(self):
-        if not (0 <= self.r <= self.b <= self.n and self.b >= 1):
-            raise DomainError("need 0 <= r <= b <= n and b >= 1")
+        _check_domain(self.n, self.b, self.r)
         if not (0 <= self.c <= self.n):
             raise DomainError("need 0 <= c <= n")
         if not (0.0 < self.q < 1.0):
@@ -95,12 +110,12 @@ class AnalyticParams:
 class AnalyticCurve:
     """Per-step closed forms for one (n, b, r, q, c) setting.
 
-    Arrays are indexed by step j = 1..n (index 0 unused); entries for j <= c
-    are zero (no acceptance during the learning phase; at r = b the phase is
-    the policy's effective one, min(c, n - b)).  lam[j] is the cumulative
-    acceptance intensity through step j.  referent_term is the rank cost of
-    the positions no above-threshold candidate fills: kept referents when
-    r < b, fill-forced candidates when r = b.
+    Arrays are indexed by step j = 1..n (index 0 unused); entries for j <= c'
+    are zero, where c' = min(c, n - r) is the learning phase the policy runs
+    (no acceptance during it).  lam[j] is the cumulative acceptance intensity
+    through step j.  referent_term is the rank cost of the positions no
+    above-threshold candidate fills: kept referents when r < b, fill-forced
+    candidates when r = b.
     """
 
     params: AnalyticParams
@@ -128,55 +143,98 @@ class AnalyticCurve:
 def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     """Forward recursion for the expected threshold rank and regret.
 
-    For j = c+1..n: the threshold mixes the learning-phase rank
-    gamma = b(b+n)/(b+c) (while fewer than Delta = r + E[n_rej] candidates
-    are in) with the available-referent rank ladder; p_j = (gamma_j - 1)/(n+b)
-    and the g factors come from g_fn with the step-index branch rule (value 1
-    while the count argument exceeds the number of completed selection steps).
-    At r = b the policy never switches, and _full_resignation_curve replaces
-    the recursion.
+    The cutoff is the one the policy runs, c' = min(c, n - r)
+    (policies._learning_phase).  For j = c'+1..n: the threshold mixes the
+    learning-phase rank gamma = b(b+n)/(b+c') (while fewer than
+    Delta = r + E[n_rej] candidates are in) with the available-referent rank
+    ladder; p_j = (gamma_j - 1)/(n+b) and the g factors come from g_fn with
+    the step-index branch rule (value 1 while the count argument exceeds the
+    number of completed selection steps).  At r = b the policy never
+    switches, and _full_resignation replaces the recursion.  This is the
+    one-column call of the functions _regret_scan runs over every cutoff.
     """
-    if params.r == params.b:
-        return _full_resignation_curve(params)
-    n, b, r, q, c = params.n, params.b, params.r, params.q, params.c
+    n, b, r, q = params.n, params.b, params.r, params.q
+    c = min(params.c, n - r)
     gam = b * (b + n) / (b + c)
-    delta = r + c * (gam - 1.0) / (n + b)
-    ref_coef = expected_available_rank(1, q, n, b, r)
+    if r == b:
+        e_hires, cand, ref = _full_resignation(n, b, c)
+        m = n - c
+        p_acc = b / (b + c + 1)
+        low, _, _ = _threshold_count_law(b, c, m)
+        columns = (gam, p_acc, p_acc * np.arange(1, m + 1), np.minimum(low[:m].sum(axis=1), 1.0))
+    else:
+        e_hires, cand, ref, steps = _recursion(n, b, r, q, c)
+        columns = np.array(steps, dtype=float).reshape(-1, 4).T
 
-    gamma_j = np.zeros(n + 1)
-    p = np.zeros(n + 1)
-    lam = np.zeros(n + 1)
-    g_b = np.zeros(n + 1)
-    lam_running = 0.0
-    hired_mass = 0.0  # sum of p_i g_i(b), i < j
-    cand = 0.0
-    for j in range(c + 1, n + 1):
-        steps_done = j - c - 1
-        gjb = 1.0 if b > steps_done else g_fn(b, lam_running)
-        gjd = 1.0 if delta > steps_done else g_fn(delta, lam_running)
-        gj = gam * gjd + ref_coef * max(b - hired_mass, 0.0) * (1.0 - gjd)
-        gj = max(gj, 1.0)
-        pj = (gj - 1.0) / (n + b)
-        cand += gjb * gj * (gj - 1.0) / 2.0
-        hired_mass += pj * gjb
-        lam_running += pj
-        gamma_j[j] = gj
-        p[j] = pj
-        lam[j] = lam_running
-        g_b[j] = gjb
-    e_hires = min(hired_mass, float(b))  # the summed intensity can overshoot the cap
+    def per_step(values) -> tuple:
+        arr = np.zeros(n + 1)
+        arr[c + 1 :] = values
+        return tuple(arr.tolist())
+
+    gamma_j, p, lam, g_b = map(per_step, columns)
     return AnalyticCurve(
         params=params,
         gamma=gam,
-        gamma_j=tuple(gamma_j.tolist()),
-        p=tuple(p.tolist()),
-        lam=tuple(lam.tolist()),
-        g_b=tuple(g_b.tolist()),
-        e_hires=e_hires,
+        gamma_j=gamma_j,
+        p=p,
+        lam=lam,
+        g_b=g_b,
+        e_hires=float(e_hires),
         e_offline=expected_offline(n, b, r, q),
-        candidate_term=cand / (n + b),
-        referent_term=ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires),
+        candidate_term=float(cand),
+        referent_term=float(ref),
     )
+
+
+def _recursion(n: int, b: int, r: int, q: float, c):
+    """The r < b recursion of threshold_curve at cutoff c, one int or the
+    array 0..k of cutoffs (one column each).
+
+    The loop counts s, the steps completed since the cutoff (step
+    j = c + 1 + s).  Column c runs while c + s < n, so the live columns are
+    the prefix of length n - s: each step rebinds the state to that prefix
+    view, and its in-place += writes through to the full per-column arrays.
+    For one cutoff the state is plain floats and the per-step
+    (gamma_j, p_j, lam_j, g_j(b)) are kept.  Returns (e_hires,
+    candidate_term, referent_term, steps), elementwise over c.
+    """
+    scan = np.ndim(c) > 0
+    gam = b * (b + n) / (b + c)
+    delta = r + c * (gam - 1.0) / (n + b)
+    ref_coef = expected_available_rank(1, q, n, b, r)
+    lam, hired, cand = (np.zeros(len(c)) for _ in range(3)) if scan else (0.0, 0.0, 0.0)
+    totals = hired, cand
+    steps = []
+    for s in range(n - np.min(c)):
+        if scan:
+            live = slice(n - s)
+            gam, delta, lam, hired, cand = (x[live] for x in (gam, delta, lam, hired, cand))
+        gjb = _g_due(b, lam, s)
+        gjd = _g_due(delta, lam, s)
+        gj = np.maximum(gam * gjd + ref_coef * np.maximum(b - hired, 0.0) * (1.0 - gjd), 1.0)
+        pj = (gj - 1.0) / (n + b)
+        cand += gjb * gj * (gj - 1.0) / 2.0
+        hired += pj * gjb  # sum of p_i g_i(b), i <= j
+        lam += pj
+        if not scan:
+            steps.append((gj, pj, lam, gjb))
+    if scan:
+        hired, cand = totals
+    e_hires = np.minimum(hired, b)  # the summed intensity can overshoot the cap
+    referent = ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires)
+    return e_hires, cand / (n + b), referent, steps
+
+
+def _count_pmf(b: int, c, s):
+    """P(K_s = i) for i = 0..b-1 along a last axis, elementwise over the
+    cutoff c and the step count s (see _threshold_count_law)."""
+    i = np.arange(b)
+    rest = np.maximum(s - i, 0)
+    log_low = (
+        gammaln(s + 1) - gammaln(i + 1) - gammaln(rest + 1)
+        + betaln(i + b, rest + c + 1) - betaln(b, c + 1)
+    )
+    return np.where(i <= s, np.exp(log_low), 0.0)
 
 
 def _threshold_count_law(b: int, c: int, m: int):
@@ -189,63 +247,38 @@ def _threshold_count_law(b: int, c: int, m: int):
     that the next candidate beats y_b given K_s = i.  No entry is a difference,
     so small probabilities keep their relative accuracy.
     """
-    i = np.arange(b)
     s = np.arange(m + 1)[:, None]
-    rest = np.maximum(s - i, 0)
-    log_low = (
-        gammaln(s + 1) - gammaln(i + 1) - gammaln(rest + 1)
-        + betaln(i + b, rest + c + 1) - betaln(b, c + 1)
-    )
-    low = np.where(i <= s, np.exp(log_low), 0.0)
-    up = (b + i) / (b + c + 1.0 + s)
+    low = _count_pmf(b, c, s)
+    up = (b + np.arange(b)) / (b + c + 1.0 + s)
     high = np.concatenate(([0.0], np.cumsum(low[:-1, -1] * up[:-1, -1])))
     return low, high, up
 
 
-def _full_resignation_curve(params: AnalyticParams) -> AnalyticCurve:
-    """Closed forms at r = b, where the cutoff policy never switches.
+def _full_resignation(n: int, b: int, c):
+    """(e_hires, candidate_term, referent_term) at r = b, elementwise over the
+    policy's learning phase c <= n - b, where the cutoff policy never switches.
 
     A threshold is needed only while l < b hires are in, and the switch to a
     referent threshold needs l >= n_rej + r >= b, so y_b is the threshold to
-    the end.  The learning phase is the policy's effective one,
-    c' = min(c, n - b).  Each of the m = n - c' later candidates beats y_b
-    with probability b/(b + c' + 1), and K, the number that do, has the law
-    of _threshold_count_law.  A run accepts min(K, b) of them and fills the
-    (b - K)^+ other positions with fill-forced candidates below y_b.  Given K,
-    an accepted candidate has expected rank (b + K)/2 and a forced one
-    1 + b + K + (n - K - 1)/2.  The hire count and the forced-fill term are
-    exact; the candidate term takes the accepted rank at E[K], as the
-    recursion takes it at the expected threshold rank.  That choice is a
-    calibration: the exact K-conditional rank puts the argmin of (48, 5, 5)
-    at 13, off the anchor 14.
+    the end.  Each of the m = n - c later candidates beats y_b with
+    probability b/(b + c + 1), and K, the number that do, has the law of
+    _threshold_count_law; only its last row, P(K_m = k) for k < b, enters.  A
+    run accepts min(K, b) of them and fills the (b - K)^+ other positions
+    with fill-forced candidates below y_b.  Given K, an accepted candidate
+    has expected rank (b + K)/2 and a forced one 1 + b + K + (n - K - 1)/2.
+    The hire count and the forced-fill term are exact; the candidate term
+    takes the accepted rank at E[K], as the recursion takes it at the
+    expected threshold rank.  That choice is a calibration: the exact
+    K-conditional rank puts the argmin of (48, 5, 5) at 13, off the anchor 14.
     """
-    n, b, q, c = params.n, params.b, params.q, params.c
-    c_eff = min(c, n - b)
-    m = n - c_eff
-    p_acc = b / (b + c_eff + 1)
-    low, _, _ = _threshold_count_law(b, c_eff, m)
+    m = n - c
+    p_acc = b / (b + c + 1)
     k = np.arange(b)
-    short_pmf = (b - k) * low[m]  # (b - K)^+ P(K = k); zero for k >= b
-    e_hires = float(b - short_pmf.sum())
-    gam = b * (b + n) / (b + c)
-
-    def per_step(values) -> tuple:
-        arr = np.zeros(n + 1)
-        arr[c_eff + 1 :] = values
-        return tuple(arr.tolist())
-
-    return AnalyticCurve(
-        params=params,
-        gamma=gam,
-        gamma_j=per_step(gam),
-        p=per_step(p_acc),
-        lam=per_step(p_acc * np.arange(1, m + 1)),
-        g_b=per_step(np.minimum(low[:m].sum(axis=1), 1.0)),
-        e_hires=e_hires,
-        e_offline=expected_offline(n, b, b, q),
-        candidate_term=e_hires * (b + m * p_acc) / 2.0,
-        referent_term=float((short_pmf * (1.0 + b + k + (n - k - 1) / 2.0)).sum()),
-    )
+    # (b - K)^+ P(K = k); zero for k >= b
+    short_pmf = (b - k) * _count_pmf(b, np.asarray(c)[..., None], np.asarray(m)[..., None])
+    e_hires = b - short_pmf.sum(axis=-1)
+    referent = (short_pmf * (1.0 + b + k + (n - k - 1) / 2.0)).sum(axis=-1)
+    return e_hires, e_hires * (b + m * p_acc) / 2.0, referent
 
 
 def expected_max_hires(curve: AnalyticCurve) -> float:
@@ -262,12 +295,17 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
     return float((np.maximum(ks, r) * pmf).sum() + max(b, r) * (1.0 - pmf.sum()))
 
 
-def _regret_scan(n: int, b: int, r: int) -> tuple:
-    """Expected regret over every cutoff c in [0, n] at medium quality."""
-    return tuple(
-        threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c)).expected_regret()
-        for c in range(n + 1)
-    )
+def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
+    """Expected regret over every cutoff c in [0, n] at medium quality, one
+    array pass over the cutoffs the policy runs (c > n - r plays as n - r)."""
+    _check_domain(n, b, r)
+    c = np.arange(n - r + 1)
+    if r == b:
+        e_hires, cand, ref = _full_resignation(n, b, c)
+    else:
+        e_hires, cand, ref, _ = _recursion(n, b, r, 0.5, c)
+    regret = cand + ref - expected_offline(n, b, r, 0.5)
+    return regret[np.minimum(np.arange(n + 1), n - r)]
 
 
 @lru_cache(maxsize=100_000)
@@ -341,26 +379,29 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
 
     With r = b, N is the count of _threshold_count_law, P(N_n >= b | N_j = i)
     follows its urn backwards, and the curve is exact with mu_hat_n = b.  With
-    r < b, N_j is Poisson with the intensity lam_j of threshold_curve; at
+    r < b, N_j is Poisson with the intensity lam_j of the recursion; at
     r = 0 the event is sure and mu_hat_j = E[min(N_j, b)].  Raises
-    DomainError when the event has probability zero, ContractError when the
-    result leaves [0, b] or decreases.
+    DomainError for c > n - r, a cutoff the policy runs as n - r (acsm_spec
+    passes min(c, n - r)), and when the event has probability zero;
+    ContractError when the result leaves [0, b] or decreases.
     """
     n, b, r, c = params.n, params.b, params.r, params.c
+    if c > n - r:
+        raise DomainError(f"the policy runs cutoff {c} as n - r = {n - r}; pass that")
     i = np.arange(b)
     if r == b:
-        c_eff = min(c, n - b)
-        m = n - c_eff
-        low, high, up = _threshold_count_law(b, c_eff, m)
+        m = n - c
+        low, high, up = _threshold_count_law(b, c, m)
         reach = np.zeros((m + 1, b))  # P(K_m >= b | K_s = i); 0 at s = m
         for s in range(m - 1, -1, -1):
             nxt = np.append(reach[s + 1, 1:], 1.0)
             reach[s] = up[s] * nxt + (1.0 - up[s]) * reach[s + 1]
         p_ok = reach[0, 0]
         num = np.zeros(n)
-        num[c_eff:] = ((i * low * reach).sum(axis=1) + b * high)[1:]
+        num[c:] = ((i * low * reach).sum(axis=1) + b * high)[1:]
     else:
-        lam = np.asarray(threshold_curve(params).lam[1:])
+        lam = np.zeros(n)
+        lam[c:] = [step[2] for step in _recursion(n, b, r, params.q, c)[3]]
         lam_n = lam[-1]
         need = r - i  # further hires that N_n >= r still needs
         reach = np.where(

@@ -1,5 +1,6 @@
 """Closed-form machinery tests: formulas, solver anchors, translation, mu-hat."""
 
+import hashlib
 import itertools
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from seqselect.analytics import (
     AnalyticParams,
     _poisson_pmf,
+    _regret_scan,
     analyze_setting,
     cutoff_table,
     expected_available_rank,
@@ -215,13 +217,64 @@ class TestOptimalCutoff:
         assert optimal_cutoff(48, 5, 5)[0] == 14
 
     def test_scale_invariance_of_argmin(self):
-        from seqselect.analytics import _regret_scan
-
         vals = np.array(_regret_scan(40, 4, 1))
         assert np.argmin(vals) == np.argmin(2.7 * vals)
 
     def test_memoized_and_deterministic(self):
         assert optimal_cutoff(31, 15, 0) == optimal_cutoff(31, 15, 0)
+
+
+class TestRegretScan:
+    # SHA-256 of the float64 bytes of _regret_scan(n, b, r)[: n - r + 1],
+    # recorded from the per-cutoff scan before the array pass replaced it: the
+    # 24 settings of the analytic-table benchmark, two anchors, (100, 5, 2)
+    # and (1000, 50, 0).  Columns c > n - r are left out, since the policy
+    # runs them as n - r.
+    PINS = {
+        (100, 5, 0): "34bd094edca02fc1717cd841fb5f61a1d2f7e58a5c32734092ae39094a63e5f4",
+        (100, 5, 5): "ef82cbd71a0370c35d17cfaf730d10f9537475e98702f7a732ac9b97e9222b31",
+        (100, 20, 0): "ee43150a3108f3190dc23942767d6a39d5bae32ffc457d544e0fb44bc3c2098b",
+        (100, 20, 5): "0ae644c05f8ae8ef91ac6ae5f00f568c13f0e34d90ec3ee9c1b690bca5c9b529",
+        (100, 50, 0): "fe3546d676b7953554a87c6171ca0a7a81b23a1b0f467aca2e53c2ab6ca5edac",
+        (100, 50, 5): "2ee3c119879d2db1c5a95bdeabd923b345521823f18419e05d5db634c6503a3f",
+        (200, 5, 0): "f3437e0af3bc89ba0a38c229b1267cb36f31600b56d380722b5294fe619cbb79",
+        (200, 5, 5): "f822656b6fec8d45728977f4946f274d9216415c9c5b28111b643a2dd75ef07d",
+        (200, 20, 0): "c7447d31a46ab542295196bf90ed0117c11c6313cbaaf9691e84831836449322",
+        (200, 20, 5): "7d939eabb5cf789b3eadeaa30a63bf3792b535fc020aceeb19eddb685813ad55",
+        (200, 50, 0): "0c7eea3fdef3c84efcbf9986fd3735ae90f9d5f4c382606e377d1a0b0189d446",
+        (200, 50, 5): "84cc2a070f0069b31db5aa0f0537f8edfe61912b1167f4f94892d457375ba2af",
+        (300, 5, 0): "ab024eae5c6cc3f01e98c169afeac22b1d26f10f153130d98aef1069369a21ea",
+        (300, 5, 5): "cab71934384fdccbcf8cd7ecfe43da4e5d6b4ef9e2968bd9e362d4a090b48853",
+        (300, 20, 0): "78b627ede5b7a8413b14fb72a25aa7dfb0836a1961e47cbd3f7f38cab289cc84",
+        (300, 20, 5): "8621b9c6e23f45f8f7caa8047126d5d3f9e9e589039604e73e5c327de4f99c1f",
+        (300, 50, 0): "b4517808bf8a71ced6307e1efe2e590b7304310a399550a54559119a1de97b09",
+        (300, 50, 5): "f3ace312866d8d3b1126d559b6389b21d7bf8404916994784b8f8ce47036c03b",
+        (400, 5, 0): "4446c639208fbdea27104e0ef0be5264917f1a8a740d7454b6e8b9778ed50fc9",
+        (400, 5, 5): "cdc649976356bbb5d4a940e912b85177d1b0410ef7ee6285920ceaa4a1a0ec2f",
+        (400, 20, 0): "c9b15becff0fe8c2d28fb60375699355ed24d80d6d841eaedf156aa9712acbaa",
+        (400, 20, 5): "5ba86fd8ba47e0f0d31467b4b59a160ab8f50ade105c4f219377307b5ad5e2c2",
+        (400, 50, 0): "0570060f5f7d6e07e24af9c54a9948760949e425a939cb965bbc94097bd63a65",
+        (400, 50, 5): "8294310d8421110d683d8b7763f0f5a1e7f461031d1bb51866e314e4b9ca31a9",
+        (31, 15, 0): "d4752a5ae197a70b94285a474a2e592d381cb8ebc40ab5a6aa297cb6ec6236e8",
+        (48, 5, 0): "79cc71ae009f6cebc9aa7be642bb4ac96beac92fc85eb868d9aa78102028ba35",
+        (100, 5, 2): "09f9dd523ea40fbf50f9ceb4508b6cb16bf1894ab7bc679969c3fbf5b27a5157",
+        (1000, 50, 0): "3f0b0ba1550e4574980fe6de826777a8db73ca7ffc762bb71d9169700dc3e592",
+    }
+
+    def test_pinned_bytes(self):
+        for (n, b, r), digest in self.PINS.items():
+            vals = np.asarray(_regret_scan(n, b, r), dtype=np.float64)[: n - r + 1]
+            assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (n, b, r)
+
+    def test_cutoffs_past_n_minus_r_play_as_n_minus_r(self):
+        # the policy clamps the cutoff to n - r (_learning_phase), so analyze
+        # must report one regret for c = 18, 19 and 20 at (20, 5, 2)
+        e18, e19, e20 = (analyze_setting(20, 5, 2, 0.5, c=c).e_regret for c in (18, 19, 20))
+        assert e18 == e19 == e20 == pytest.approx(69.929330, abs=1e-6)
+        curves = [threshold_curve(AnalyticParams(n=20, b=5, r=2, q=0.5, c=c)) for c in (18, 20)]
+        assert curves[0].lam == curves[1].lam and curves[0].gamma == curves[1].gamma
+        scan = _regret_scan(20, 5, 2)
+        assert scan[18] == scan[19] == scan[20]
 
 
 class TestTranslateCutoff:
@@ -283,6 +336,10 @@ class TestMuHat:
         g1 = g_fn(4, lam_n) if 4 <= 50 - 10 else 1.0
         g2 = g_fn(5, lam_n) if 5 <= 50 - 10 else 1.0
         assert mu[-1] == pytest.approx(lam_n * g1 + 5 * (1 - g2))
+
+    def test_cutoff_past_n_minus_r_rejected(self):
+        with pytest.raises(DomainError):
+            mu_hat_curve(AnalyticParams(n=50, b=5, r=5, q=0.5, c=46))
 
     def test_impossible_conditioning_raises(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from seqselect.analytics import AnalyticParams, mu_hat_curve, threshold_curve  # noqa: E402
+from seqselect.analytics import (  # noqa: E402
+    AnalyticParams,
+    _regret_scan,
+    mu_hat_curve,
+    optimal_cutoff,
+    threshold_curve,
+)
 from seqselect.core import DomainError  # noqa: E402
 
 TOL = 1e-12
@@ -45,3 +51,25 @@ def test_curve_hires_within_positions(params):
     g_b = np.asarray(curve.g_b[params.c + 1 :])
     assert np.all((g_b >= 0.0) & (g_b <= 1.0))
     assert np.all(np.diff(np.asarray(curve.lam)) >= -TOL)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda b: st.tuples(
+    st.integers(b, 40), st.just(b), st.one_of(st.just(b), st.integers(0, b)))))
+def test_scan_is_the_curve_at_every_cutoff(setting):
+    # the scan and the one-column call are one model, bit for bit, in both
+    # regimes (r = b is drawn about half the time)
+    n, b, r = setting
+    scan = _regret_scan(n, b, r)
+    assert scan.shape == (n + 1,)
+    for c in range(n + 1):
+        curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
+        assert scan[c] == curve.expected_regret(), c
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(-3, 45), st.integers(0, 45))
+def test_solver_rejects_settings_outside_the_domain(n, b, r):
+    assume(r > b or b < 1 or b > n)
+    with pytest.raises(DomainError):
+        optimal_cutoff(n, b, r)
