@@ -355,8 +355,7 @@ def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
     with a warning when the similar setting is degenerate."""
     if not (0.0 < q_t < 1.0):
         raise DomainError("need 0 < q_t < 1")
-    if not (0 <= r <= b <= n_t and b >= 1):
-        raise DomainError("need 0 <= r <= b <= n_t and b >= 1")
+    _check_domain(n_t, b, r)
     res = resolve_cutoff(n_t, b, r, q_t)
     if res.degenerate:
         warnings.warn(

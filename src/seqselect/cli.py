@@ -43,6 +43,10 @@ def _float_list(text: str):
     return _list(text, float)
 
 
+def _name_list(text: str):
+    return _list(text, str.strip)
+
+
 def _c_values(args):
     """The swept cutoffs: --c-values, else 0..n in steps of --c-step."""
     if args.c_values is not None:
@@ -191,8 +195,7 @@ def cmd_cutoff_curves(args) -> Path:
 
 def cmd_multiround(args) -> Path:
     pop = PopulationSpec(size=args.pop_size, n=args.n, b=args.b)
-    policies = tuple(args.policies.split(","))
-    curves = compare_policies(pop, args.rounds, args.p_res, policies, args.runs, args.seed)
+    curves = compare_policies(pop, args.rounds, args.p_res, args.policies, args.runs, args.seed)
     per_run = [(run, rnd, p, *rest)
                for p, curve in curves.items() for run, rnd, *rest in curve.per_run]
     out = _write_lines(Path(args.out),
@@ -201,7 +204,7 @@ def cmd_multiround(args) -> Path:
            for k, ci in enumerate(zip(curve.mean_regret, curve.ci95_low, curve.ci95_high), 1)]
     _write_lines(out.with_name(out.stem + "_agg" + out.suffix),
                  _csv_lines("round,policy,mean_regret,ci95_low,ci95_high", agg))
-    for p in policies:
+    for p in args.policies:
         final = curves[p].mean_regret[-1]
         print(f"{p}: final-round mean regret = {final:.3f}")
     return out
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--p-res", type=float, required=True)
-    p.add_argument("--policies", default="csm-star,rand")
+    p.add_argument("--policies", type=_name_list, default=("csm-star", "rand"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_multiround)

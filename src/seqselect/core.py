@@ -47,24 +47,32 @@ class Instance:
     candidate_scores: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "reference_scores", tuple(float(s) for s in self.reference_scores))
-        object.__setattr__(self, "availability", tuple(int(a) for a in self.availability))
-        object.__setattr__(self, "candidate_scores", tuple(float(s) for s in self.candidate_scores))
+        refs = self._freeze("reference_scores", float)
+        avail = self._freeze("availability", int)
+        cands = self._freeze("candidate_scores", float)
         if not (0 < self.b <= self.n):
             raise DomainError(f"need 0 < b <= n, got b={self.b} n={self.n}")
-        if len(self.reference_scores) != self.b:
+        if refs.size != self.b:
             raise DomainError("reference_scores must have length b")
-        if len(self.availability) != self.b:
+        if avail.size != self.b:
             raise DomainError("availability must have length b")
-        if len(self.candidate_scores) != self.n:
+        if cands.size != self.n:
             raise DomainError("candidate_scores must have length n")
-        if any(a not in (0, 1) for a in self.availability):
+        if not np.all((avail == 0) | (avail == 1)):
             raise DomainError("availability entries must be 0 or 1")
-        scores = self.reference_scores + self.candidate_scores
-        if not all(np.isfinite(scores)):
+        if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
             raise DomainError("scores must be finite")
-        if any(x <= y for x, y in zip(self.reference_scores, self.reference_scores[1:])):
+        if np.any(refs[:-1] <= refs[1:]):
             raise DomainError("reference_scores must be strictly descending")
+
+    def _freeze(self, name: str, dtype) -> np.ndarray:
+        """Store field name as a tuple of Python numbers and return it as one
+        array: the one place a round's arrays become its frozen tuples."""
+        values = np.asarray(getattr(self, name), dtype=dtype)
+        if values.ndim != 1:
+            raise DomainError(f"{name} must be one-dimensional")
+        object.__setattr__(self, name, tuple(values.tolist()))
+        return values
 
     @property
     def r(self) -> int:
@@ -116,8 +124,8 @@ def build_rank_context(instance: Instance) -> RankContext:
     ranks[order] = np.arange(1, len(pool) + 1)
     b = instance.b
     return RankContext(
-        rank_of_referent=tuple(int(x) for x in ranks[:b]),
-        rank_of_candidate=tuple(int(x) for x in ranks[b:]),
+        rank_of_referent=tuple(ranks[:b].tolist()),
+        rank_of_candidate=tuple(ranks[b:].tolist()),
     )
 
 
@@ -152,13 +160,7 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     avail = np.ones(b, dtype=int)
     if r > 0:
         avail[rng.choice(b, size=r, replace=False)] = 0
-    return Instance(
-        n=n,
-        b=b,
-        reference_scores=tuple(refs.tolist()),
-        availability=tuple(avail.tolist()),
-        candidate_scores=tuple(cands.tolist()),
-    )
+    return Instance(n=n, b=b, reference_scores=refs, availability=avail, candidate_scores=cands)
 
 
 def offline_optimum(instance: Instance) -> int:

@@ -101,41 +101,33 @@ def run_chain(
     pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
     pop_rng = np.random.default_rng(pop_ss)
     scores = pop_rng.uniform(0.0, 1.0, size=pop.size)
-    employed = list(pop_rng.choice(pop.size, size=pop.b, replace=False))
-    employed.sort(key=lambda i: -scores[i])
+    employed = pop_rng.choice(pop.size, size=pop.b, replace=False)  # member indices
 
     records = []
     for k in range(1, rounds + 1):
-        round_ss = stream_ss.spawn(1)[0]
-        resig_ss, sample_ss, policy_ss = round_ss.spawn(3)
-        resig_rng = np.random.default_rng(resig_ss)
-        resigned = resig_rng.uniform(size=pop.b) < p_res
-        availability = tuple(0 if resigned[i] else 1 for i in range(pop.b))
+        employed = employed[np.argsort(-scores[employed], kind="stable")]  # best first
+        resig_ss, sample_ss, policy_ss = stream_ss.spawn(1)[0].spawn(3)
+        resigned = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
 
-        sample_rng = np.random.default_rng(sample_ss)
-        eligible = np.setdiff1d(np.arange(pop.size), np.asarray(employed, dtype=int))
-        sampled = sample_rng.choice(eligible, size=pop.n, replace=False)
-
-        instance = Instance(
-            n=pop.n,
-            b=pop.b,
-            reference_scores=tuple(scores[i] for i in employed),
-            availability=availability,
-            candidate_scores=tuple(scores[i] for i in sampled),
+        eligible = np.ones(pop.size, dtype=bool)
+        eligible[employed] = False
+        sampled = np.random.default_rng(sample_ss).choice(
+            np.flatnonzero(eligible), size=pop.n, replace=False
         )
+
+        instance = Instance(pop.n, pop.b, scores[employed], ~resigned, scores[sampled])
         q_k = compute_quality(instance)
         spec = policy_selector(pop.n, pop.b, instance.r, q_k)
         outcome = run_policy(instance, spec, rand_seed=policy_ss)
 
-        kept_idx = [employed[i] for i, keep in enumerate(outcome.referent_decisions) if keep]
-        hired_idx = [int(sampled[j]) for j, a in enumerate(outcome.candidate_decisions) if a]
-        employed = kept_idx + hired_idx
-        employed.sort(key=lambda i: -scores[i])
+        kept = np.array(outcome.referent_decisions, dtype=bool)
+        hired = np.array(outcome.candidate_decisions, dtype=bool)
+        employed = np.concatenate((employed[kept], sampled[hired]))
         records.append(
             RoundRecord(
                 round_index=k,
-                resignation_mask=tuple(int(x) for x in resigned),
-                sampled=tuple(int(x) for x in sampled),
+                resignation_mask=tuple(resigned.astype(int).tolist()),
+                sampled=tuple(sampled.tolist()),
                 quality=q_k,
                 cutoff=spec.cutoff if spec.variant in ("csm", "acsm") else None,
                 outcome=outcome,
@@ -177,12 +169,10 @@ def compare_policies(
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
     rows = {p: [] for p in policy_names}
-    regs = {p: np.zeros((runs, rounds)) for p in policy_names}  # (run, round) -> regret
     for i in range(runs):
         for p in policy_names:
             # a fresh SeedSequence per policy: identical identity => paired streams
             recs = run_chain(pop, rounds, p_res, selectors[p], [seed, i])
-            regs[p][i] = [rec.regret for rec in recs]
             rows[p].extend(
                 (i, rec.round_index, rec.regret, rec.outcome.hires, rec.outcome.failures,
                  rec.quality, rec.cutoff)
@@ -190,8 +180,10 @@ def compare_policies(
             )
     out = {}
     for p in policy_names:
-        mean = regs[p].mean(axis=0)
-        se = regs[p].std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
+        # (run, round) -> regret; rows run in run-major, round-minor order
+        regs = np.array([row[2] for row in rows[p]], dtype=float).reshape(runs, rounds)
+        mean = regs.mean(axis=0)
+        se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(
             mean_regret=tuple(mean.tolist()),
             ci95_low=tuple((mean - 1.96 * se).tolist()),

@@ -43,7 +43,7 @@ class ZoneConfig:
         if len(mu) != n:
             raise DomainError("mu curve must have length n")
         width = tuple(0.5 * b * (1.0 - j / n) for j in range(1, n + 1))
-        return cls(mu=tuple(float(x) for x in mu), width=width)
+        return cls(mu=tuple(np.asarray(mu, dtype=float).tolist()), width=width)
 
     @classmethod
     def infinite(cls, n: int) -> "ZoneConfig":
@@ -214,11 +214,10 @@ def run_mean_baseline(instance: Instance) -> SelectionOutcome:
 
 def run_rand_baseline(instance: Instance, seed) -> SelectionOutcome:
     """Accept above a fresh Uniform(0,1) threshold drawn at every step."""
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 1.0, size=instance.n)
+    draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=instance.n).tolist()
 
     def threshold_at(j, l):
-        return float(draws[j - 1])
+        return draws[j - 1]
 
     return _run_round(instance, 0, threshold_at)
 

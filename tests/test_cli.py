@@ -40,6 +40,14 @@ class TestAnalyze:
     def test_bad_params_exit_code(self):
         assert run_cli(["analyze", "--n", "5", "--b", "9", "--r", "0", "--q", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "10", "--b", "2", "--r", "-1"],
+        ["translate", "--n", "10", "--b", "2", "--q", "0.7", "--r", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_domain_message_names_the_flags(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: need 0 <= r <= b <= n and b >= 1\n"
+
     def test_cutoff_outside_range_exit_code(self, capsys):
         for q in ("0.5", "0.75", "0.99"):
             for c in ("500", "-1", "101"):
@@ -244,6 +252,19 @@ class TestMultiround:
              "--out", str(tmp_path / "x.csv")]
         ) == 2
 
+    def test_policies_parse_like_every_list_flag(self, tmp_path, capsys):
+        # spaces around a name and a trailing comma are dropped, as for --b-values
+        base = ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
+                "--runs", "2", "--p-res", "0.5", "--seed", "1"]
+        outputs = []
+        for i, policies in enumerate(("csm-star,rand", "csm-star, rand", " csm-star,rand,")):
+            out = tmp_path / f"m{i}.csv"
+            assert run_cli(base + ["--policies", policies, "--out", str(out)]) == 0
+            outputs.append((out.read_text(), out.with_name(f"m{i}_agg.csv").read_text()))
+            manifest = json.loads(out.with_name(f"m{i}.csv.manifest.json").read_text())
+            assert manifest["flags"]["policies"] == ["csm-star", "rand"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestFailure:
     def test_reports_rate(self, capsys, tmp_path):
@@ -301,7 +322,8 @@ PARSED_DEFAULTS = {
     "multiround": (
         ["multiround", "--p-res", "0.5", "--out", "m.csv"],
         {"command": "multiround", "n": 100, "b": 5, "pop_size": 1000, "rounds": 10,
-         "runs": 200, "p_res": 0.5, "policies": "csm-star,rand", "seed": 0, "out": "m.csv"},
+         "runs": 200, "p_res": 0.5, "policies": ("csm-star", "rand"), "seed": 0,
+         "out": "m.csv"},
     ),
     "failure": (
         ["failure", "--n", "10", "--b", "2", "--r", "1", "--q", "0.6"],
@@ -379,17 +401,6 @@ class TestRejectsBelowOnePosition:
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
         assert "seeds" not in capsys.readouterr().err
-
-
-class TestRepeatedPolicyName:
-    def test_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "m.csv"
-        assert run_cli(
-            ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
-             "--runs", "2", "--p-res", "0.5", "--policies", "rand,rand", "--out", str(out)]
-        ) == 2
-        assert list(tmp_path.iterdir()) == []
-        assert capsys.readouterr().out == ""
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -482,7 +493,9 @@ class TestRepeatedValues:
          "--c-values", "0,6", "--trials", "5"],
         ["cutoff-table", "--n-values", "20,20", "--b-values", "3"],
         ["cutoff-table", "--n-values", "20", "--b-values", "3", "--r-values", "0,0"],
-    ], ids=["b-values", "c-values", "q-values", "n-values", "r-values"])
+        ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
+         "--runs", "2", "--p-res", "0.5", "--policies", "rand,csm-0, rand"],
+    ], ids=["b-values", "c-values", "q-values", "n-values", "r-values", "policies"])
     def test_exit_code_and_no_file(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert exit_code(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -76,6 +76,12 @@ FILE_CASES = {
          "--runs", "3", "--p-res", "1.0", "--policies", ALL_POLICIES, "--seed", "2"],
         ["out.csv", "out_agg.csv"],
     ),
+    # pop-size = n + b: every member not employed is sampled in every round
+    "multiround-tight": (
+        ["multiround", "--n", "20", "--b", "3", "--pop-size", "23", "--rounds", "4",
+         "--runs", "3", "--p-res", "0.5", "--policies", ALL_POLICIES, "--seed", "6"],
+        ["out.csv", "out_agg.csv"],
+    ),
     "failure-translated": (
         ["failure", "--n", "30", "--b", "5", "--r", "5", "--q", "0.6",
          "--trials", "200", "--seed", "5"],
@@ -180,6 +186,10 @@ GOLDEN = {
         "adcb76150320e4f7817e74e1771e1e8e2d778156c571dde8c934983cd860b14a",
     "multiround-none:out_agg.csv":
         "e2319ee674908dd4457a485ec70aac083608520b9df3b9a4982bc3901792b56f",
+    "multiround-tight:out.csv":
+        "64f8285a13627d4f7f9d8204ac3ee60c7ba3dd9bddf1cdeb908ba6dd8e086fb9",
+    "multiround-tight:out_agg.csv":
+        "660b7444eff357c117007285fd3d7761512562d547ebdb6821721cda694342fe",
     "simulate-acsm-json:out.csv":
         "91f36d53911bd99d09961b50ca0891c56fba153c3938fbd2c4e12b7db174a477",
     "simulate-csm:out.csv":

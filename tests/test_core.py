@@ -210,3 +210,50 @@ class TestSeedEntropy:
         for seed in (-1, (2, -1), (), [], 1.5, (1, 2.5), "7", None):
             with pytest.raises(DomainError, match="seeds must be >= 0"):
                 seed_entropy(seed)
+
+
+class TestInstanceBoundary:
+    REFS, AVAIL, CANDS = (0.9, 0.4), (1, 0), (0.2, 0.7, 0.5)
+
+    def test_arrays_lists_and_tuples_freeze_alike(self):
+        built = [
+            Instance(3, 2, np.array(self.REFS), np.array(self.AVAIL), np.array(self.CANDS)),
+            Instance(3, 2, list(self.REFS), [True, False], list(self.CANDS)),
+            Instance(3, 2, self.REFS, self.AVAIL, self.CANDS),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(inst) for inst in built}) == 1
+        for inst in built:
+            assert (inst.reference_scores, inst.availability, inst.candidate_scores) == (
+                self.REFS, self.AVAIL, self.CANDS)
+            assert all(type(s) is float for s in inst.reference_scores + inst.candidate_scores)
+            assert all(type(a) is int for a in inst.availability)
+            assert all(type(k) is int
+                       for k in inst.ranks.rank_of_referent + inst.ranks.rank_of_candidate)
+
+    def test_generated_instance_holds_python_numbers(self):
+        inst = generate_instance(10, 3, 0.5, 1, 4)
+        assert all(type(s) is float for s in inst.reference_scores + inst.candidate_scores)
+        assert all(type(a) is int for a in inst.availability)
+
+    @pytest.mark.parametrize("field", ["reference_scores", "availability", "candidate_scores"])
+    def test_rejects_two_dimensional_field(self, field):
+        fields = {"reference_scores": self.REFS, "availability": self.AVAIL,
+                  "candidate_scores": self.CANDS}
+        fields[field] = np.array(fields[field])[:, None]
+        with pytest.raises(DomainError, match=f"{field} must be one-dimensional"):
+            Instance(3, 2, **fields)
+
+    @pytest.mark.parametrize("n, b, refs, avail, cands, message", [
+        (3, 0, (), (), (0.1, 0.2, 0.3), "need 0 < b <= n"),
+        (3, 2, (0.9,), (1, 1), (0.1, 0.2, 0.3), "reference_scores must have length b"),
+        (3, 2, (0.9, 0.4), (1,), (0.1, 0.2, 0.3), "availability must have length b"),
+        (3, 2, (0.9, 0.4), (1, 1), (0.1, 0.2), "candidate_scores must have length n"),
+        (3, 2, (0.9, 0.4), (1, 2), (0.1, 0.2, 0.3), "availability entries must be 0 or 1"),
+        (3, 2, (0.9, 0.4), (1, 1), (0.1, math.nan, 0.3), "scores must be finite"),
+        (3, 2, (math.inf, 0.4), (1, 1), (0.1, 0.2, 0.3), "scores must be finite"),
+        (3, 2, (0.4, 0.4), (1, 1), (0.1, 0.2, 0.3), "strictly descending"),
+    ])
+    def test_domain_checks(self, n, b, refs, avail, cands, message):
+        with pytest.raises(DomainError, match=message):
+            Instance(n, b, np.array(refs), np.array(avail, dtype=int), list(cands))

@@ -37,14 +37,16 @@ class TestRunChain:
         assert a == b
 
     def test_sampled_disjoint_from_employed(self):
-        # candidates of round k never include the referents of round k
-        recs = run_chain(SMALL, 6, 0.3, make_policy_selector("mean"), 31)
-        # reconstruct employment forward: referents of round k+1 are the kept
-        # members plus the hires of round k, so hired indices must come from
-        # the sample and the sample must avoid the current employment
-        for rec in recs:
-            hires = [rec.sampled[j] for j, a in enumerate(rec.outcome.candidate_decisions) if a]
-            assert set(hires) <= set(rec.sampled)
+        # at p_res = 1 every referent resigns, so the staff of round k + 1 is
+        # exactly the hires of round k, and none of them may be sampled again
+        for name in ("mean", "csm-star", "acsm-star", "rand"):
+            for seed in range(5):
+                recs = run_chain(SMALL, 5, 1.0, make_policy_selector(name), seed)
+                for prev, rec in zip(recs, recs[1:]):
+                    decisions = prev.outcome.candidate_decisions
+                    hires = {prev.sampled[j] for j, a in enumerate(decisions) if a}
+                    assert len(hires) == SMALL.b
+                    assert hires.isdisjoint(rec.sampled), (name, seed, prev.round_index)
 
     def test_full_resignation_every_round(self):
         recs = run_chain(SMALL, 3, 1.0, make_policy_selector("csm-star"), 77)
