@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaln, gammainc, gammaincc, gammaln, xlogy
 
-from seqselect.core import ContractError, DomainError
+from seqselect.core import ContractError, DomainError, check_quality, learning_cutoff
 
 #: steps subtracted from the raw argmin of the recursion (r < b only).  It is
 #: calibrated, not derived: it makes the recursion reproduce the source cutoffs
@@ -100,10 +100,8 @@ class AnalyticParams:
 
     def __post_init__(self):
         _check_domain(self.n, self.b, self.r)
-        if not (0 <= self.c <= self.n):
-            raise DomainError("need 0 <= c <= n")
-        if not (0.0 < self.q < 1.0):
-            raise DomainError("need 0 < q < 1")
+        learning_cutoff(self.n, self.r, self.c)
+        check_quality(self.q)
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,11 @@ class AnalyticCurve:
     """Per-step closed forms for one (n, b, r, q, c) setting.
 
     Arrays are indexed by step j = 1..n (index 0 unused); entries for j <= c'
-    are zero, where c' = min(c, n - r) is the learning phase the policy runs
-    (no acceptance during it).  lam[j] is the cumulative acceptance intensity
-    through step j.  referent_term is the rank cost of the positions no
-    above-threshold candidate fills: kept referents when r < b, fill-forced
-    candidates when r = b.
+    are zero, where c' is the learning phase that c runs (no acceptance
+    during it).  lam[j] is the cumulative acceptance intensity through step
+    j.  referent_term is the rank cost of the positions no above-threshold
+    candidate fills: kept referents when r < b, fill-forced candidates when
+    r = b.
     """
 
     params: AnalyticParams
@@ -143,9 +141,8 @@ class AnalyticCurve:
 def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     """Forward recursion for the expected threshold rank and regret.
 
-    The cutoff is the one the policy runs, c' = min(c, n - r)
-    (policies._learning_phase).  For j = c'+1..n: the threshold mixes the
-    learning-phase rank gamma = b(b+n)/(b+c') (while fewer than
+    For j = c'+1..n, with c' the learning phase that c runs, the threshold
+    mixes the learning-phase rank gamma = b(b+n)/(b+c') (while fewer than
     Delta = r + E[n_rej] candidates are in) with the available-referent rank
     ladder; p_j = (gamma_j - 1)/(n+b) and the g factors come from g_fn with
     the step-index branch rule (value 1 while the count argument exceeds the
@@ -154,7 +151,7 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     one-column call of the functions _regret_scan runs over every cutoff.
     """
     n, b, r, q = params.n, params.b, params.r, params.q
-    c = min(params.c, n - r)
+    c = learning_cutoff(n, r, params.c)
     gam = b * (b + n) / (b + c)
     if r == b:
         e_hires, cand, ref = _full_resignation(n, b, c)
@@ -297,15 +294,16 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
 
 def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
     """Expected regret over every cutoff c in [0, n] at medium quality, one
-    array pass over the cutoffs the policy runs (c > n - r plays as n - r)."""
+    array pass over the learning phases they run (core.learning_cutoff)."""
     _check_domain(n, b, r)
-    c = np.arange(n - r + 1)
+    runs = [learning_cutoff(n, r, c) for c in range(n + 1)]
+    c = np.arange(runs[-1] + 1)
     if r == b:
         e_hires, cand, ref = _full_resignation(n, b, c)
     else:
         e_hires, cand, ref, _ = _recursion(n, b, r, 0.5, c)
     regret = cand + ref - expected_offline(n, b, r, 0.5)
-    return regret[np.minimum(np.arange(n + 1), n - r)]
+    return regret[runs]
 
 
 @lru_cache(maxsize=100_000)
@@ -353,8 +351,7 @@ def resolve_cutoff(n: int, b: int, r: int, q: float) -> TranslationResult:
 def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
     """resolve_cutoff for a setting inside the model's domain (0 < q_t < 1),
     with a warning when the similar setting is degenerate."""
-    if not (0.0 < q_t < 1.0):
-        raise DomainError("need 0 < q_t < 1")
+    check_quality(q_t)
     _check_domain(n_t, b, r)
     res = resolve_cutoff(n_t, b, r, q_t)
     if res.degenerate:
@@ -379,14 +376,13 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
     With r = b, N is the count of _threshold_count_law, P(N_n >= b | N_j = i)
     follows its urn backwards, and the curve is exact with mu_hat_n = b.  With
     r < b, N_j is Poisson with the intensity lam_j of the recursion; at
-    r = 0 the event is sure and mu_hat_j = E[min(N_j, b)].  Raises
-    DomainError for c > n - r, a cutoff the policy runs as n - r (acsm_spec
-    passes min(c, n - r)), and when the event has probability zero;
-    ContractError when the result leaves [0, b] or decreases.
+    r = 0 the event is sure and mu_hat_j = E[min(N_j, b)].  Like
+    threshold_curve it runs at the learning phase that c runs.  Raises
+    DomainError when the event has probability zero; ContractError when the
+    result leaves [0, b] or decreases.
     """
-    n, b, r, c = params.n, params.b, params.r, params.c
-    if c > n - r:
-        raise DomainError(f"the policy runs cutoff {c} as n - r = {n - r}; pass that")
+    n, b, r = params.n, params.b, params.r
+    c = learning_cutoff(n, r, params.c)
     i = np.arange(b)
     if r == b:
         m = n - c
@@ -462,8 +458,8 @@ def analyze_setting(n: int, b: int, r: int, q: float, c: Optional[int] = None) -
     the target's expected hire count; the two agree at medium quality.  A
     degenerate similar setting forecasts r hires and zero regret.
     """
-    if c is not None and not (0 <= c <= n):
-        raise DomainError(f"need 0 <= c <= n, got c={c}")
+    if c is not None:
+        learning_cutoff(n, r, c)
     tr = translate_cutoff(n, b, q, r)
     n_src = tr.n_source
     c_star = tr.c_target if c is None else c

@@ -31,6 +31,22 @@ def seed_entropy(seed) -> tuple:
     return tuple(int(x) for x in entropy)
 
 
+def check_quality(q: float) -> None:
+    """The one check of a reference quality: it must lie in (0, 1)."""
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"need 0 < q < 1, got q={q}")
+
+
+def learning_cutoff(n: int, r: int, c: int) -> int:
+    """The learning phase that cutoff c runs, min(c, n - r), in every layer;
+    DomainError when c lies outside [0, n].  The last r steps stay open: they
+    are the forced-fill window, and a longer learning phase would leave fewer
+    than r candidates for the r empty positions."""
+    if not (0 <= c <= n):
+        raise DomainError(f"need 0 <= c <= n, got c={c} n={n}")
+    return min(c, n - r)
+
+
 @dataclass(frozen=True)
 class Instance:
     """One selection round: reference set, availability, and candidate sequence.
@@ -47,9 +63,8 @@ class Instance:
     candidate_scores: tuple
 
     def __post_init__(self):
-        refs = self._freeze("reference_scores", float)
-        avail = self._freeze("availability", int)
-        cands = self._freeze("candidate_scores", float)
+        names = ("reference_scores", "availability", "candidate_scores")
+        refs, avail, cands = map(self._array, names)
         if not (0 < self.b <= self.n):
             raise DomainError(f"need 0 < b <= n, got b={self.b} n={self.n}")
         if refs.size != self.b:
@@ -64,14 +79,18 @@ class Instance:
             raise DomainError("scores must be finite")
         if np.any(refs[:-1] <= refs[1:]):
             raise DomainError("reference_scores must be strictly descending")
+        # the one place a round's arrays become its frozen tuples of Python numbers
+        for name, values in zip(names, (refs, avail.astype(int), cands)):
+            object.__setattr__(self, name, tuple(values.tolist()))
 
-    def _freeze(self, name: str, dtype) -> np.ndarray:
-        """Store field name as a tuple of Python numbers and return it as one
-        array: the one place a round's arrays become its frozen tuples."""
-        values = np.asarray(getattr(self, name), dtype=dtype)
+    def _array(self, name: str) -> np.ndarray:
+        """Field name as one float array: the checks see the values as given."""
+        try:
+            values = np.asarray(getattr(self, name), dtype=float)
+        except (TypeError, ValueError):  # a ragged nesting or a non-number
+            values = np.empty((0, 0))
         if values.ndim != 1:
-            raise DomainError(f"{name} must be one-dimensional")
-        object.__setattr__(self, name, tuple(values.tolist()))
+            raise DomainError(f"{name} must be one-dimensional and numeric")
         return values
 
     @property
@@ -149,8 +168,7 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     expectation; exactly r of the b positions are marked resigned, uniformly
     at random.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"need 0 < q < 1, got {q}")
+    check_quality(q)
     if not (0 <= r <= b <= n):
         raise DomainError(f"need 0 <= r <= b <= n, got n={n} b={b} r={r}")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, generate_instance, seed_entropy
+from seqselect.core import DomainError, generate_instance, learning_cutoff, seed_entropy
 from seqselect.multiround import acsm_spec
 from seqselect.policies import PolicySpec, run_policy
 
@@ -49,8 +49,9 @@ class ExperimentSpec:
             raise DomainError(f"need one r per b, got r={self.r_values} for b={self.b_values}")
         if not all(1 <= b <= self.n for b in self.b_values):
             raise DomainError(f"b values must lie in [1, n={self.n}], got {self.b_values}")
-        if not all(0 <= c <= self.n for c in self.c_values):
-            raise DomainError(f"cutoffs must lie in [0, n={self.n}], got {self.c_values}")
+        for r in self.r_values:
+            for c in self.c_values:
+                learning_cutoff(self.n, r, c)
 
 
 @dataclass(frozen=True)

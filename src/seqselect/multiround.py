@@ -50,13 +50,8 @@ class RoundRecord:
 
 
 def acsm_spec(n: int, b: int, r: int, q: float, c: int) -> PolicySpec:
-    """Adjusted cutoff policy at cutoff c with the default zone around mu_hat.
-
-    The zone is built at the effective cutoff the engine will use,
-    min(c, n - r), so the no-failure conditioning stays well defined for
-    every c.
-    """
-    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=min(c, n - r)))
+    """Adjusted cutoff policy at cutoff c with the default zone around mu_hat."""
+    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c))
     return PolicySpec(variant="acsm", cutoff=c, zone=ZoneConfig.default(n, b, mu))
 
 

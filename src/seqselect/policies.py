@@ -20,6 +20,7 @@ from seqselect.core import (
     DomainError,
     Instance,
     SelectionOutcome,
+    learning_cutoff,
     realized_regret,
 )
 
@@ -78,17 +79,19 @@ def is_failure(j: int, hires_before: int, n: int, r: int, score: float,
 def _run_round(
     instance: Instance,
     start: int,
-    threshold_at: Callable[[int, int], Optional[float]],
+    threshold_at: Callable[[int, int, list], Optional[float]],
     after_step: Optional[Callable[[int, int], None]] = None,
 ) -> SelectionOutcome:
     """Drive one round from step start+1 to n.
 
-    threshold_at(j, hires) returns the score to beat at step j (None when no
-    regular acceptance is possible); after_step(j, hires) runs once the step-j
-    decision is made.  Firing order: worst remaining available referent.
+    in_place lists the available referents still in place by index, best
+    first; each hire past the first r fires its last entry, the worst.
+    threshold_at(j, hires, in_place) returns the score to beat at step j
+    (None when no regular acceptance is possible); after_step(j, hires) runs
+    once the step-j decision is made.
     """
     n, b, r = instance.n, instance.b, instance.r
-    avail_idx = [i for i, a in enumerate(instance.availability) if a]
+    in_place = [i for i, a in enumerate(instance.availability) if a]
     kept = list(instance.availability)
     A = [0] * n
     trace = []
@@ -96,12 +99,12 @@ def _run_round(
     failures = 0
     for j in range(start + 1, n + 1):
         s = instance.candidate_scores[j - 1]
-        tau = threshold_at(j, l) if l < b else None
+        tau = threshold_at(j, l, in_place) if l < b else None
         trace.append(tau)
         if l < b and ((tau is not None and s > tau) or j - l >= n - r + 1):
             failures += is_failure(j, l, n, r, s, tau)
             if l >= r:
-                kept[avail_idx[len(avail_idx) - 1 - (l - r)]] = 0
+                kept[in_place.pop()] = 0
             l += 1
             A[j - 1] = 1
         if after_step is not None:
@@ -118,24 +121,15 @@ def _run_round(
 
 
 def _learning_phase(instance: Instance, c: int):
-    """Clamp the cutoff; return (c_eff, y_b, n_rej, avail_scores, seen).
-
-    y_b is the b-th best score of the reference set and the first c_eff
+    """(c_eff, y_b, n_rej, seen) for the learning phase c_eff that cutoff c
+    runs: y_b is the b-th best score of the reference set and the first c_eff
     candidates, n_rej the number of those candidates strictly above it, and
-    seen every one of those scores in ascending order.  The cutoff is clamped
-    to n - r so the forced-fill window is never swallowed by the learning
-    phase; for larger c the final r candidates are still force-accepted,
-    which keeps the fill constraint satisfiable.
-    """
-    n, b, r = instance.n, instance.b, instance.r
-    if not (0 <= c <= n):
-        raise DomainError(f"cutoff must lie in [0, n], got {c}")
-    c_eff = min(c, n - r)
+    seen every one of those scores in ascending order."""
+    c_eff = learning_cutoff(instance.n, instance.r, c)
     seen = sorted(instance.reference_scores + instance.candidate_scores[:c_eff])
-    y_b = seen[-b]
+    y_b = seen[-instance.b]
     n_rej = sum(1 for s in instance.candidate_scores[:c_eff] if s > y_b)
-    avail_scores = [s for s, a in zip(instance.reference_scores, instance.availability) if a]
-    return c_eff, y_b, n_rej, avail_scores, seen
+    return c_eff, y_b, n_rej, seen
 
 
 def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> SelectionOutcome:
@@ -153,16 +147,16 @@ def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> Sel
     out-of-band steps and reset on re-entry.
     Forced acceptances are unchanged.
     """
-    n, b, r = instance.n, instance.b, instance.r
+    n, r = instance.n, instance.r
     if zone is not None and len(zone.mu) != n:
         raise DomainError("zone mu curve length must equal n")
-    c_eff, y_b, n_rej, avail_scores, seen = _learning_phase(instance, c)
+    c_eff, y_b, n_rej, seen = _learning_phase(instance, c)
     d_plus = d_minus = 0
     mode = "in"
 
-    def threshold_at(j, l):
+    def threshold_at(j, l, in_place):
         if mode == "in":
-            return y_b if l < n_rej + r else avail_scores[b - l - 1]
+            return y_b if l < n_rej + r else instance.reference_scores[in_place[-1]]
         # position of the learning threshold among everything seen (1 = best)
         m = len(seen) - bisect.bisect_left(seen, y_b)
         idx = m + d_plus if mode == "below" else m - d_minus
@@ -200,14 +194,10 @@ def run_adjusted_cutoff(instance: Instance, c: int, zone: ZoneConfig) -> Selecti
 def run_mean_baseline(instance: Instance) -> SelectionOutcome:
     """Accept a candidate iff the score beats the mean of the remaining
     available referents (0.5 when none remain); no learning phase."""
-    b, r = instance.b, instance.r
-    avail_scores = [s for s, a in zip(instance.reference_scores, instance.availability) if a]
-
-    def threshold_at(j, l):
-        remaining = avail_scores[: len(avail_scores) - max(l - r, 0)]
-        if not remaining:
+    def threshold_at(j, l, in_place):
+        if not in_place:
             return 0.5
-        return sum(remaining) / len(remaining)
+        return sum(instance.reference_scores[i] for i in in_place) / len(in_place)
 
     return _run_round(instance, 0, threshold_at)
 
@@ -215,11 +205,7 @@ def run_mean_baseline(instance: Instance) -> SelectionOutcome:
 def run_rand_baseline(instance: Instance, seed) -> SelectionOutcome:
     """Accept above a fresh Uniform(0,1) threshold drawn at every step."""
     draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=instance.n).tolist()
-
-    def threshold_at(j, l):
-        return draws[j - 1]
-
-    return _run_round(instance, 0, threshold_at)
+    return _run_round(instance, 0, lambda j, l, in_place: draws[j - 1])
 
 
 def run_policy(instance: Instance, spec: PolicySpec, rand_seed=None) -> SelectionOutcome:

@@ -337,13 +337,15 @@ class TestMuHat:
         g2 = g_fn(5, lam_n) if 5 <= 50 - 10 else 1.0
         assert mu[-1] == pytest.approx(lam_n * g1 + 5 * (1 - g2))
 
-    def test_cutoff_past_n_minus_r_rejected(self):
-        with pytest.raises(DomainError):
-            mu_hat_curve(AnalyticParams(n=50, b=5, r=5, q=0.5, c=46))
+    def test_cutoff_past_n_minus_r_runs_as_n_minus_r(self):
+        # the policy runs cutoff 46 as n - r = 45 (core.learning_cutoff)
+        past = mu_hat_curve(AnalyticParams(n=50, b=5, r=5, q=0.5, c=46))
+        assert np.array_equal(past, mu_hat_curve(AnalyticParams(n=50, b=5, r=5, q=0.5, c=45)))
 
     def test_impossible_conditioning_raises(self):
-        with pytest.raises(DomainError):
-            mu_hat_curve(AnalyticParams(n=50, b=5, r=2, q=0.5, c=50))
+        for n, b, r, c in [(200, 20, 20, 180), (1000, 50, 49, 951)]:
+            with pytest.raises(DomainError, match="probability zero"):
+                mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
 
     def test_monotone_nondecreasing(self):
         mu = mu_hat_curve(AnalyticParams(n=100, b=5, r=5, q=0.5, c=30))

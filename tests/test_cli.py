@@ -48,6 +48,14 @@ class TestAnalyze:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == "error: need 0 <= r <= b <= n and b >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "10", "--b", "2", "--q", "1.5"],
+        ["translate", "--n", "10", "--b", "2", "--q", "1.5"],
+    ], ids=lambda argv: argv[0])
+    def test_quality_message_names_the_flag(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: need 0 < q < 1, got q=1.5\n"
+
     def test_cutoff_outside_range_exit_code(self, capsys):
         for q in ("0.5", "0.75", "0.99"):
             for c in ("500", "-1", "101"):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from seqselect.analytics import AnalyticParams, analyze_setting
 from seqselect.core import (
     ContractError,
     DomainError,
@@ -13,10 +14,13 @@ from seqselect.core import (
     build_rank_context,
     compute_quality,
     generate_instance,
+    learning_cutoff,
     offline_optimum,
     realized_regret,
     seed_entropy,
 )
+from seqselect.montecarlo import ExperimentSpec
+from seqselect.policies import run_cutoff
 
 
 def make_instance(refs, avail, cands):
@@ -212,6 +216,26 @@ class TestSeedEntropy:
                 seed_entropy(seed)
 
 
+class TestLearningCutoff:
+    def test_runs_past_n_minus_r_as_n_minus_r(self):
+        assert [learning_cutoff(10, 3, c) for c in range(11)] == [*range(8), 7, 7, 7]
+        assert learning_cutoff(10, 0, 10) == 10
+
+    def test_one_message_in_every_layer(self):
+        inst = generate_instance(10, 3, 0.5, 1, 0)
+        calls = [
+            lambda: learning_cutoff(10, 1, 11),
+            lambda: run_cutoff(inst, 11),
+            lambda: AnalyticParams(n=10, b=3, r=1, q=0.5, c=11),
+            lambda: analyze_setting(10, 3, 1, 0.5, c=11),
+            lambda: ExperimentSpec(n=10, b_values=(3,), c_values=(0, 11), q=0.5, r_values=(1,)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == "need 0 <= c <= n, got c=11 n=10"
+
+
 class TestInstanceBoundary:
     REFS, AVAIL, CANDS = (0.9, 0.4), (1, 0), (0.2, 0.7, 0.5)
 
@@ -236,13 +260,21 @@ class TestInstanceBoundary:
         assert all(type(s) is float for s in inst.reference_scores + inst.candidate_scores)
         assert all(type(a) is int for a in inst.availability)
 
-    @pytest.mark.parametrize("field", ["reference_scores", "availability", "candidate_scores"])
-    def test_rejects_two_dimensional_field(self, field):
+    @pytest.mark.parametrize("field, ragged", [
+        ("reference_scores", False), ("availability", False), ("candidate_scores", False),
+        ("reference_scores", True),
+    ], ids=["reference_scores", "availability", "candidate_scores", "reference_scores-ragged"])
+    def test_rejects_two_dimensional_field(self, field, ragged):
         fields = {"reference_scores": self.REFS, "availability": self.AVAIL,
                   "candidate_scores": self.CANDS}
-        fields[field] = np.array(fields[field])[:, None]
+        fields[field] = [[0.9, 0.1], [0.5]] if ragged else np.array(fields[field])[:, None]
         with pytest.raises(DomainError, match=f"{field} must be one-dimensional"):
             Instance(3, 2, **fields)
+
+    def test_rejects_fractional_availability(self):
+        # checked before the cast to int, which would truncate 0.5 to 0
+        with pytest.raises(DomainError, match="availability entries must be 0 or 1"):
+            Instance(3, 2, [0.9, 0.5], [0.5, 1.0], [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("n, b, refs, avail, cands, message", [
         (3, 0, (), (), (0.1, 0.2, 0.3), "need 0 < b <= n"),

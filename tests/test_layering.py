@@ -1,0 +1,50 @@
+"""The import graph between the package's modules, pinned.
+
+Each module's `from seqselect... import` lines are read with ast, without
+importing anything.  A rule shared by two layers belongs in a module both
+already import (core), not in a new edge between them: analytics must not
+import policies to reach the policy's learning phase, for example.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import seqselect
+
+PACKAGE = Path(seqselect.__file__).parent
+MODULES = ("core", "analytics", "policies", "multiround", "montecarlo", "cli")
+
+EXPECTED = {
+    "core": set(),
+    "analytics": {"core"},
+    "policies": {"core"},
+    "multiround": {"core", "analytics", "policies"},
+    # montecarlo -> multiround is only for acsm_spec, a known wart (ROADMAP.md)
+    "montecarlo": {"core", "analytics", "policies", "multiround"},
+    "cli": {"seqselect", *MODULES[:-1]},
+}
+
+
+def seqselect_imports(module: str) -> set:
+    """The seqselect modules (the package itself as "seqselect") that module
+    imports, whether with `from ... import` or `import`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {name.removeprefix("seqselect.") for name in names
+            if name == "seqselect" or name.startswith("seqselect.")}
+
+
+def test_every_module_is_pinned():
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_import_graph(module):
+    assert seqselect_imports(module) == EXPECTED[module]
