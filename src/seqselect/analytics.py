@@ -26,7 +26,13 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaln, gammainc, gammaincc, gammaln, xlogy
 
-from seqselect.core import ContractError, DomainError, check_quality, learning_cutoff
+from seqselect.core import (
+    ContractError,
+    DomainError,
+    check_quality,
+    check_setting,
+    learning_cutoff,
+)
 
 #: steps subtracted from the raw argmin of the recursion (r < b only).  It is
 #: calibrated, not derived: it makes the recursion reproduce the source cutoffs
@@ -85,11 +91,6 @@ def _poisson_pmf(k, lam):
     return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
 
 
-def _check_domain(n: int, b: int, r: int) -> None:
-    if not (0 <= r <= b <= n and b >= 1):
-        raise DomainError("need 0 <= r <= b <= n and b >= 1")
-
-
 @dataclass(frozen=True)
 class AnalyticParams:
     n: int
@@ -99,7 +100,7 @@ class AnalyticParams:
     c: int
 
     def __post_init__(self):
-        _check_domain(self.n, self.b, self.r)
+        check_setting(self.n, self.b, self.r)
         learning_cutoff(self.n, self.r, self.c)
         check_quality(self.q)
 
@@ -295,7 +296,7 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
 def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
     """Expected regret over every cutoff c in [0, n] at medium quality, one
     array pass over the learning phases they run (core.learning_cutoff)."""
-    _check_domain(n, b, r)
+    check_setting(n, b, r)
     runs = [learning_cutoff(n, r, c) for c in range(n + 1)]
     c = np.arange(runs[-1] + 1)
     if r == b:
@@ -352,7 +353,7 @@ def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
     """resolve_cutoff for a setting inside the model's domain (0 < q_t < 1),
     with a warning when the similar setting is degenerate."""
     check_quality(q_t)
-    _check_domain(n_t, b, r)
+    check_setting(n_t, b, r)
     res = resolve_cutoff(n_t, b, r, q_t)
     if res.degenerate:
         warnings.warn(

@@ -37,6 +37,13 @@ def check_quality(q: float) -> None:
         raise DomainError(f"need 0 < q < 1, got q={q}")
 
 
+def check_setting(n: int, b: int, r: int) -> None:
+    """The one check of a setting: b >= 1 positions, r of them resigned, and
+    at least b candidates."""
+    if not (0 <= r <= b <= n and b >= 1):
+        raise DomainError("need 0 <= r <= b <= n and b >= 1")
+
+
 def learning_cutoff(n: int, r: int, c: int) -> int:
     """The learning phase that cutoff c runs, min(c, n - r), in every layer;
     DomainError when c lies outside [0, n].  The last r steps stay open: they
@@ -65,8 +72,6 @@ class Instance:
     def __post_init__(self):
         names = ("reference_scores", "availability", "candidate_scores")
         refs, avail, cands = map(self._array, names)
-        if not (0 < self.b <= self.n):
-            raise DomainError(f"need 0 < b <= n, got b={self.b} n={self.n}")
         if refs.size != self.b:
             raise DomainError("reference_scores must have length b")
         if avail.size != self.b:
@@ -75,6 +80,7 @@ class Instance:
             raise DomainError("candidate_scores must have length n")
         if not np.all((avail == 0) | (avail == 1)):
             raise DomainError("availability entries must be 0 or 1")
+        check_setting(self.n, self.b, self.b - int(avail.sum()))
         if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
             raise DomainError("scores must be finite")
         if np.any(refs[:-1] <= refs[1:]):
@@ -160,6 +166,19 @@ def compute_quality(instance: Instance) -> float:
     return 1.0 - (mean_rank - x_min) / instance.n
 
 
+def _draw_round(rng: np.random.Generator, n: int, b: int, q: float, r: int):
+    """One round's draws from rng, as arrays: (reference_scores, availability,
+    candidate_scores).  The one home of the sampling law that
+    generate_instance documents."""
+    cands = rng.uniform(0.0, 1.0, size=n)
+    lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
+    refs = np.sort(rng.uniform(lo, hi, size=b))[::-1]
+    avail = np.ones(b, dtype=int)
+    if r > 0:
+        avail[rng.choice(b, size=r, replace=False)] = 0
+    return refs, avail, cands
+
+
 def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     """Sample a round with target reference quality q.
 
@@ -169,15 +188,8 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     at random.
     """
     check_quality(q)
-    if not (0 <= r <= b <= n):
-        raise DomainError(f"need 0 <= r <= b <= n, got n={n} b={b} r={r}")
-    rng = np.random.default_rng(seed)
-    cands = rng.uniform(0.0, 1.0, size=n)
-    lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
-    refs = np.sort(rng.uniform(lo, hi, size=b))[::-1]
-    avail = np.ones(b, dtype=int)
-    if r > 0:
-        avail[rng.choice(b, size=r, replace=False)] = 0
+    check_setting(n, b, r)
+    refs, avail, cands = _draw_round(np.random.default_rng(seed), n, b, q, r)
     return Instance(n=n, b=b, reference_scores=refs, availability=avail, candidate_scores=cands)
 
 
@@ -209,3 +221,83 @@ def realized_regret(instance: Instance, candidate_decisions, referent_decisions)
     online = sum(rank for rank, keep in zip(ctx.rank_of_referent, K) if keep)
     online += sum(rank for rank, hire in zip(ctx.rank_of_candidate, A) if hire)
     return int(online) - offline_optimum(instance)
+
+
+@dataclass(frozen=True, eq=False)
+class RoundBatch:
+    """T rounds of one setting (n, b, r) as arrays, one row per round: the
+    batch twin of Instance, with its checks run over every row.
+
+    reference_scores and availability are (T, b), candidate_scores (T, n);
+    every row of availability marks exactly r resignations.
+    """
+
+    n: int
+    b: int
+    r: int
+    reference_scores: np.ndarray
+    availability: np.ndarray
+    candidate_scores: np.ndarray
+
+    def __post_init__(self):
+        check_setting(self.n, self.b, self.r)
+        refs, avail, cands = self.reference_scores, self.availability, self.candidate_scores
+        rounds = len(cands)
+        if refs.shape != (rounds, self.b) or avail.shape != (rounds, self.b):
+            raise DomainError("reference_scores and availability must be (T, b) arrays")
+        if cands.shape != (rounds, self.n):
+            raise DomainError("candidate_scores must be a (T, n) array")
+        if not np.all((avail == 0) | (avail == 1)):
+            raise DomainError("availability entries must be 0 or 1")
+        if np.any(avail.sum(axis=1) != self.b - self.r):
+            raise DomainError(f"every round must have r={self.r} resignations")
+        if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
+            raise DomainError("scores must be finite")
+        if np.any(refs[:, :-1] <= refs[:, 1:]):
+            raise DomainError("reference_scores must be strictly descending")
+
+    def __len__(self) -> int:
+        return len(self.candidate_scores)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """(T, b + n) joint ranks, referents first, each row ranked as
+        build_rank_context ranks one round (ties toward the earlier item)."""
+        pool = np.concatenate([self.reference_scores, self.candidate_scores], axis=1)
+        order = np.argsort(-pool, axis=1, kind="stable")
+        ranks = np.empty(pool.shape, dtype=np.int64)
+        np.put_along_axis(ranks, order, np.arange(1, pool.shape[1] + 1)[None, :], axis=1)
+        return ranks
+
+    def offline_optimum(self) -> np.ndarray:
+        """offline_optimum of every round: the b smallest selectable ranks."""
+        n, b = self.n, self.b
+        if np.any(self.availability.sum(axis=1) + n < b):
+            raise ContractError("fewer selectable items than positions")
+        selectable = self.ranks.copy()
+        # a resigned referent gets a rank past every rank: never among the b best
+        selectable[:, :b][self.availability == 0] = n + b + 1
+        return np.partition(selectable, b - 1, axis=1)[:, :b].sum(axis=1)
+
+    def regret(self, hired: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """realized_regret of every round: hired (T, n) and kept (T, b) are the
+        boolean candidate and referent decisions."""
+        b = self.b
+        if np.any(hired.sum(axis=1) + kept.sum(axis=1) != b):
+            raise ContractError("fill constraint violated: assignments != b")
+        if np.any(kept & (self.availability == 0)):
+            raise ContractError("a resigned referent cannot keep the position")
+        ranks = self.ranks
+        online = (ranks[:, :b] * kept).sum(axis=1) + (ranks[:, b:] * hired).sum(axis=1)
+        return online - self.offline_optimum()
+
+
+def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
+    """One round per seed, stacked: row t holds the round that
+    generate_instance(n, b, q, r, seeds[t]) draws."""
+    check_quality(q)
+    check_setting(n, b, r)
+    draws = [_draw_round(np.random.default_rng(seed), n, b, q, r) for seed in seeds]
+    refs, avail, cands = (np.stack(field) for field in zip(*draws))
+    return RoundBatch(n=n, b=b, r=r, reference_scores=refs, availability=avail,
+                      candidate_scores=cands)

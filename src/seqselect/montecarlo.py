@@ -1,10 +1,11 @@
 """Seed-reproducible trial harness.
 
-Every trial draws its generator from a documented substream derivation:
-child = SeedSequence([*cell_seed, trial_index]), split once for instance
-sampling and once for policy randomness.  Aggregation reduces per-trial
-integer results in trial-index order, so results are bit-identical for any
-worker count.
+Every trial draws from a documented substream derivation: the two children
+of SeedSequence([*cell_seed, trial_index]), one for instance sampling and one
+for policy randomness, each built directly from its spawn key.  A cell's
+trials run through the batch engine in batches of CHUNK, and aggregation
+reduces per-trial integer results in trial-index order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, generate_instance, learning_cutoff, seed_entropy
+from seqselect.core import DomainError, learning_cutoff, sample_rounds, seed_entropy
 from seqselect.multiround import acsm_spec
-from seqselect.policies import PolicySpec, run_policy
+from seqselect.policies import PolicySpec, run_policy_batch
+
+CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
 
 
 @dataclass(frozen=True)
@@ -82,15 +85,21 @@ def clamp_workers(workers: int, cpus: Optional[int]) -> int:
     return min(workers, cpus or 1)
 
 
-def _run_trials(n, b, q, r, spec: PolicySpec, cell_seed, indices):
-    out = np.empty((len(indices), 3), dtype=np.int64)
-    for row, i in enumerate(indices):
-        ss = trial_seed(cell_seed, i)
-        inst_ss, policy_ss = ss.spawn(2)
-        inst = generate_instance(n, b, q, r, inst_ss)
-        res = run_policy(inst, spec, rand_seed=policy_ss)
-        out[row] = (res.regret, res.hires, res.failures)
-    return out
+def trial_stream(cell_seed: Sequence[int], trial_index: int, child: int) -> np.random.SeedSequence:
+    """trial_seed(cell_seed, trial_index).spawn(2)[child] (0 samples the
+    instance, 1 drives the policy), built directly from its spawn key, which
+    skips the parent's own mix."""
+    return np.random.SeedSequence([*cell_seed, trial_index], spawn_key=(child,))
+
+
+def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, start: int, stop: int) -> np.ndarray:
+    """(regret, hires, failures) of trials start..stop-1, one row each, run
+    as one batch."""
+    def streams(child):
+        return [trial_stream(cell_seed, i, child) for i in range(start, stop)]
+
+    batch = sample_rounds(n, b, q, r, streams(0))
+    return run_policy_batch(batch, spec, streams(1) if spec.variant == "rand" else None)
 
 
 def run_cell(
@@ -104,20 +113,30 @@ def run_cell(
     seed,
     workers: int = 1,
 ) -> CellStats:
-    """Run one parameter cell; deterministic in (arguments, seed) for any workers."""
+    """Run one parameter cell; deterministic in (arguments, seed) for any workers.
+
+    The trials run in batches of CHUNK, so memory stays bounded whatever the
+    trial count; workers share out the batches.
+    """
     cell_seed = seed_entropy(seed)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     workers = clamp_workers(workers, os.cpu_count())
     spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
-    if workers == 1 or trials < 2 * workers:
-        data = _run_trials(n, b, q, r, spec, cell_seed, range(trials))
+    starts = range(0, trials, CHUNK)
+    stops = [min(start + CHUNK, trials) for start in starts]
+    run = partial(_run_chunk, n, b, q, r, spec, cell_seed)
+    data = np.empty((trials, 3), dtype=np.int64)
+
+    def collect(parts):
+        for start, stop, part in zip(starts, stops, parts):
+            data[start:stop] = part
+
+    if workers == 1 or len(starts) == 1:
+        collect(map(run, starts, stops))
     else:
-        chunks = np.array_split(np.arange(trials), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            run = partial(_run_trials, n, b, q, r, spec, cell_seed)
-            parts = list(pool.map(run, [chunk.tolist() for chunk in chunks]))
-        data = np.concatenate(parts, axis=0)  # chunks are in trial-index order
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            collect(pool.map(run, starts, stops))
     regrets = data[:, 0].astype(float)
     mean = float(regrets.mean())
     stderr = float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

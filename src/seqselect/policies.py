@@ -19,6 +19,7 @@ import numpy as np
 from seqselect.core import (
     DomainError,
     Instance,
+    RoundBatch,
     SelectionOutcome,
     learning_cutoff,
     realized_regret,
@@ -202,9 +203,14 @@ def run_mean_baseline(instance: Instance) -> SelectionOutcome:
     return _run_round(instance, 0, threshold_at)
 
 
+def _rand_thresholds(seed, n: int) -> np.ndarray:
+    """The RAND policy's n thresholds, one Uniform(0,1) draw per step."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+
+
 def run_rand_baseline(instance: Instance, seed) -> SelectionOutcome:
     """Accept above a fresh Uniform(0,1) threshold drawn at every step."""
-    draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=instance.n).tolist()
+    draws = _rand_thresholds(seed, instance.n).tolist()
     return _run_round(instance, 0, lambda j, l, in_place: draws[j - 1])
 
 
@@ -217,3 +223,139 @@ def run_policy(instance: Instance, spec: PolicySpec, rand_seed=None) -> Selectio
     if spec.variant == "mean":
         return run_mean_baseline(instance)
     return run_rand_baseline(instance, rand_seed)
+
+
+# The batch engine: the round loop and the four policies over every round of
+# a RoundBatch at once, decision for decision equal to the scalar engine above.
+# A batch step is a handful of array operations whatever the number of rounds,
+# so it pays from a few dozen rounds of one setting (montecarlo.run_cell); a
+# batch of one costs several times a scalar round (multiround.run_chain).
+
+
+def _run_batch(
+    batch: RoundBatch,
+    start: int,
+    threshold_at: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    after_step: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> np.ndarray:
+    """_run_round over every round of batch: (T, 3) int64 rows of (regret,
+    hires, failures).
+
+    The contract of _run_round, with one array entry per round:
+    threshold_at(j, hires, in_place) returns the scores to beat at step j,
+    where in_place counts the available referents still in place, which are
+    the first in_place of the round's available referents, best first;
+    after_step(j, hires) runs once the step-j decisions are made.  Every
+    round takes part in every step; a round whose positions are all filled
+    decides nothing.
+    """
+    n, b, r = batch.n, batch.b, batch.r
+    hires = np.zeros(len(batch), dtype=np.int64)
+    failures = np.zeros(len(batch), dtype=np.int64)
+    hired = np.zeros((len(batch), n), dtype=bool)
+    for j in range(start + 1, n + 1):
+        s = batch.candidate_scores[:, j - 1]
+        tau = threshold_at(j, hires, (b - r) - np.maximum(hires - r, 0))
+        forced = j - hires >= n - r + 1
+        hire = (hires < b) & ((s > tau) | forced)
+        failures += hire & forced & (s < tau)  # is_failure
+        hired[:, j - 1] = hire
+        hires += hire
+        if after_step is not None:
+            after_step(j, hires)
+    # each hire past the first r fired the worst available referent in place
+    in_place = (b - r) - np.maximum(hires - r, 0)
+    kept = (batch.availability == 1) & (np.cumsum(batch.availability, axis=1) <= in_place[:, None])
+    return np.column_stack([batch.regret(hired, kept), hires, failures])
+
+
+def _available_scores(batch: RoundBatch) -> np.ndarray:
+    """(T, b - r) scores of each round's available referents, best first."""
+    return batch.reference_scores[batch.availability == 1].reshape(len(batch), batch.b - batch.r)
+
+
+def _cutoff_batch(batch: RoundBatch, c: int, zone: Optional[ZoneConfig]) -> np.ndarray:
+    """_cutoff_round over every round of batch, band included.
+
+    The band's threshold is the idx-th best score seen so far.  The scores
+    are kept in joint-rank order, best first (batch.ranks), with a mask of
+    those seen: the idx-th seen entry is the threshold.
+    """
+    n, b, r = batch.n, batch.b, batch.r
+    if zone is not None and len(zone.mu) != n:
+        raise DomainError("zone mu curve length must equal n")
+    c_eff = learning_cutoff(n, r, c)
+    rows = np.arange(len(batch))
+    learning = np.concatenate([batch.reference_scores, batch.candidate_scores[:, :c_eff]], axis=1)
+    y_b = np.sort(learning, axis=1)[:, -b]
+    n_rej = (batch.candidate_scores[:, :c_eff] > y_b[:, None]).sum(axis=1)
+    # worst[:, k]: the worst of the first k available referents (none at k = 0)
+    worst = np.column_stack([np.full(len(batch), np.nan), _available_scores(batch)])
+
+    def plain(hires, in_place):
+        return np.where(hires < n_rej + r, y_b, worst[rows, in_place])
+
+    if zone is None:
+        return _run_batch(batch, c_eff, lambda j, hires, in_place: plain(hires, in_place))
+
+    pool = np.concatenate([batch.reference_scores, batch.candidate_scores], axis=1)
+    ranks = batch.ranks - 1
+    by_rank = np.empty_like(pool)
+    np.put_along_axis(by_rank, ranks, pool, axis=1)
+    seen = np.zeros(pool.shape, dtype=bool)
+    np.put_along_axis(seen, ranks[:, : b + c_eff], True, axis=1)
+    # position of the learning threshold among everything seen (1 = best)
+    m = (learning >= y_b[:, None]).sum(axis=1)
+    d_plus = np.zeros(len(batch), dtype=np.int64)
+    d_minus = np.zeros(len(batch), dtype=np.int64)
+    mode = np.zeros(len(batch), dtype=np.int8)  # 0 in the band, 1 below, 2 above
+    mu, width = np.asarray(zone.mu), np.asarray(zone.width)
+
+    def threshold_at(j, hires, in_place):
+        tau = plain(hires, in_place)
+        out = np.flatnonzero((mode != 0) & (hires < b))
+        if out.size:
+            idx = np.where(mode[out] == 1, m[out] + d_plus[out], m[out] - d_minus[out])
+            idx = np.clip(idx, 1, b + j - 1)  # b + j - 1 scores seen before step j
+            pos = (np.cumsum(seen[out], axis=1) < idx[:, None]).sum(axis=1)
+            tau[out] = by_rank[out, pos]
+        return tau
+
+    def after_step(j, hires):
+        seen[rows, ranks[:, b + j - 1]] = True
+        m[:] += batch.candidate_scores[:, j - 1] >= y_b
+        below = hires < mu[j - 1] - width[j - 1]
+        above = ~below & (hires > mu[j - 1] + width[j - 1])
+        inside = ~below & ~above
+        d_plus[:] = np.where(inside, 0, d_plus + below)
+        d_minus[:] = np.where(inside, 0, d_minus + above)
+        mode[:] = np.where(below, 1, np.where(above, 2, 0))
+
+    return _run_batch(batch, c_eff, threshold_at, after_step)
+
+
+def _mean_batch(batch: RoundBatch) -> np.ndarray:
+    """run_mean_baseline over every round of batch."""
+    # means[:, k]: mean score of the first k available referents (0.5 at k = 0),
+    # summed left to right as the scalar engine sums them
+    sums = np.cumsum(_available_scores(batch), axis=1)
+    means = np.column_stack([np.full(len(batch), 0.5), sums / np.arange(1, batch.b - batch.r + 1)])
+    rows = np.arange(len(batch))
+    return _run_batch(batch, 0, lambda j, hires, in_place: means[rows, in_place])
+
+
+def _rand_batch(batch: RoundBatch, seeds) -> np.ndarray:
+    """run_rand_baseline over every round of batch, round t drawing from seeds[t]."""
+    draws = np.stack([_rand_thresholds(seed, batch.n) for seed in seeds])
+    return _run_batch(batch, 0, lambda j, hires, in_place: draws[:, j - 1])
+
+
+def run_policy_batch(batch: RoundBatch, spec: PolicySpec, rand_seeds=None) -> np.ndarray:
+    """run_policy over every round of batch: (T, 3) int64 rows of (regret,
+    hires, failures), row t equal to run_policy's outcome on round t with
+    rand_seeds[t]."""
+    if spec.variant in ("csm", "acsm"):
+        return _cutoff_batch(batch, spec.cutoff, spec.zone if spec.variant == "acsm" else None)
+    if spec.variant == "mean":
+        return _mean_batch(batch)
+    return _rand_batch(batch, rand_seeds)

@@ -6,20 +6,23 @@ import math
 import numpy as np
 import pytest
 
-from seqselect.analytics import AnalyticParams, analyze_setting
+from seqselect.analytics import AnalyticParams, analyze_setting, translate_cutoff
 from seqselect.core import (
     ContractError,
     DomainError,
     Instance,
+    RoundBatch,
     build_rank_context,
+    check_setting,
     compute_quality,
     generate_instance,
     learning_cutoff,
     offline_optimum,
     realized_regret,
+    sample_rounds,
     seed_entropy,
 )
-from seqselect.montecarlo import ExperimentSpec
+from seqselect.montecarlo import ExperimentSpec, run_cell
 from seqselect.policies import run_cutoff
 
 
@@ -236,6 +239,71 @@ class TestLearningCutoff:
             assert str(err.value) == "need 0 <= c <= n, got c=11 n=10"
 
 
+class TestCheckSetting:
+    def test_one_message_in_every_layer(self):
+        calls = [
+            lambda: check_setting(10, 2, 3),
+            lambda: Instance(3, 0, (), (), (0.1, 0.2, 0.3)),
+            lambda: Instance(2, 3, (0.9, 0.5, 0.1), (1, 1, 1), (0.2, 0.3)),
+            lambda: generate_instance(10, 2, 0.5, 3, 0),
+            lambda: sample_rounds(10, 0, 0.5, 0, [1, 2]),
+            lambda: AnalyticParams(n=10, b=2, r=3, q=0.5, c=0),
+            lambda: translate_cutoff(10, 2, 0.7, 3),
+            lambda: run_cell(10, 2, 0, 0.5, 3, "csm", 5, 1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == "need 0 <= r <= b <= n and b >= 1"
+
+
+class TestRoundBatch:
+    SEEDS = (3, 11, 12, 40)
+
+    def test_rows_are_the_generated_instances(self):
+        batch = sample_rounds(9, 4, 0.7, 2, self.SEEDS)
+        for t, seed in enumerate(self.SEEDS):
+            inst = generate_instance(9, 4, 0.7, 2, seed)
+            assert tuple(batch.reference_scores[t].tolist()) == inst.reference_scores
+            assert tuple(batch.availability[t].tolist()) == inst.availability
+            assert tuple(batch.candidate_scores[t].tolist()) == inst.candidate_scores
+            ctx = build_rank_context(inst)
+            assert tuple(batch.ranks[t].tolist()) == ctx.rank_of_referent + ctx.rank_of_candidate
+            assert batch.offline_optimum()[t] == offline_optimum(inst)
+
+    def test_ranks_break_ties_as_one_round(self):
+        inst = make_instance([0.5, 0.3], [1, 1], [0.5, 0.3, 0.5])
+        batch = RoundBatch(3, 2, 0, np.array([inst.reference_scores]),
+                           np.array([inst.availability]), np.array([inst.candidate_scores]))
+        ctx = build_rank_context(inst)
+        assert batch.ranks.tolist() == [list(ctx.rank_of_referent + ctx.rank_of_candidate)]
+
+    def test_regret_checks_the_decisions(self):
+        batch = sample_rounds(4, 2, 0.5, 1, (5, 6))
+        kept = batch.availability == 1
+        hired = np.zeros((2, 4), dtype=bool)
+        hired[:, 0] = True
+        assert batch.regret(hired, kept).shape == (2,)
+        with pytest.raises(ContractError, match="fill constraint"):
+            batch.regret(np.zeros((2, 4), dtype=bool), kept)
+        hired[:, 0] = False
+        with pytest.raises(ContractError, match="resigned referent"):
+            batch.regret(hired, np.ones((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("r, refs, avail, cands, message", [
+        (0, [[0.9, 0.4]], [[1, 1]], [[0.1, 0.2]], "candidate_scores must be a"),
+        (0, [[0.9]], [[1, 1]], [[0.1, 0.2, 0.3]], "must be \\(T, b\\) arrays"),
+        (0, [[0.9, 0.4]], [[1, 2]], [[0.1, 0.2, 0.3]], "availability entries must be 0 or 1"),
+        (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1, 0.2, 0.3]] * 2, "r=1 resignations"),
+        (0, [[0.9, 0.4]], [[1, 1]], [[0.1, math.nan, 0.3]], "scores must be finite"),
+        (0, [[math.inf, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "scores must be finite"),
+        (0, [[0.4, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "strictly descending"),
+    ])
+    def test_domain_checks(self, r, refs, avail, cands, message):
+        with pytest.raises(DomainError, match=message):
+            RoundBatch(3, 2, r, np.array(refs), np.array(avail), np.array(cands))
+
+
 class TestInstanceBoundary:
     REFS, AVAIL, CANDS = (0.9, 0.4), (1, 0), (0.2, 0.7, 0.5)
 
@@ -277,7 +345,7 @@ class TestInstanceBoundary:
             Instance(3, 2, [0.9, 0.5], [0.5, 1.0], [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("n, b, refs, avail, cands, message", [
-        (3, 0, (), (), (0.1, 0.2, 0.3), "need 0 < b <= n"),
+        (3, 0, (), (), (0.1, 0.2, 0.3), "need 0 <= r <= b <= n and b >= 1"),
         (3, 2, (0.9,), (1, 1), (0.1, 0.2, 0.3), "reference_scores must have length b"),
         (3, 2, (0.9, 0.4), (1,), (0.1, 0.2, 0.3), "availability must have length b"),
         (3, 2, (0.9, 0.4), (1, 1), (0.1, 0.2), "candidate_scores must have length n"),

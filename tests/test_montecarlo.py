@@ -1,18 +1,43 @@
 """Harness tests: substreams, determinism, worker independence, sweeps."""
 
+from functools import cached_property
+
+import numpy as np
 import pytest
 
-import seqselect.core
-from seqselect.core import DomainError, generate_instance
+from seqselect.core import DomainError, RoundBatch, generate_instance
 from seqselect.montecarlo import (
+    CHUNK,
     CellStats,
     ExperimentSpec,
     clamp_workers,
     regret_heatmap,
     run_cell,
     trial_seed,
+    trial_stream,
 )
-from seqselect.policies import run_cutoff
+from seqselect.multiround import acsm_spec
+from seqselect.policies import VARIANTS, PolicySpec, run_cutoff, run_policy
+
+
+def per_trial_cell(n, b, c, q, r, policy, trials, seed):
+    """run_cell's statistics from one scalar round per trial, on the
+    documented streams trial_seed(seed, i).spawn(2)."""
+    spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(policy, cutoff=c)
+    rows = []
+    for i in range(trials):
+        inst_ss, policy_ss = trial_seed((seed,), i).spawn(2)
+        out = run_policy(generate_instance(n, b, q, r, inst_ss), spec, rand_seed=policy_ss)
+        rows.append((out.regret, out.hires, out.failures))
+    data = np.array(rows)
+    regrets = data[:, 0].astype(float)
+    return CellStats(
+        mean_regret=float(regrets.mean()),
+        stderr=float(regrets.std(ddof=1) / np.sqrt(trials)),
+        mean_hires=float(data[:, 1].mean()),
+        failure_rate=float(data[:, 2].sum() / trials),
+        trials=trials,
+    )
 
 
 class TestRunCell:
@@ -34,16 +59,35 @@ class TestRunCell:
         b = run_cell(30, 3, 8, 0.5, 1, "csm", 120, 5, workers=3)
         assert a == b
 
-    def test_ranks_each_trial_once(self, monkeypatch):
+    def test_ranks_each_chunk_once(self, monkeypatch):
         calls = []
-        rank = seqselect.core.build_rank_context
-        monkeypatch.setattr(
-            seqselect.core, "build_rank_context", lambda inst: calls.append(1) or rank(inst)
-        )
-        for policy in ("csm", "acsm", "mean", "rand"):
+        rank = RoundBatch.ranks.func
+        counted = cached_property(lambda batch: calls.append(len(batch)) or rank(batch))
+        counted.__set_name__(RoundBatch, "ranks")
+        monkeypatch.setattr(RoundBatch, "ranks", counted)
+        for policy in VARIANTS:
             calls.clear()
-            run_cell(20, 3, 5, 0.5, 1, policy, 7, 3, workers=1)
-            assert len(calls) == 7, policy
+            run_cell(20, 3, 5, 0.5, 1, policy, CHUNK + 7, 3, workers=1)
+            assert calls == [CHUNK, 7], policy
+
+    @pytest.mark.parametrize("policy", VARIANTS)
+    def test_chunked_cell_is_the_per_trial_cell(self, policy):
+        # CHUNK + 3 trials run as two batches, the second of 3 trials
+        args = (20, 3, 5, 0.6, 1, policy, CHUNK + 3, 8)
+        assert run_cell(*args) == per_trial_cell(*args)
+
+    def test_worker_count_independence_across_chunks(self):
+        a = run_cell(20, 3, 5, 0.5, 1, "rand", CHUNK + 3, 6, workers=1)
+        b = run_cell(20, 3, 5, 0.5, 1, "rand", CHUNK + 3, 6, workers=3)
+        assert a == b
+
+    def test_direct_streams_are_the_spawned_children(self):
+        for cell_seed in ((7,), (0, 5, 40), (2**40, 3)):
+            for i in (0, 1, 513, 10**6):
+                children = trial_seed(cell_seed, i).spawn(2)
+                for child, spawned in enumerate(children):
+                    direct = trial_stream(cell_seed, i, child)
+                    assert np.array_equal(direct.generate_state(8), spawned.generate_state(8))
 
     def test_rejects_bad_counts_and_seeds(self):
         for trials, seed in ((0, 1), (-3, 1), (5, -1), (5, (2, -1))):

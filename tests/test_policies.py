@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from seqselect.core import generate_instance, realized_regret
+from seqselect.core import generate_instance, realized_regret, sample_rounds
 from seqselect.policies import (
     PolicySpec,
     ZoneConfig,
@@ -14,6 +14,7 @@ from seqselect.policies import (
     run_cutoff,
     run_mean_baseline,
     run_policy,
+    run_policy_batch,
     run_rand_baseline,
 )
 from tests.test_core import make_instance
@@ -183,6 +184,24 @@ class TestAdjustedCutoff:
         plain = run_cutoff(inst, 0)
         adj = run_adjusted_cutoff(inst, 0, zone)
         assert sum(adj.candidate_decisions) <= sum(plain.candidate_decisions)
+
+    def test_batch_band_is_the_scalar_band(self):
+        # narrow and zero-width bands leave the band for many steps in a row,
+        # so the band's threshold reaches both ends of the scores seen
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            b = int(rng.integers(1, 6))
+            n = int(rng.integers(b, 30))
+            r, c = int(rng.integers(0, b + 1)), int(rng.integers(0, n + 1))
+            q = float(rng.uniform(0.05, 0.95))
+            mu = np.sort(rng.uniform(0.0, b, n))
+            width = rng.uniform(0.0, rng.choice([0.0, 1.0, b]), n)
+            spec = PolicySpec("acsm", cutoff=c, zone=ZoneConfig(tuple(mu), tuple(width)))
+            seeds = rng.integers(0, 2**32, 20).tolist()
+            got = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec)
+            for row, seed in zip(got.tolist(), seeds):
+                out = run_policy(generate_instance(n, b, q, r, seed), spec)
+                assert row == [out.regret, out.hires, out.failures]
 
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)

@@ -2,25 +2,35 @@
 
 Each round is checked against a brute-force oracle that ranks the pool and
 enumerates every feasible assignment by itself, so the trial path (ranking,
-policy, regret) is compared with an independent computation.
+policy, regret) is compared with an independent computation.  The batch
+engine is checked round by round against the scalar engine, its reference.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqselect.analytics import optimal_cutoff, resolve_cutoff  # noqa: E402
-from seqselect.core import build_rank_context, generate_instance  # noqa: E402
+from seqselect.core import (  # noqa: E402
+    DomainError,
+    build_rank_context,
+    generate_instance,
+    sample_rounds,
+)
+from seqselect.montecarlo import trial_seed, trial_stream  # noqa: E402
+from seqselect.multiround import acsm_spec  # noqa: E402
 from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
     run_adjusted_cutoff,
     run_cutoff,
     run_policy,
+    run_policy_batch,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -50,14 +60,18 @@ def _ranks(inst):
     return [1 + sum(1 for x in pool if x > s) for s in pool]
 
 
+def brute_force_optimum(inst):
+    ranks = _ranks(inst)
+    selectable = [x for x, a in zip(ranks[: inst.b], inst.availability) if a] + ranks[inst.b :]
+    return min(sum(pick) for pick in itertools.combinations(selectable, inst.b))
+
+
 def brute_force_regret(inst, outcome):
     ranks = _ranks(inst)
     ref_ranks, cand_ranks = ranks[: inst.b], ranks[inst.b :]
     online = sum(x for x, keep in zip(ref_ranks, outcome.referent_decisions) if keep)
     online += sum(x for x, hire in zip(cand_ranks, outcome.candidate_decisions) if hire)
-    selectable = [x for x, a in zip(ref_ranks, inst.availability) if a] + cand_ranks
-    best = min(sum(pick) for pick in itertools.combinations(selectable, inst.b))
-    return online - best
+    return online - brute_force_optimum(inst)
 
 
 @SETTINGS
@@ -69,6 +83,44 @@ def test_round_fills_every_position_at_the_oracle_regret(round_, data):
     assert all(a or not k for k, a in zip(out.referent_decisions, inst.availability))
     assert out.regret >= 0
     assert out.regret == brute_force_regret(inst, out)
+
+
+def _cell_policy(draw, n, b, r, c, q):
+    """One of the four variants; acsm with the model's zone or a random one."""
+    variant = draw(st.sampled_from(["csm", "acsm-model", "acsm", "mean", "rand"]))
+    if variant == "acsm-model":
+        try:
+            return acsm_spec(n, b, r, q, c)
+        except DomainError:  # the model's no-failure event has probability zero
+            reject()
+    if variant != "acsm":
+        return PolicySpec(variant, cutoff=c)
+    # numpy draws, not Hypothesis lists: these zones leave the band in both
+    # directions often enough to reach both clamps of the band's threshold
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.sort(rng.uniform(0.0, b, n))
+    width = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, b])), n)
+    return PolicySpec("acsm", cutoff=c, zone=ZoneConfig(mu=tuple(mu), width=tuple(width)))
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda b: st.tuples(
+    st.just(b), st.integers(b, 10), st.integers(0, b), st.floats(0.05, 0.95),
+)), st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
+def test_batch_engine_is_the_scalar_engine(setting, trials, seed, data):
+    b, n, r, q = setting
+    c = data.draw(st.integers(0, n))
+    spec = _cell_policy(data.draw, n, b, r, c, q)
+    streams = [[trial_stream((seed,), i, child) for i in range(trials)] for child in (0, 1)]
+    batch = sample_rounds(n, b, q, r, streams[0])
+    got = run_policy_batch(batch, spec, streams[1])
+    optima = batch.offline_optimum()
+    for i in range(trials):
+        inst_ss, policy_ss = trial_seed((seed,), i).spawn(2)
+        inst = generate_instance(n, b, q, r, inst_ss)
+        out = run_policy(inst, spec, rand_seed=policy_ss)
+        assert got[i].tolist() == [out.regret, out.hires, out.failures]
+        assert optima[i] == brute_force_optimum(inst)
 
 
 @SETTINGS
