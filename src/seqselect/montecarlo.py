@@ -21,8 +21,7 @@ import numpy as np
 
 from seqselect.analytics import translate_cutoff
 from seqselect.core import DomainError, learning_cutoff, sample_rounds, seed_entropy
-from seqselect.multiround import acsm_spec
-from seqselect.policies import PolicySpec, run_policy_batch
+from seqselect.policies import PolicySpec, policy_spec, run_policy_batch
 
 CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
 
@@ -122,7 +121,7 @@ def run_cell(
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     workers = clamp_workers(workers, os.cpu_count())
-    spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(variant=policy, cutoff=c)
+    spec = policy_spec(policy, n, b, r, q, c)
     starts = range(0, trials, CHUNK)
     stops = [min(start + CHUNK, trials) for start in starts]
     run = partial(_run_chunk, n, b, q, r, spec, cell_seed)

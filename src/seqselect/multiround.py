@@ -17,11 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from seqselect.analytics import AnalyticParams, mu_hat_curve, resolve_cutoff
 from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality, seed_entropy
-from seqselect.policies import PolicySpec, ZoneConfig, run_policy
+from seqselect.policies import PolicySpec, policy_spec, run_policy
 
-POLICY_NAMES = ("csm-star", "csm-e", "csm-0", "acsm-star", "mean", "rand")
+# token -> (variant, cutoff rule at n); no rule runs the translated cutoff
+_TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
+           "csm-0": ("csm", lambda n: 0), "acsm-star": ("acsm", None),
+           "mean": ("mean", None), "rand": ("rand", None)}
+POLICY_NAMES = tuple(_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -49,31 +52,14 @@ class RoundRecord:
         return self.outcome.regret
 
 
-def acsm_spec(n: int, b: int, r: int, q: float, c: int) -> PolicySpec:
-    """Adjusted cutoff policy at cutoff c with the default zone around mu_hat."""
-    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c))
-    return PolicySpec(variant="acsm", cutoff=c, zone=ZoneConfig.default(n, b, mu))
-
-
 def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySpec]:
-    """Map (n, b, r, q) to a PolicySpec for each supported policy token."""
+    """Map (n, b, r, q) to the PolicySpec of a policy token (policies.policy_spec)."""
     if name not in POLICY_NAMES:
         raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    variant, cutoff = _TOKENS[name]
 
     def select(n: int, b: int, r: int, q: float) -> PolicySpec:
-        if name == "csm-star":
-            return PolicySpec(variant="csm", cutoff=resolve_cutoff(n, b, r, q).c_target)
-        if name == "csm-e":
-            return PolicySpec(variant="csm", cutoff=math.floor(n / math.e))
-        if name == "csm-0":
-            return PolicySpec(variant="csm", cutoff=0)
-        if name == "acsm-star":
-            # the zone's curve needs a quality inside (0, 1); the chain's can sit on an end
-            q_model = min(max(q, 1e-6), 1.0 - 1e-6)
-            return acsm_spec(n, b, r, q_model, resolve_cutoff(n, b, r, q).c_target)
-        if name == "mean":
-            return PolicySpec(variant="mean")
-        return PolicySpec(variant="rand")
+        return policy_spec(variant, n, b, r, q, None if cutoff is None else cutoff(n))
 
     return select
 

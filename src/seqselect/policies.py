@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from seqselect.analytics import AnalyticParams, mu_hat_curve, resolve_cutoff
 from seqselect.core import (
     DomainError,
     Instance,
@@ -39,6 +40,10 @@ class ZoneConfig:
 
     mu: tuple
     width: tuple
+
+    def __post_init__(self):
+        if len(self.mu) != len(self.width):
+            raise DomainError("zone mu and width must have equal lengths")
 
     @classmethod
     def default(cls, n: int, b: int, mu: Sequence[float]) -> "ZoneConfig":
@@ -67,6 +72,20 @@ class PolicySpec:
             raise DomainError(f"unknown policy variant {self.variant!r}")
         if self.variant == "acsm" and self.zone is None:
             raise DomainError("acsm requires a zone config")
+
+
+def policy_spec(variant: str, n: int, b: int, r: int, q: float, c=None) -> PolicySpec:
+    """The PolicySpec of variant in the setting (n, b, r, q): a cutoff policy
+    runs c, or the translated cutoff when c is None, and acsm adds the default
+    band around the model's mu_hat there; mean and rand take no parameter."""
+    if variant not in ("csm", "acsm"):
+        return PolicySpec(variant)
+    c = resolve_cutoff(n, b, r, q).c_target if c is None else c
+    if variant == "csm":
+        return PolicySpec(variant, cutoff=c)
+    # the model needs 0 < q < 1; a chain's measured quality can sit on an end
+    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=min(max(q, 1e-6), 1.0 - 1e-6), c=c))
+    return PolicySpec(variant, cutoff=c, zone=ZoneConfig.default(n, b, mu))
 
 
 def is_failure(j: int, hires_before: int, n: int, r: int, score: float,
@@ -203,14 +222,17 @@ def run_mean_baseline(instance: Instance) -> SelectionOutcome:
     return _run_round(instance, 0, threshold_at)
 
 
-def _rand_thresholds(seed, n: int) -> np.ndarray:
-    """The RAND policy's n thresholds, one Uniform(0,1) draw per step."""
-    return np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+def _rand_thresholds(seeds, n: int) -> np.ndarray:
+    """The RAND policy's thresholds: row t holds one Uniform(0,1) draw per step
+    from seeds[t].  A missing seed raises, so no round takes OS entropy."""
+    if seeds is None or any(seed is None for seed in seeds):
+        raise DomainError("the rand policy needs a seed for every round")
+    return np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=n) for seed in seeds])
 
 
 def run_rand_baseline(instance: Instance, seed) -> SelectionOutcome:
     """Accept above a fresh Uniform(0,1) threshold drawn at every step."""
-    draws = _rand_thresholds(seed, instance.n).tolist()
+    draws = _rand_thresholds([seed], instance.n)[0].tolist()
     return _run_round(instance, 0, lambda j, l, in_place: draws[j - 1])
 
 
@@ -346,7 +368,7 @@ def _mean_batch(batch: RoundBatch) -> np.ndarray:
 
 def _rand_batch(batch: RoundBatch, seeds) -> np.ndarray:
     """run_rand_baseline over every round of batch, round t drawing from seeds[t]."""
-    draws = np.stack([_rand_thresholds(seed, batch.n) for seed in seeds])
+    draws = _rand_thresholds(seeds, batch.n)
     return _run_batch(batch, 0, lambda j, hires, in_place: draws[:, j - 1])
 
 

@@ -19,10 +19,9 @@ MODULES = ("core", "analytics", "policies", "multiround", "montecarlo", "cli")
 EXPECTED = {
     "core": set(),
     "analytics": {"core"},
-    "policies": {"core"},
-    "multiround": {"core", "analytics", "policies"},
-    # montecarlo -> multiround is only for acsm_spec, a known wart (ROADMAP.md)
-    "montecarlo": {"core", "analytics", "policies", "multiround"},
+    "policies": {"core", "analytics"},
+    "multiround": {"core", "policies"},
+    "montecarlo": {"core", "analytics", "policies"},
     "cli": {"seqselect", *MODULES[:-1]},
 }
 

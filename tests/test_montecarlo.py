@@ -16,14 +16,13 @@ from seqselect.montecarlo import (
     trial_seed,
     trial_stream,
 )
-from seqselect.multiround import acsm_spec
-from seqselect.policies import VARIANTS, PolicySpec, run_cutoff, run_policy
+from seqselect.policies import VARIANTS, policy_spec, run_cutoff, run_policy
 
 
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):
     """run_cell's statistics from one scalar round per trial, on the
     documented streams trial_seed(seed, i).spawn(2)."""
-    spec = acsm_spec(n, b, r, q, c) if policy == "acsm" else PolicySpec(policy, cutoff=c)
+    spec = policy_spec(policy, n, b, r, q, c)
     rows = []
     for i in range(trials):
         inst_ss, policy_ss = trial_seed((seed,), i).spawn(2)
@@ -54,11 +53,6 @@ class TestRunCell:
         assert stats.mean_hires == direct.hires
         assert stats.failure_rate == direct.failures
 
-    def test_worker_count_independence(self):
-        a = run_cell(30, 3, 8, 0.5, 1, "csm", 120, 5, workers=1)
-        b = run_cell(30, 3, 8, 0.5, 1, "csm", 120, 5, workers=3)
-        assert a == b
-
     def test_ranks_each_chunk_once(self, monkeypatch):
         calls = []
         rank = RoundBatch.ranks.func
@@ -77,9 +71,11 @@ class TestRunCell:
         assert run_cell(*args) == per_trial_cell(*args)
 
     def test_worker_count_independence_across_chunks(self):
-        a = run_cell(20, 3, 5, 0.5, 1, "rand", CHUNK + 3, 6, workers=1)
-        b = run_cell(20, 3, 5, 0.5, 1, "rand", CHUNK + 3, 6, workers=3)
-        assert a == b
+        # CHUNK + 3 trials are two batches, so workers=3 starts a pool
+        for policy in ("csm", "rand"):
+            a = run_cell(20, 3, 5, 0.5, 1, policy, CHUNK + 3, 6, workers=1)
+            b = run_cell(20, 3, 5, 0.5, 1, policy, CHUNK + 3, 6, workers=3)
+            assert a == b, policy
 
     def test_direct_streams_are_the_spawned_children(self):
         for cell_seed in ((7,), (0, 5, 40), (2**40, 3)):

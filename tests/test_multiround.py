@@ -1,5 +1,7 @@
 """Multi-round driver tests: state evolution, pairing, policy selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,57 @@ class TestSelectors:
         spec = make_policy_selector("acsm-star")(30, 3, 1, 0.55)
         assert spec.variant == "acsm" and spec.zone is not None
         assert len(spec.zone.mu) == 30
+
+
+PIN_Q = (0.0, 1e-12, 0.3, 0.5, 0.81, 0.999, 1.0)
+CSM_E = {20: 7, 100: 36}  # floor(n / e)
+# (n, b, r) -> csm-star's cutoff at each q of PIN_Q, and the first 16 hex
+# digits of one SHA-256 over acsm-star's seven zones (mu bytes, then width
+# bytes, q by q).  Recorded before the policy resolver replaced the per-token
+# branches.  mu_hat has a probability-zero event at no point of this grid, so
+# none is skipped.
+PINNED_SPECS = {
+    (20, 1, 0): ((3, 3, 3, 3, 0, 0, 0), "2531d47813954886"),
+    (20, 1, 1): ((2, 2, 2, 3, 2, 0, 0), "9f87b335afd548b6"),
+    (20, 3, 0): ((7, 7, 6, 6, 0, 0, 0), "e3e54cba8682c067"),
+    (20, 3, 1): ((7, 7, 5, 5, 0, 0, 0), "ddc9849675b5e0b7"),
+    (20, 3, 3): ((5, 5, 5, 5, 2, 0, 0), "ffaa727f4d36e1c4"),
+    (20, 5, 0): ((8, 8, 7, 6, 0, 0, 0), "65ddcc6010b69000"),
+    (20, 5, 1): ((8, 8, 7, 6, 0, 0, 0), "f6db0bb6bb95ff20"),
+    (20, 5, 5): ((6, 6, 5, 5, 0, 0, 0), "63e59aac4dc9aab6"),
+    (100, 1, 0): ((14, 14, 16, 18, 18, 0, 0), "3e328121878f51dc"),
+    (100, 1, 1): ((6, 6, 7, 8, 10, 0, 0), "faee54792836063d"),
+    (100, 3, 0): ((40, 40, 42, 42, 34, 0, 0), "1707cd30379d76dd"),
+    (100, 3, 1): ((41, 41, 40, 39, 32, 0, 0), "ca8701d5a3371060"),
+    (100, 3, 3): ((18, 18, 19, 21, 24, 0, 0), "4469b97b6bc13110"),
+    (100, 5, 0): ((49, 49, 47, 45, 34, 0, 0), "b7b6c9979038714f"),
+    (100, 5, 1): ((46, 46, 44, 42, 32, 0, 0), "4fd9226a900ce797"),
+    (100, 5, 5): ((25, 25, 25, 27, 26, 0, 0), "6473e2bd8519dd3f"),
+}
+
+
+@pytest.mark.parametrize("setting", list(PINNED_SPECS), ids=str)
+def test_selectors_are_pinned(setting):
+    n, b, r = setting
+    star, zones = PINNED_SPECS[setting]
+    digest = hashlib.sha256()
+    for q, c_star in zip(PIN_Q, star):
+        expected = {
+            "csm-star": ("csm", c_star),
+            "csm-e": ("csm", CSM_E[n]),
+            "csm-0": ("csm", 0),
+            "acsm-star": ("acsm", c_star),
+            "mean": ("mean", 0),
+            "rand": ("rand", 0),
+        }
+        for name in POLICY_NAMES:
+            spec = make_policy_selector(name)(n, b, r, q)
+            assert (spec.variant, spec.cutoff) == expected[name], (name, q)
+            assert (spec.zone is None) == (name != "acsm-star"), (name, q)
+            if spec.zone is not None:
+                digest.update(np.asarray(spec.zone.mu, dtype=float).tobytes())
+                digest.update(np.asarray(spec.zone.width, dtype=float).tobytes())
+    assert digest.hexdigest()[:16] == zones
 
 
 class TestComparePolicies:

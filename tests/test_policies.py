@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from seqselect.core import generate_instance, realized_regret, sample_rounds
+from seqselect.core import DomainError, generate_instance, realized_regret, sample_rounds
 from seqselect.policies import (
     PolicySpec,
     ZoneConfig,
     is_failure,
+    policy_spec,
     run_adjusted_cutoff,
     run_cutoff,
     run_mean_baseline,
@@ -208,6 +209,11 @@ class TestAdjustedCutoff:
         with pytest.raises(Exception):
             run_adjusted_cutoff(inst, 2, ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
 
+    def test_width_length_must_match_mu(self):
+        for width in ((0.1,) * 3, (0.1,) * 11):
+            with pytest.raises(DomainError, match="equal lengths"):
+                ZoneConfig(mu=(0.0,) * 10, width=width)
+
 
 class TestBaselines:
     def test_mean_accepts_above_reference_mean(self):
@@ -259,6 +265,16 @@ class TestBaselines:
         c = run_rand_baseline(inst, 4321)
         assert a != c or a.candidate_decisions == c.candidate_decisions
 
+    def test_rand_needs_a_seed(self):
+        # without one, each run would draw fresh OS entropy
+        inst = generate_instance(15, 3, 0.5, 1, 9)
+        with pytest.raises(DomainError, match="seed"):
+            run_policy(inst, PolicySpec("rand"))
+        batch = sample_rounds(15, 3, 0.5, 1, [1, 2, 3])
+        for seeds in (None, [4, None, 6]):
+            with pytest.raises(DomainError, match="seed"):
+                run_policy_batch(batch, PolicySpec("rand"), seeds)
+
 
 class TestPolicySpecDispatch:
     def test_variants(self):
@@ -284,11 +300,8 @@ class TestAdjustedReducesFailures:
     def test_paired_failure_reduction_at_stressed_cutoff(self):
         # high resignations and a competitive reference set: the band feedback
         # must cut failures relative to the plain policy on paired instances
-        from seqselect.analytics import AnalyticParams, mu_hat_curve
-
         n, b, r, q, c = 100, 20, 20, 0.81, 15
-        mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c))
-        zone = ZoneConfig.default(n, b, mu)
+        zone = policy_spec("acsm", n, b, r, q, c).zone
         rng = np.random.default_rng(2718)
         plain_f = adj_f = 0
         for _ in range(800):

@@ -23,10 +23,10 @@ from seqselect.core import (  # noqa: E402
     sample_rounds,
 )
 from seqselect.montecarlo import trial_seed, trial_stream  # noqa: E402
-from seqselect.multiround import acsm_spec  # noqa: E402
 from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
+    policy_spec,
     run_adjusted_cutoff,
     run_cutoff,
     run_policy,
@@ -86,15 +86,14 @@ def test_round_fills_every_position_at_the_oracle_regret(round_, data):
 
 
 def _cell_policy(draw, n, b, r, c, q):
-    """One of the four variants; acsm with the model's zone or a random one."""
+    """One of the four variants as run_cell builds it (policies.policy_spec),
+    or acsm with a random zone."""
     variant = draw(st.sampled_from(["csm", "acsm-model", "acsm", "mean", "rand"]))
-    if variant == "acsm-model":
-        try:
-            return acsm_spec(n, b, r, q, c)
-        except DomainError:  # the model's no-failure event has probability zero
-            reject()
     if variant != "acsm":
-        return PolicySpec(variant, cutoff=c)
+        try:
+            return policy_spec(variant.removesuffix("-model"), n, b, r, q, c)
+        except DomainError:  # acsm's no-failure event has probability zero
+            reject()
     # numpy draws, not Hypothesis lists: these zones leave the band in both
     # directions often enough to reach both clamps of the band's threshold
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
