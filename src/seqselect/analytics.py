@@ -67,11 +67,16 @@ def g_fn(count, lam):
     Equals the Poisson CDF sum e^-lam * sum_{i<count} lam^i / i! at integer
     count; the regularized upper incomplete gamma function provides the smooth
     extension in between.  Gives 0 where count <= 0 (gammaincc(0, 0) is nan).
+    One float lam with one count gives a plain float, off numpy's array path.
     """
-    lam = np.asarray(lam)
-    if lam.min(initial=0.0) < 0:
+    one = isinstance(lam, float) and not isinstance(count, np.ndarray)
+    if (lam if one else np.asarray(lam).min(initial=0.0)) < 0:
         raise DomainError("lam must be nonnegative")
-    pos = np.greater(count, 0)  # count 1 stands in elsewhere; the product zeroes it
+    # count 1 stands in elsewhere; the product zeroes it
+    if one:
+        pos = count > 0
+        return float(gammaincc(count if pos else 1, lam)) * pos
+    pos = np.greater(count, 0)
     return gammaincc(np.where(pos, count, 1), lam) * pos
 
 
@@ -192,11 +197,13 @@ def _recursion(n: int, b: int, r: int, q: float, c):
     j = c + 1 + s).  Column c runs while c + s < n, so the live columns are
     the prefix of length n - s: each step rebinds the state to that prefix
     view, and its in-place += writes through to the full per-column arrays.
-    For one cutoff the state is plain floats and the per-step
+    For one cutoff the state is plain floats, clamped by the builtin max
+    (numpy's per-value overhead would dominate), and the per-step
     (gamma_j, p_j, lam_j, g_j(b)) are kept.  Returns (e_hires,
     candidate_term, referent_term, steps), elementwise over c.
     """
     scan = np.ndim(c) > 0
+    clamp = np.maximum if scan else max
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
     ref_coef = expected_available_rank(1, q, n, b, r)
@@ -209,7 +216,7 @@ def _recursion(n: int, b: int, r: int, q: float, c):
             gam, delta, lam, hired, cand = (x[live] for x in (gam, delta, lam, hired, cand))
         gjb = _g_due(b, lam, s)
         gjd = _g_due(delta, lam, s)
-        gj = np.maximum(gam * gjd + ref_coef * np.maximum(b - hired, 0.0) * (1.0 - gjd), 1.0)
+        gj = clamp(gam * gjd + ref_coef * clamp(b - hired, 0.0) * (1.0 - gjd), 1.0)
         pj = (gj - 1.0) / (n + b)
         cand += gjb * gj * (gj - 1.0) / 2.0
         hired += pj * gjb  # sum of p_i g_i(b), i <= j

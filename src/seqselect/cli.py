@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, default=0.5)
     _add_sweep_flags(p)
-    p.add_argument("--policy", choices=VARIANTS, default="csm")
+    p.add_argument("--policy", choices=VARIANTS[:2], default="csm")  # the cutoff policies
     _add_run_flags(p, trials=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_heatmap)

@@ -21,14 +21,15 @@ import numpy as np
 
 from seqselect.analytics import translate_cutoff
 from seqselect.core import DomainError, learning_cutoff, sample_rounds, seed_entropy
-from seqselect.policies import PolicySpec, policy_spec, run_policy_batch
+from seqselect.policies import VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Sweep description: which cells to run and with how many trials."""
+    """Sweep description: which cells to run and with how many trials.  The
+    policy is a cutoff policy: the sweep's argmin over c is its c_star."""
 
     n: int
     b_values: tuple
@@ -42,6 +43,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.policy not in VARIANTS[:2]:
+            raise DomainError(f"a sweep needs a cutoff policy {VARIANTS[:2]}, got {self.policy!r}")
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
         for name, values in (("b", self.b_values), ("c", self.c_values)):

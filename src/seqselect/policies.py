@@ -77,7 +77,10 @@ class PolicySpec:
 def policy_spec(variant: str, n: int, b: int, r: int, q: float, c=None) -> PolicySpec:
     """The PolicySpec of variant in the setting (n, b, r, q): a cutoff policy
     runs c, or the translated cutoff when c is None, and acsm adds the default
-    band around the model's mu_hat there; mean and rand take no parameter."""
+    band around the model's mu_hat there; mean and rand take no parameter,
+    but a given c must still lie in [0, n] for every variant."""
+    if c is not None:
+        learning_cutoff(n, r, c)
     if variant not in ("csm", "acsm"):
         return PolicySpec(variant)
     c = resolve_cutoff(n, b, r, q).c_target if c is None else c

@@ -277,6 +277,40 @@ class TestRegretScan:
         assert scan[18] == scan[19] == scan[20]
 
 
+class TestOneColumnBytes:
+    # SHA-256 over the one-column path, recorded before it moved from numpy
+    # scalars to plain floats: every field of threshold_curve as float64
+    # bytes, then the bytes of mu_hat_curve or the message of its
+    # DomainError, for each setting of GRID in order.  The grid covers r = 0,
+    # 0 < r < b and r = b, qualities on both sides of 1/2, cutoffs past
+    # n - r, and both impossible-conditioning cases (r < b and r = b).
+    GRID = [
+        (n, b, r, q, c)
+        for n, b in [(20, 1), (31, 2), (48, 5), (100, 5)]
+        for r in range(b + 1)
+        for q in (0.3, 0.5, 0.81)
+        for c in (*range(0, n, 7), n)
+    ] + [(200, 20, r, q, c) for r, c in [(19, 181), (20, 180)] for q in (0.3, 0.81)]
+    FIELDS = (
+        "gamma", "gamma_j", "p", "lam", "g_b",
+        "e_hires", "e_offline", "candidate_term", "referent_term",
+    )
+    DIGEST = "1f65788a49c08959a4d159f4867cfe35c5085940cdbdc8fc189066fb9fd875e8"
+
+    def test_pinned_bytes(self):
+        h = hashlib.sha256()
+        for n, b, r, q, c in self.GRID:
+            params = AnalyticParams(n=n, b=b, r=r, q=q, c=c)
+            curve = threshold_curve(params)
+            for field in self.FIELDS:
+                h.update(np.asarray(getattr(curve, field), dtype=np.float64).tobytes())
+            try:
+                h.update(mu_hat_curve(params).tobytes())
+            except DomainError as exc:
+                h.update(str(exc).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestTranslateCutoff:
     def test_identity_at_medium_quality(self):
         res = translate_cutoff(100, 5, 0.5, 0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from seqselect.analytics import (  # noqa: E402
     AnalyticParams,
     _regret_scan,
+    g_fn,
     mu_hat_curve,
     optimal_cutoff,
     threshold_curve,
@@ -73,3 +74,38 @@ def test_solver_rejects_settings_outside_the_domain(n, b, r):
     assume(r > b or b < 1 or b > n)
     with pytest.raises(DomainError):
         optimal_cutoff(n, b, r)
+
+
+COUNTS = st.one_of(
+    st.integers(-3, 60),
+    st.floats(-3.0, 60.0, allow_nan=False),
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, float("nan")]),
+)
+LAMS = st.one_of(st.floats(0.0, 80.0, allow_nan=False), st.sampled_from([0.0, float("nan")]))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(COUNTS, LAMS, st.booleans())
+def test_g_fn_one_value_is_the_one_element_array(count, lam, numpy_lam):
+    # the one-value path and the array path are one rule, bit for bit
+    one = g_fn(count, np.float64(lam) if numpy_lam else lam)
+    arr = g_fn(np.array([count]), np.array([lam]))
+    assert type(one) is float and arr.shape == (1,)
+    assert _bits(one) == _bits(arr[0])
+    if count <= 0 and lam == lam:  # a nan lam gives nan in both shapes
+        assert one == 0.0
+    elif count > 0 and lam == 0.0:
+        assert one == 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(COUNTS, st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False))
+def test_g_fn_rejects_negative_lam_in_both_shapes(count, lam):
+    with pytest.raises(DomainError):
+        g_fn(count, lam)
+    with pytest.raises(DomainError):
+        g_fn(np.array([count]), np.array([lam]))

@@ -126,6 +126,17 @@ class TestSimulate:
         ) == 2
         assert not (tmp_path / "t.csv").exists()
 
+    def test_cutoff_outside_range_exit_code_for_every_policy(self, tmp_path):
+        # mean and rand take no cutoff, but a given --c is checked for them too
+        out = tmp_path / "s.csv"
+        for policy in ("csm", "acsm", "mean", "rand"):
+            for c in ("50", "-1"):
+                assert run_cli(
+                    ["simulate", "--n", "10", "--b", "2", "--c", c, "--policy", policy,
+                     "--trials", "5", "--seed", "1", "--out", str(out)]
+                ) == 2, (policy, c)
+        assert not out.exists()
+
     def test_json_format(self, capsys):
         assert run_cli(
             ["simulate", "--n", "15", "--b", "2", "--c", "3", "--trials", "20",
@@ -156,6 +167,17 @@ class TestHeatmap:
         base = ["heatmap", "--n", "5", "--b-values", "2", "--trials", "5", "--out", str(out)]
         for extra in (["--c-values", "0,-3"], ["--c-values", "6,7"], ["--c-step", "0"]):
             assert run_cli(base + extra) == 2
+        assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
+
+    def test_non_cutoff_policy_rejected(self, tmp_path, capsys):
+        # the argmin of a mean or rand sweep over c is noise, not a c_star
+        out = tmp_path / "h.csv"
+        for policy in ("mean", "rand"):
+            assert exit_code(
+                ["heatmap", "--n", "20", "--b-values", "2", "--c-values", "0,5,10",
+                 "--policy", policy, "--trials", "5", "--out", str(out)]
+            ) == 2
+        assert "invalid choice" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
 
 

@@ -137,6 +137,15 @@ class TestExperimentSpec:
                 ExperimentSpec(n=5, b_values=(2,), c_values=c_values, q=0.5, r_values=(0,))
         ExperimentSpec(n=5, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,))
 
+    def test_cutoff_policies_only(self):
+        for policy in ("mean", "rand"):
+            with pytest.raises(DomainError, match="cutoff policy"):
+                ExperimentSpec(n=20, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,),
+                               policy=policy)
+        for policy in ("csm", "acsm"):
+            ExperimentSpec(n=20, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,),
+                           policy=policy)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_values=())

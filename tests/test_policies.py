@@ -295,6 +295,13 @@ class TestPolicySpecDispatch:
         with pytest.raises(Exception):
             PolicySpec("bogus")
 
+    def test_policy_spec_checks_a_given_cutoff_for_every_variant(self):
+        for variant in ("csm", "acsm", "mean", "rand"):
+            for c in (-1, 11):
+                with pytest.raises(DomainError, match="0 <= c <= n"):
+                    policy_spec(variant, 10, 2, 0, 0.5, c)
+        assert policy_spec("mean", 10, 2, 0, 0.5, 10) == PolicySpec("mean")
+
 
 class TestAdjustedReducesFailures:
     def test_paired_failure_reduction_at_stressed_cutoff(self):
