@@ -70,7 +70,7 @@ def g_fn(count, lam):
     One float lam with one count gives a plain float, off numpy's array path.
     """
     one = isinstance(lam, float) and not isinstance(count, np.ndarray)
-    if (lam if one else np.asarray(lam).min(initial=0.0)) < 0:
+    if not (lam if one else np.asarray(lam).min(initial=0.0)) >= 0:  # nan fails too
         raise DomainError("lam must be nonnegative")
     # count 1 stands in elsewhere; the product zeroes it
     if one:

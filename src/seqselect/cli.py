@@ -21,7 +21,7 @@ from seqselect.analytics import analyze_setting, cutoff_table, translate_cutoff
 from seqselect.core import ContractError, DomainError
 from seqselect.montecarlo import ExperimentSpec, regret_heatmap, run_cell
 from seqselect.multiround import PopulationSpec, compare_policies
-from seqselect.policies import VARIANTS
+from seqselect.policies import CUTOFF_VARIANTS, VARIANTS
 
 CELL_HEADER = "b,c,mean_regret,stderr,mean_hires,failure_rate,trials"
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=float, default=0.5)
     _add_sweep_flags(p)
-    p.add_argument("--policy", choices=VARIANTS[:2], default="csm")  # the cutoff policies
+    p.add_argument("--policy", choices=CUTOFF_VARIANTS, default="csm")
     _add_run_flags(p, trials=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_heatmap)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--c", type=int, default=None)
-    p.add_argument("--policy", choices=VARIANTS[:2], default="csm")  # the cutoff policies
+    p.add_argument("--policy", choices=CUTOFF_VARIANTS, default="csm")
     _add_run_flags(p, trials=10000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_failure)

@@ -54,40 +54,53 @@ def learning_cutoff(n: int, r: int, c: int) -> int:
     return min(c, n - r)
 
 
+def check_rounds(reference_scores, availability, candidate_scores) -> tuple:
+    """The one check of T rounds of one setting, one row per round: (T, b)
+    reference scores and availability, (T, n) candidate scores.  Returns the
+    setting (n, b, r) the rows share, r counted from the availability."""
+    refs, avail, cands = reference_scores, availability, candidate_scores
+    if not ((avail == 0) | (avail == 1)).all():
+        raise DomainError("availability entries must be 0 or 1")
+    b = refs.shape[1]
+    held = set(avail.sum(axis=1).tolist())
+    if len(held) != 1:
+        got = sorted(b - h for h in held)
+        raise DomainError(f"every round must have the same r, got r in {got}")
+    n, r = cands.shape[1], b - int(held.pop())
+    check_setting(n, b, r)
+    if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
+        raise DomainError("scores must be finite")
+    if (refs[:, :-1] <= refs[:, 1:]).any():
+        raise DomainError("reference_scores must be strictly descending")
+    return n, b, r
+
+
 @dataclass(frozen=True)
 class Instance:
     """One selection round: reference set, availability, and candidate sequence.
 
     reference_scores are strictly descending (best first).  availability[i] = 1
-    means the i-th best referent still holds the position; r, the number of
-    resignations, is derived.
+    means the i-th best referent still holds the position.  n, b and r (the
+    number of resignations) are derived from the arrays (check_rounds).
     """
 
-    n: int
-    b: int
     reference_scores: tuple
     availability: tuple
     candidate_scores: tuple
+    n: int = field(init=False)
+    b: int = field(init=False)
+    r: int = field(init=False)
 
     def __post_init__(self):
         names = ("reference_scores", "availability", "candidate_scores")
         refs, avail, cands = map(self._array, names)
-        if refs.size != self.b:
-            raise DomainError("reference_scores must have length b")
-        if avail.size != self.b:
+        if avail.size != refs.size:
             raise DomainError("availability must have length b")
-        if cands.size != self.n:
-            raise DomainError("candidate_scores must have length n")
-        if not np.all((avail == 0) | (avail == 1)):
-            raise DomainError("availability entries must be 0 or 1")
-        check_setting(self.n, self.b, self.b - int(avail.sum()))
-        if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
-            raise DomainError("scores must be finite")
-        if np.any(refs[:-1] <= refs[1:]):
-            raise DomainError("reference_scores must be strictly descending")
+        setting = check_rounds(refs[None], avail[None], cands[None])
         # the one place a round's arrays become its frozen tuples of Python numbers
-        for name, values in zip(names, (refs, avail.astype(int), cands)):
-            object.__setattr__(self, name, tuple(values.tolist()))
+        frozen = (tuple(values.tolist()) for values in (refs, avail.astype(int), cands))
+        for name, value in zip(names + ("n", "b", "r"), (*frozen, *setting)):
+            object.__setattr__(self, name, value)
 
     def _array(self, name: str) -> np.ndarray:
         """Field name as one float array: the checks see the values as given."""
@@ -98,11 +111,6 @@ class Instance:
         if values.ndim != 1:
             raise DomainError(f"{name} must be one-dimensional and numeric")
         return values
-
-    @property
-    def r(self) -> int:
-        """Number of resignations (empty positions at the start)."""
-        return self.b - sum(self.availability)
 
     @cached_property
     def ranks(self) -> "RankContext":
@@ -190,19 +198,18 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     check_quality(q)
     check_setting(n, b, r)
     refs, avail, cands = _draw_round(np.random.default_rng(seed), n, b, q, r)
-    return Instance(n=n, b=b, reference_scores=refs, availability=avail, candidate_scores=cands)
+    return Instance(refs, avail, cands)
 
 
 def offline_optimum(instance: Instance) -> int:
     """Minimal rank sum achievable choosing b items from candidates plus
-    available referents, by an oracle that sees every rank."""
+    available referents, by an oracle that sees every rank (check_rounds
+    holds n >= b, so there are always b to choose)."""
     ctx = instance.ranks
     selectable = [
         rank for rank, avail in zip(ctx.rank_of_referent, instance.availability) if avail
     ]
     selectable.extend(ctx.rank_of_candidate)
-    if len(selectable) < instance.b:
-        raise ContractError("fewer selectable items than positions")
     selectable.sort()
     return int(sum(selectable[: instance.b]))
 
@@ -229,32 +236,25 @@ class RoundBatch:
     batch twin of Instance, with its checks run over every row.
 
     reference_scores and availability are (T, b), candidate_scores (T, n);
-    every row of availability marks exactly r resignations.
+    n, b and r are derived, and every row of availability must mark the same
+    r resignations.
     """
 
-    n: int
-    b: int
-    r: int
     reference_scores: np.ndarray
     availability: np.ndarray
     candidate_scores: np.ndarray
+    n: int = field(init=False)
+    b: int = field(init=False)
+    r: int = field(init=False)
 
     def __post_init__(self):
-        check_setting(self.n, self.b, self.r)
         refs, avail, cands = self.reference_scores, self.availability, self.candidate_scores
-        rounds = len(cands)
-        if refs.shape != (rounds, self.b) or avail.shape != (rounds, self.b):
+        if refs.ndim != 2 or avail.shape != refs.shape:
             raise DomainError("reference_scores and availability must be (T, b) arrays")
-        if cands.shape != (rounds, self.n):
+        if cands.ndim != 2 or len(cands) != len(refs):
             raise DomainError("candidate_scores must be a (T, n) array")
-        if not np.all((avail == 0) | (avail == 1)):
-            raise DomainError("availability entries must be 0 or 1")
-        if np.any(avail.sum(axis=1) != self.b - self.r):
-            raise DomainError(f"every round must have r={self.r} resignations")
-        if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
-            raise DomainError("scores must be finite")
-        if np.any(refs[:, :-1] <= refs[:, 1:]):
-            raise DomainError("reference_scores must be strictly descending")
+        for name, value in zip(("n", "b", "r"), check_rounds(refs, avail, cands)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.candidate_scores)
@@ -272,8 +272,6 @@ class RoundBatch:
     def offline_optimum(self) -> np.ndarray:
         """offline_optimum of every round: the b smallest selectable ranks."""
         n, b = self.n, self.b
-        if np.any(self.availability.sum(axis=1) + n < b):
-            raise ContractError("fewer selectable items than positions")
         selectable = self.ranks.copy()
         # a resigned referent gets a rank past every rank: never among the b best
         selectable[:, :b][self.availability == 0] = n + b + 1
@@ -299,5 +297,4 @@ def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
     check_setting(n, b, r)
     draws = [_draw_round(np.random.default_rng(seed), n, b, q, r) for seed in seeds]
     refs, avail, cands = (np.stack(field) for field in zip(*draws))
-    return RoundBatch(n=n, b=b, r=r, reference_scores=refs, availability=avail,
-                      candidate_scores=cands)
+    return RoundBatch(refs, avail, cands)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, learning_cutoff, sample_rounds, seed_entropy
-from seqselect.policies import VARIANTS, PolicySpec, policy_spec, run_policy_batch
+from seqselect.core import DomainError, check_quality, learning_cutoff, sample_rounds, seed_entropy
+from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
 
@@ -43,8 +43,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.policy not in VARIANTS[:2]:
-            raise DomainError(f"a sweep needs a cutoff policy {VARIANTS[:2]}, got {self.policy!r}")
+        if self.policy not in CUTOFF_VARIANTS:
+            raise DomainError(
+                f"a sweep needs a cutoff policy {CUTOFF_VARIANTS}, got {self.policy!r}")
+        check_quality(self.q)
         if not self.b_values or not self.c_values:
             raise DomainError("b and c ranges must be non-empty")
         for name, values in (("b", self.b_values), ("c", self.c_values)):

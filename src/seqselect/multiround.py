@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality, seed_entropy
-from seqselect.policies import PolicySpec, policy_spec, run_policy
+from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -96,7 +96,7 @@ def run_chain(
             np.flatnonzero(eligible), size=pop.n, replace=False
         )
 
-        instance = Instance(pop.n, pop.b, scores[employed], ~resigned, scores[sampled])
+        instance = Instance(scores[employed], ~resigned, scores[sampled])
         q_k = compute_quality(instance)
         spec = policy_selector(pop.n, pop.b, instance.r, q_k)
         outcome = run_policy(instance, spec, rand_seed=policy_ss)
@@ -110,7 +110,7 @@ def run_chain(
                 resignation_mask=tuple(resigned.astype(int).tolist()),
                 sampled=tuple(sampled.tolist()),
                 quality=q_k,
-                cutoff=spec.cutoff if spec.variant in ("csm", "acsm") else None,
+                cutoff=spec.cutoff if spec.variant in CUTOFF_VARIANTS else None,
                 outcome=outcome,
             )
         )

@@ -27,7 +27,8 @@ from seqselect.core import (
 )
 
 
-VARIANTS = ("csm", "acsm", "mean", "rand")  # the two cutoff policies first
+CUTOFF_VARIANTS = ("csm", "acsm")  # the policies that run a learning cutoff
+VARIANTS = CUTOFF_VARIANTS + ("mean", "rand")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def policy_spec(variant: str, n: int, b: int, r: int, q: float, c=None) -> Polic
     but a given c must still lie in [0, n] for every variant."""
     if c is not None:
         learning_cutoff(n, r, c)
-    if variant not in ("csm", "acsm"):
+    if variant not in CUTOFF_VARIANTS:
         return PolicySpec(variant)
     c = resolve_cutoff(n, b, r, q).c_target if c is None else c
     if variant == "csm":
@@ -379,7 +380,7 @@ def run_policy_batch(batch: RoundBatch, spec: PolicySpec, rand_seeds=None) -> np
     """run_policy over every round of batch: (T, 3) int64 rows of (regret,
     hires, failures), row t equal to run_policy's outcome on round t with
     rand_seeds[t]."""
-    if spec.variant in ("csm", "acsm"):
+    if spec.variant in CUTOFF_VARIANTS:
         return _cutoff_batch(batch, spec.cutoff, spec.zone if spec.variant == "acsm" else None)
     if spec.variant == "mean":
         return _mean_batch(batch)

@@ -276,6 +276,27 @@ class TestRegretScan:
         scan = _regret_scan(20, 5, 2)
         assert scan[18] == scan[19] == scan[20]
 
+    # Expected regret is a mean of regrets >= 0, so no scan value may go below 0.
+    BELOW_ZERO = pytest.mark.xfail(strict=True, reason=(
+        "FOUND: at n = b = r the model's expected regret is below 0: at (1, 1, 1)"
+        " the one candidate must be hired, so the true regret is 0, but the model"
+        " gives 0.375 + 1.0 - 1.5556 = -0.18, since expected_offline's r > 0 term"
+        " is an approximation; (2, 2, 2) gives -0.198"))
+
+    @pytest.mark.parametrize("n, b, r", [
+        pytest.param(1, 1, 1, marks=BELOW_ZERO), pytest.param(2, 2, 2, marks=BELOW_ZERO),
+    ])
+    def test_nonnegative_at_n_equal_b_equal_r(self, n, b, r):
+        assert (_regret_scan(n, b, r) >= 0).all()
+
+    def test_nonnegative_over_small_settings(self):
+        # every n <= 59, b <= 20 and r <= b but the two settings above
+        for n in range(1, 60):
+            for b in range(1, min(n, 20) + 1):
+                for r in range(b + 1):
+                    if (n, b, r) not in ((1, 1, 1), (2, 2, 2)):
+                        assert (_regret_scan(n, b, r) >= 0).all(), (n, b, r)
+
 
 class TestOneColumnBytes:
     # SHA-256 over the one-column path, recorded before it moved from numpy
@@ -420,7 +441,7 @@ class TestSwitchCount:
         counts = np.zeros(b)
         for perm in itertools.permutations(range(1, n + b + 1)):
             inst = Instance(
-                n=n, b=b, reference_scores=tuple(sorted(perm[:b], reverse=True)),
+                reference_scores=tuple(sorted(perm[:b], reverse=True)),
                 availability=(1,) * (b - r) + (0,) * r, candidate_scores=perm[b:],
             )
             counts[_learning_phase(inst, c)[2]] += 1
@@ -465,7 +486,7 @@ class TestFullResignation:
         # every relative order of the n + b i.i.d. scores is equally likely
         for perm in itertools.permutations(range(1, n + b + 1)):
             inst = Instance(
-                n=n, b=b, reference_scores=tuple(sorted(perm[:b], reverse=True)),
+                reference_scores=tuple(sorted(perm[:b], reverse=True)),
                 availability=(0,) * b, candidate_scores=perm[b:],
             )
             yield inst, run_cutoff(inst, c)

@@ -81,7 +81,7 @@ COUNTS = st.one_of(
     st.floats(-3.0, 60.0, allow_nan=False),
     st.sampled_from([0, 0.0, -0.0, 1, 1.0, float("nan")]),
 )
-LAMS = st.one_of(st.floats(0.0, 80.0, allow_nan=False), st.sampled_from([0.0, float("nan")]))
+LAMS = st.one_of(st.floats(0.0, 80.0, allow_nan=False), st.just(0.0))
 
 
 def _bits(x) -> bytes:
@@ -96,15 +96,17 @@ def test_g_fn_one_value_is_the_one_element_array(count, lam, numpy_lam):
     arr = g_fn(np.array([count]), np.array([lam]))
     assert type(one) is float and arr.shape == (1,)
     assert _bits(one) == _bits(arr[0])
-    if count <= 0 and lam == lam:  # a nan lam gives nan in both shapes
+    if count <= 0:
         assert one == 0.0
     elif count > 0 and lam == 0.0:
         assert one == 1.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(COUNTS, st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False))
+@given(COUNTS, st.one_of(st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
+                        st.just(float("nan"))))
 def test_g_fn_rejects_negative_lam_in_both_shapes(count, lam):
+    # a nan lam is not >= 0 either
     with pytest.raises(DomainError):
         g_fn(count, lam)
     with pytest.raises(DomainError):

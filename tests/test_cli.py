@@ -180,6 +180,14 @@ class TestHeatmap:
         assert "invalid choice" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
 
+    def test_quality_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(seqselect.montecarlo, "run_cell", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "h.csv"
+        assert run_cli(["heatmap", "--n", "10", "--q", "1.5", "--b-values", "2",
+                        "--c-values", "0", "--trials", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need 0 < q < 1, got q=1.5\n"
+        assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
+
 
 class TestCutoffCurves:
     def test_curve_file(self, tmp_path):

@@ -28,7 +28,6 @@ from seqselect.policies import run_cutoff
 
 def make_instance(refs, avail, cands):
     return Instance(
-        n=len(cands), b=len(refs),
         reference_scores=tuple(refs), availability=tuple(avail),
         candidate_scores=tuple(cands),
     )
@@ -195,7 +194,6 @@ class TestRealizedRegret:
             A[2] = A[5] = 1
             base = realized_regret(inst, tuple(A), tuple(keep))
             warped = Instance(
-                n=inst.n, b=inst.b,
                 reference_scores=tuple(math.exp(3 * s) for s in inst.reference_scores),
                 availability=inst.availability,
                 candidate_scores=tuple(math.exp(3 * s) for s in inst.candidate_scores),
@@ -243,8 +241,8 @@ class TestCheckSetting:
     def test_one_message_in_every_layer(self):
         calls = [
             lambda: check_setting(10, 2, 3),
-            lambda: Instance(3, 0, (), (), (0.1, 0.2, 0.3)),
-            lambda: Instance(2, 3, (0.9, 0.5, 0.1), (1, 1, 1), (0.2, 0.3)),
+            lambda: Instance((), (), (0.1, 0.2, 0.3)),
+            lambda: Instance((0.9, 0.5, 0.1), (1, 1, 1), (0.2, 0.3)),
             lambda: generate_instance(10, 2, 0.5, 3, 0),
             lambda: sample_rounds(10, 0, 0.5, 0, [1, 2]),
             lambda: AnalyticParams(n=10, b=2, r=3, q=0.5, c=0),
@@ -262,6 +260,7 @@ class TestRoundBatch:
 
     def test_rows_are_the_generated_instances(self):
         batch = sample_rounds(9, 4, 0.7, 2, self.SEEDS)
+        assert (batch.n, batch.b, batch.r, len(batch)) == (9, 4, 2, len(self.SEEDS))
         for t, seed in enumerate(self.SEEDS):
             inst = generate_instance(9, 4, 0.7, 2, seed)
             assert tuple(batch.reference_scores[t].tolist()) == inst.reference_scores
@@ -273,8 +272,8 @@ class TestRoundBatch:
 
     def test_ranks_break_ties_as_one_round(self):
         inst = make_instance([0.5, 0.3], [1, 1], [0.5, 0.3, 0.5])
-        batch = RoundBatch(3, 2, 0, np.array([inst.reference_scores]),
-                           np.array([inst.availability]), np.array([inst.candidate_scores]))
+        batch = RoundBatch(np.array([inst.reference_scores]), np.array([inst.availability]),
+                           np.array([inst.candidate_scores]))
         ctx = build_rank_context(inst)
         assert batch.ranks.tolist() == [list(ctx.rank_of_referent + ctx.rank_of_candidate)]
 
@@ -290,18 +289,23 @@ class TestRoundBatch:
         with pytest.raises(ContractError, match="resigned referent"):
             batch.regret(hired, np.ones((2, 2), dtype=bool))
 
+    # r: the resignations the availability marks, which RoundBatch derives
     @pytest.mark.parametrize("r, refs, avail, cands, message", [
-        (0, [[0.9, 0.4]], [[1, 1]], [[0.1, 0.2]], "candidate_scores must be a"),
+        (0, [[0.9, 0.4]], [[1, 1]], [[0.1, 0.2]] * 2, "candidate_scores must be a"),
         (0, [[0.9]], [[1, 1]], [[0.1, 0.2, 0.3]], "must be \\(T, b\\) arrays"),
         (0, [[0.9, 0.4]], [[1, 2]], [[0.1, 0.2, 0.3]], "availability entries must be 0 or 1"),
-        (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1, 0.2, 0.3]] * 2, "r=1 resignations"),
+        (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1, 0.2, 0.3]] * 2,
+         "every round must have the same r, got r in \\[0, 1\\]"),
         (0, [[0.9, 0.4]], [[1, 1]], [[0.1, math.nan, 0.3]], "scores must be finite"),
         (0, [[math.inf, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "scores must be finite"),
         (0, [[0.4, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "strictly descending"),
+        (0, [0.9, 0.4], [1, 1], [0.1, 0.2, 0.3], "must be \\(T, b\\) arrays"),
+        (2, [[0.9, 0.4]], [[0, 0]], [[0.1]], "need 0 <= r <= b <= n and b >= 1"),
     ])
     def test_domain_checks(self, r, refs, avail, cands, message):
+        assert (np.asarray(avail) == 0).sum() == r
         with pytest.raises(DomainError, match=message):
-            RoundBatch(3, 2, r, np.array(refs), np.array(avail), np.array(cands))
+            RoundBatch(np.array(refs), np.array(avail), np.array(cands))
 
 
 class TestInstanceBoundary:
@@ -309,9 +313,9 @@ class TestInstanceBoundary:
 
     def test_arrays_lists_and_tuples_freeze_alike(self):
         built = [
-            Instance(3, 2, np.array(self.REFS), np.array(self.AVAIL), np.array(self.CANDS)),
-            Instance(3, 2, list(self.REFS), [True, False], list(self.CANDS)),
-            Instance(3, 2, self.REFS, self.AVAIL, self.CANDS),
+            Instance(np.array(self.REFS), np.array(self.AVAIL), np.array(self.CANDS)),
+            Instance(list(self.REFS), [True, False], list(self.CANDS)),
+            Instance(self.REFS, self.AVAIL, self.CANDS),
         ]
         assert built[0] == built[1] == built[2]
         assert len({hash(inst) for inst in built}) == 1
@@ -337,23 +341,33 @@ class TestInstanceBoundary:
                   "candidate_scores": self.CANDS}
         fields[field] = [[0.9, 0.1], [0.5]] if ragged else np.array(fields[field])[:, None]
         with pytest.raises(DomainError, match=f"{field} must be one-dimensional"):
-            Instance(3, 2, **fields)
+            Instance(**fields)
 
     def test_rejects_fractional_availability(self):
         # checked before the cast to int, which would truncate 0.5 to 0
         with pytest.raises(DomainError, match="availability entries must be 0 or 1"):
-            Instance(3, 2, [0.9, 0.5], [0.5, 1.0], [0.1, 0.2, 0.3])
+            Instance([0.9, 0.5], [0.5, 1.0], [0.1, 0.2, 0.3])
 
+    # n and b: the lengths of the candidate and reference arrays, which Instance derives
     @pytest.mark.parametrize("n, b, refs, avail, cands, message", [
         (3, 0, (), (), (0.1, 0.2, 0.3), "need 0 <= r <= b <= n and b >= 1"),
-        (3, 2, (0.9,), (1, 1), (0.1, 0.2, 0.3), "reference_scores must have length b"),
+        (3, 2, (0.9, 0.4), (1, 1, 1), (0.1, 0.2, 0.3), "availability must have length b"),
         (3, 2, (0.9, 0.4), (1,), (0.1, 0.2, 0.3), "availability must have length b"),
-        (3, 2, (0.9, 0.4), (1, 1), (0.1, 0.2), "candidate_scores must have length n"),
+        (1, 2, (0.9, 0.4), (0, 1), (0.1,), "need 0 <= r <= b <= n and b >= 1"),
         (3, 2, (0.9, 0.4), (1, 2), (0.1, 0.2, 0.3), "availability entries must be 0 or 1"),
         (3, 2, (0.9, 0.4), (1, 1), (0.1, math.nan, 0.3), "scores must be finite"),
         (3, 2, (math.inf, 0.4), (1, 1), (0.1, 0.2, 0.3), "scores must be finite"),
         (3, 2, (0.4, 0.4), (1, 1), (0.1, 0.2, 0.3), "strictly descending"),
     ])
     def test_domain_checks(self, n, b, refs, avail, cands, message):
+        assert (len(cands), len(refs)) == (n, b)
         with pytest.raises(DomainError, match=message):
-            Instance(n, b, np.array(refs), np.array(avail, dtype=int), list(cands))
+            Instance(np.array(refs), np.array(avail, dtype=int), list(cands))
+
+    def test_n_b_and_r_come_from_the_arrays(self):
+        inst = Instance(self.REFS, self.AVAIL, self.CANDS)
+        assert (inst.n, inst.b, inst.r) == (3, 2, 1)
+        with pytest.raises(TypeError):
+            Instance(3, 2, self.REFS, self.AVAIL, self.CANDS)
+        with pytest.raises(TypeError):
+            Instance(self.REFS, self.AVAIL, self.CANDS, n=3)

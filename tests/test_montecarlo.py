@@ -146,6 +146,11 @@ class TestExperimentSpec:
             ExperimentSpec(n=20, b_values=(2,), c_values=(0, 5), q=0.5, r_values=(0,),
                            policy=policy)
 
+    def test_quality_checked_when_built(self):
+        with pytest.raises(DomainError) as err:
+            ExperimentSpec(n=10, b_values=(2,), c_values=(0,), q=1.5, r_values=(0,))
+        assert str(err.value) == "need 0 < q < 1, got q=1.5"
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ExperimentSpec(n=50, b_values=(), c_values=(0,), q=0.5, r_values=())

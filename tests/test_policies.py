@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from seqselect.cli import build_parser
 from seqselect.core import DomainError, generate_instance, realized_regret, sample_rounds
+from seqselect.montecarlo import ExperimentSpec
+from seqselect.multiround import PopulationSpec, run_chain
 from seqselect.policies import (
+    CUTOFF_VARIANTS,
+    VARIANTS,
     PolicySpec,
     ZoneConfig,
     is_failure,
@@ -277,6 +282,32 @@ class TestBaselines:
 
 
 class TestPolicySpecDispatch:
+    def test_cutoff_variants_decide_every_cutoff_site(self):
+        # heatmap and failure --policy, ExperimentSpec and the cutoff that
+        # run_chain records all follow CUTOFF_VARIANTS
+        assert VARIANTS == CUTOFF_VARIANTS + ("mean", "rand")
+        parser = build_parser()
+
+        def accepts(call, error):
+            try:
+                call()
+            except error:
+                return False
+            return True
+
+        for variant in VARIANTS:
+            cutoff = variant in CUTOFF_VARIANTS
+            for argv in (["heatmap", "--n", "10", "--b-values", "2", "--out", "h.csv"],
+                         ["failure", "--n", "10", "--b", "2", "--r", "0", "--q", "0.5"]):
+                call = lambda: parser.parse_args(argv + ["--policy", variant])
+                assert accepts(call, SystemExit) == cutoff, (argv[0], variant)
+            call = lambda: ExperimentSpec(n=10, b_values=(2,), c_values=(0, 3), q=0.5,
+                                          r_values=(0,), policy=variant)
+            assert accepts(call, DomainError) == cutoff, variant
+            select = lambda n, b, r, q: policy_spec(variant, n, b, r, q, c=3)
+            (record,) = run_chain(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, 4)
+            assert record.cutoff == (3 if cutoff else None), variant
+
     def test_variants(self):
         inst = generate_instance(10, 2, 0.5, 0, 3)
         assert run_policy(inst, PolicySpec("csm", cutoff=3)) == run_cutoff(inst, 3)
