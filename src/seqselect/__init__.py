@@ -2,13 +2,9 @@
 
 from seqselect.core import (
     Instance,
-    RankContext,
     SelectionOutcome,
-    build_rank_context,
     compute_quality,
     generate_instance,
-    offline_optimum,
-    realized_regret,
 )
 from seqselect.policies import (
     PolicySpec,

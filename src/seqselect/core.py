@@ -54,39 +54,20 @@ def learning_cutoff(n: int, r: int, c: int) -> int:
     return min(c, n - r)
 
 
-def check_rounds(reference_scores, availability, candidate_scores) -> tuple:
-    """The one check of T rounds of one setting, one row per round: (T, b)
-    reference scores and availability, (T, n) candidate scores.  Returns the
-    setting (n, b, r) the rows share, r counted from the availability."""
-    refs, avail, cands = reference_scores, availability, candidate_scores
-    if not ((avail == 0) | (avail == 1)).all():
-        raise DomainError("availability entries must be 0 or 1")
-    b = refs.shape[1]
-    held = set(avail.sum(axis=1).tolist())
-    if len(held) != 1:
-        got = sorted(b - h for h in held)
-        raise DomainError(f"every round must have the same r, got r in {got}")
-    n, r = cands.shape[1], b - int(held.pop())
-    check_setting(n, b, r)
-    if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
-        raise DomainError("scores must be finite")
-    if (refs[:, :-1] <= refs[:, 1:]).any():
-        raise DomainError("reference_scores must be strictly descending")
-    return n, b, r
-
-
 @dataclass(frozen=True)
 class Instance:
     """One selection round: reference set, availability, and candidate sequence.
 
     reference_scores are strictly descending (best first).  availability[i] = 1
-    means the i-th best referent still holds the position.  n, b and r (the
-    number of resignations) are derived from the arrays (check_rounds).
+    means the i-th best referent still holds the position.  batch is the round
+    as a one-row RoundBatch: it checks the round, derives n, b and r (the
+    number of resignations), and ranks and scores it, as for the batch engine.
     """
 
     reference_scores: tuple
     availability: tuple
     candidate_scores: tuple
+    batch: "RoundBatch" = field(init=False, compare=False, repr=False)
     n: int = field(init=False)
     b: int = field(init=False)
     r: int = field(init=False)
@@ -96,10 +77,11 @@ class Instance:
         refs, avail, cands = map(self._array, names)
         if avail.size != refs.size:
             raise DomainError("availability must have length b")
-        setting = check_rounds(refs[None], avail[None], cands[None])
+        batch = RoundBatch(refs[None], avail[None], cands[None])
         # the one place a round's arrays become its frozen tuples of Python numbers
         frozen = (tuple(values.tolist()) for values in (refs, avail.astype(int), cands))
-        for name, value in zip(names + ("n", "b", "r"), (*frozen, *setting)):
+        fields = names + ("batch", "n", "b", "r")
+        for name, value in zip(fields, (*frozen, batch, batch.n, batch.b, batch.r)):
             object.__setattr__(self, name, value)
 
     def _array(self, name: str) -> np.ndarray:
@@ -112,20 +94,6 @@ class Instance:
             raise DomainError(f"{name} must be one-dimensional and numeric")
         return values
 
-    @cached_property
-    def ranks(self) -> "RankContext":
-        """The joint ranking, computed on first use and kept: every consumer of
-        one round (quality, oracle, regret) reads the same ranks."""
-        return build_rank_context(self)
-
-
-@dataclass(frozen=True)
-class RankContext:
-    """Absolute ranks of every score in the combined pool (rank 1 = best)."""
-
-    rank_of_referent: tuple
-    rank_of_candidate: tuple
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -133,8 +101,9 @@ class SelectionOutcome:
 
     candidate_decisions[j] = 1 iff candidate j was hired; referent_decisions[i]
     = 1 iff referent i keeps the position.  threshold_trace holds the realized
-    acceptance threshold per selection step (None once selection is closed or
-    during the learning phase).
+    acceptance threshold of every step after the learning phase, so
+    n - min(c, n - r) entries for a cutoff c and n for mean and rand; an
+    entry is None once all b positions are filled.
     """
 
     candidate_decisions: tuple
@@ -145,23 +114,6 @@ class SelectionOutcome:
     threshold_trace: tuple = field(default=())
 
 
-def build_rank_context(instance: Instance) -> RankContext:
-    """Rank all n + b scores jointly; ranks form a permutation of 1..n+b.
-
-    Ties (possible only in user-supplied instances) break toward the earlier
-    item: referents before candidates, then arrival order.
-    """
-    pool = np.asarray(instance.reference_scores + instance.candidate_scores)
-    order = np.argsort(-pool, kind="stable")
-    ranks = np.empty(len(pool), dtype=np.int64)
-    ranks[order] = np.arange(1, len(pool) + 1)
-    b = instance.b
-    return RankContext(
-        rank_of_referent=tuple(ranks[:b].tolist()),
-        rank_of_candidate=tuple(ranks[b:].tolist()),
-    )
-
-
 def compute_quality(instance: Instance) -> float:
     """Normalized average rank of the reference set; 1 is best, 1/2 is medium.
 
@@ -169,7 +121,7 @@ def compute_quality(instance: Instance) -> float:
     x_min = (b+1)/2 and x_max = n + (b+1)/2, so the denominator is n and
     a mean rank of (n+b+1)/2 gives exactly q = 1/2.
     """
-    mean_rank = float(np.mean(instance.ranks.rank_of_referent))
+    mean_rank = float(np.mean(instance.batch.ranks[0, : instance.b]))
     x_min = (instance.b + 1) / 2.0
     return 1.0 - (mean_rank - x_min) / instance.n
 
@@ -201,43 +153,17 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     return Instance(refs, avail, cands)
 
 
-def offline_optimum(instance: Instance) -> int:
-    """Minimal rank sum achievable choosing b items from candidates plus
-    available referents, by an oracle that sees every rank (check_rounds
-    holds n >= b, so there are always b to choose)."""
-    ctx = instance.ranks
-    selectable = [
-        rank for rank, avail in zip(ctx.rank_of_referent, instance.availability) if avail
-    ]
-    selectable.extend(ctx.rank_of_candidate)
-    selectable.sort()
-    return int(sum(selectable[: instance.b]))
-
-
-def realized_regret(instance: Instance, candidate_decisions, referent_decisions) -> int:
-    """Rank sum of a final assignment minus the offline optimum (always >= 0).
-
-    candidate_decisions and referent_decisions are as in SelectionOutcome.
-    """
-    A, K = candidate_decisions, referent_decisions
-    if sum(A) + sum(K) != instance.b:
-        raise ContractError("fill constraint violated: assignments != b")
-    if any(k and not a for k, a in zip(K, instance.availability)):
-        raise ContractError("a resigned referent cannot keep the position")
-    ctx = instance.ranks
-    online = sum(rank for rank, keep in zip(ctx.rank_of_referent, K) if keep)
-    online += sum(rank for rank, hire in zip(ctx.rank_of_candidate, A) if hire)
-    return int(online) - offline_optimum(instance)
-
-
 @dataclass(frozen=True, eq=False)
 class RoundBatch:
     """T rounds of one setting (n, b, r) as arrays, one row per round: the
-    batch twin of Instance, with its checks run over every row.
+    batch twin of Instance, which holds its round as a batch of one.
 
     reference_scores and availability are (T, b), candidate_scores (T, n);
     n, b and r are derived, and every row of availability must mark the same
-    r resignations.
+    r resignations.  __post_init__ is the one check of a round's values, run
+    over every row: availability in {0, 1}, one r shared by every row,
+    check_setting on the derived (n, b, r), finite scores and strictly
+    descending referents.
     """
 
     reference_scores: np.ndarray
@@ -253,7 +179,20 @@ class RoundBatch:
             raise DomainError("reference_scores and availability must be (T, b) arrays")
         if cands.ndim != 2 or len(cands) != len(refs):
             raise DomainError("candidate_scores must be a (T, n) array")
-        for name, value in zip(("n", "b", "r"), check_rounds(refs, avail, cands)):
+        if not ((avail == 0) | (avail == 1)).all():
+            raise DomainError("availability entries must be 0 or 1")
+        b = refs.shape[1]
+        held = set(avail.sum(axis=1).tolist())
+        if len(held) != 1:
+            got = sorted(b - h for h in held)
+            raise DomainError(f"every round must have the same r, got r in {got}")
+        n, r = cands.shape[1], b - int(held.pop())
+        check_setting(n, b, r)
+        if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
+            raise DomainError("scores must be finite")
+        if (refs[:, :-1] <= refs[:, 1:]).any():
+            raise DomainError("reference_scores must be strictly descending")
+        for name, value in zip(("n", "b", "r"), (n, b, r)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -261,16 +200,20 @@ class RoundBatch:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """(T, b + n) joint ranks, referents first, each row ranked as
-        build_rank_context ranks one round (ties toward the earlier item)."""
+        """(T, b + n) joint ranks, referents first, computed on first use and
+        kept: each row is a permutation of 1..n+b, rank 1 the best score.  Ties
+        (possible only in user-supplied rounds) break toward the earlier item:
+        referents before candidates, then arrival order."""
         pool = np.concatenate([self.reference_scores, self.candidate_scores], axis=1)
         order = np.argsort(-pool, axis=1, kind="stable")
         ranks = np.empty(pool.shape, dtype=np.int64)
-        np.put_along_axis(ranks, order, np.arange(1, pool.shape[1] + 1)[None, :], axis=1)
+        ranks[np.arange(len(pool))[:, None], order] = np.arange(1, pool.shape[1] + 1)
         return ranks
 
     def offline_optimum(self) -> np.ndarray:
-        """offline_optimum of every round: the b smallest selectable ranks."""
+        """The offline oracle of every round: the minimal rank sum of b items
+        chosen from the candidates and the available referents by an oracle
+        that sees every rank (n >= b, so there are always b to choose)."""
         n, b = self.n, self.b
         selectable = self.ranks.copy()
         # a resigned referent gets a rank past every rank: never among the b best
@@ -278,16 +221,15 @@ class RoundBatch:
         return np.partition(selectable, b - 1, axis=1)[:, :b].sum(axis=1)
 
     def regret(self, hired: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """realized_regret of every round: hired (T, n) and kept (T, b) are the
-        boolean candidate and referent decisions."""
-        b = self.b
-        if np.any(hired.sum(axis=1) + kept.sum(axis=1) != b):
+        """The rank sum of every round's final assignment minus its offline
+        optimum (always >= 0): hired (T, n) and kept (T, b) are the boolean
+        candidate and referent decisions."""
+        chosen = np.concatenate([kept, hired], axis=1)  # in the column order of ranks
+        if (chosen.sum(axis=1) != self.b).any():
             raise ContractError("fill constraint violated: assignments != b")
-        if np.any(kept & (self.availability == 0)):
+        if (kept & (self.availability == 0)).any():
             raise ContractError("a resigned referent cannot keep the position")
-        ranks = self.ranks
-        online = (ranks[:, :b] * kept).sum(axis=1) + (ranks[:, b:] * hired).sum(axis=1)
-        return online - self.offline_optimum()
+        return (self.ranks * chosen).sum(axis=1) - self.offline_optimum()
 
 
 def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
@@ -296,5 +238,7 @@ def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
     check_quality(q)
     check_setting(n, b, r)
     draws = [_draw_round(np.random.default_rng(seed), n, b, q, r) for seed in seeds]
+    if not draws:
+        raise DomainError("sample_rounds needs at least one seed")
     refs, avail, cands = (np.stack(field) for field in zip(*draws))
     return RoundBatch(refs, avail, cands)

@@ -23,7 +23,6 @@ from seqselect.core import (
     RoundBatch,
     SelectionOutcome,
     learning_cutoff,
-    realized_regret,
 )
 
 
@@ -133,13 +132,13 @@ def _run_round(
             A[j - 1] = 1
         if after_step is not None:
             after_step(j, l)
-    A, kept = tuple(A), tuple(kept)
+    regret = instance.batch.regret(np.array([A], dtype=bool), np.array([kept], dtype=bool))
     return SelectionOutcome(
-        candidate_decisions=A,
-        referent_decisions=kept,
+        candidate_decisions=tuple(A),
+        referent_decisions=tuple(kept),
         hires=l,
         failures=failures,
-        regret=realized_regret(instance, A, kept),
+        regret=int(regret[0]),
         threshold_trace=tuple(trace),
     )
 

@@ -21,7 +21,7 @@ from seqselect.analytics import (
     optimal_cutoff,
     translate_cutoff,
 )
-from seqselect.core import build_rank_context, generate_instance, offline_optimum
+from seqselect.core import generate_instance
 from seqselect.montecarlo import run_cell, trial_seed
 from seqselect.multiround import PopulationSpec, compare_policies
 from seqselect.policies import ZoneConfig, run_adjusted_cutoff, run_cutoff
@@ -153,12 +153,10 @@ def test_criterion_6_offline_oracle():
         n = int(rng.integers(b, 10 - b + 1))
         r = int(rng.integers(0, b + 1))
         inst = generate_instance(n, b, 0.5, r, rng)
-        ctx = build_rank_context(inst)
-        pool = [
-            rk for rk, a in zip(ctx.rank_of_referent, inst.availability) if a
-        ] + list(ctx.rank_of_candidate)
+        ranks = inst.batch.ranks[0].tolist()
+        pool = [rk for rk, a in zip(ranks[:b], inst.availability) if a] + ranks[b:]
         brute = min(sum(s) for s in itertools.combinations(pool, inst.b))
-        if offline_optimum(inst) != brute:
+        if inst.batch.offline_optimum()[0] != brute:
             brute_ok = False
             break
     lines = [f"brute-force equivalence={'ok' if brute_ok else 'MISS'}"]
@@ -166,7 +164,7 @@ def test_criterion_6_offline_oracle():
     for b, r in [(5, 0), (5, 5), (20, 10)]:
         vals = np.empty(100_000)
         for t in range(len(vals)):
-            vals[t] = offline_optimum(generate_instance(100, b, 0.5, r, rng))
+            vals[t] = generate_instance(100, b, 0.5, r, rng).batch.offline_optimum()[0]
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         diff = abs(vals.mean() - expected_offline(100, b, r, 0.5))
         good = diff <= 3 * se + 1e-9
@@ -192,8 +190,7 @@ def test_criterion_7_invariant_suite():
         r = int(rng.integers(0, b + 1))
         c = int(rng.integers(0, n + 1))
         inst = generate_instance(n, b, 0.5, r, rng)
-        ctx = build_rank_context(inst)
-        if sorted(ctx.rank_of_referent + ctx.rank_of_candidate) != list(range(1, n + b + 1)):
+        if sorted(inst.batch.ranks[0].tolist()) != list(range(1, n + b + 1)):
             ok, fail_note = False, f"permutation broken at case {i}"
             break
         out = run_cutoff(inst, c)

@@ -23,7 +23,7 @@ from seqselect.analytics import (
     threshold_curve,
     translate_cutoff,
 )
-from seqselect.core import DomainError, Instance, build_rank_context, generate_instance
+from seqselect.core import DomainError, Instance, generate_instance
 from seqselect.policies import _learning_phase, run_cutoff
 
 
@@ -79,13 +79,11 @@ class TestExpectedOffline:
         assert expected_offline(100, 5, 5, 0.5) == pytest.approx(15.75, abs=0.01)
 
     def test_against_simulated_oracle(self):
-        from seqselect.core import offline_optimum
-
         rng = np.random.default_rng(12)
         for b, r in [(5, 0), (5, 5), (20, 10)]:
             vals = np.empty(20000)
             for t in range(len(vals)):
-                vals[t] = offline_optimum(generate_instance(100, b, 0.5, r, rng))
+                vals[t] = generate_instance(100, b, 0.5, r, rng).batch.offline_optimum()[0]
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - expected_offline(100, b, r, 0.5)) < 3 * se + 1e-9
 
@@ -136,9 +134,8 @@ class TestThresholdCurve:
         for t in range(len(vals)):
             inst = generate_instance(n, b, 0.5, 0, rng)
             pool = sorted(inst.reference_scores + inst.candidate_scores[:c], reverse=True)
-            ctx = build_rank_context(inst)
             all_scores = inst.reference_scores + inst.candidate_scores
-            ranks = dict(zip(all_scores, ctx.rank_of_referent + ctx.rank_of_candidate))
+            ranks = dict(zip(all_scores, inst.batch.ranks[0].tolist()))
             vals[t] = ranks[pool[b - 1]]
         assert abs(vals.mean() - 525 / 43) < 0.6  # approximation, loose guard
 

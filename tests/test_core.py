@@ -12,13 +12,10 @@ from seqselect.core import (
     DomainError,
     Instance,
     RoundBatch,
-    build_rank_context,
     check_setting,
     compute_quality,
     generate_instance,
     learning_cutoff,
-    offline_optimum,
-    realized_regret,
     sample_rounds,
     seed_entropy,
 )
@@ -33,16 +30,21 @@ def make_instance(refs, avail, cands):
     )
 
 
+def regret(inst, hired, kept):
+    """RoundBatch.regret of one round's decisions, given as 0/1 sequences."""
+    return int(inst.batch.regret(np.array([hired], dtype=bool), np.array([kept], dtype=bool))[0])
+
+
 class TestRankContext:
+    """The joint ranking, RoundBatch.ranks: one row per round, the referents'
+    ranks, then the candidates'."""
+
     def test_three_values(self):
-        ctx = build_rank_context(make_instance([0.5], [1], [0.6, 0.4]))
-        assert ctx.rank_of_referent == (2,)
-        assert ctx.rank_of_candidate == (1, 3)
+        assert make_instance([0.5], [1], [0.6, 0.4]).batch.ranks.tolist() == [[2, 1, 3]]
 
     def test_two_referents(self):
-        ctx = build_rank_context(make_instance([0.9, 0.8], [1, 1], [0.1, 0.05]))
-        assert ctx.rank_of_referent == (1, 2)
-        assert ctx.rank_of_candidate == (3, 4)
+        inst = make_instance([0.9, 0.8], [1, 1], [0.1, 0.05])
+        assert inst.batch.ranks.tolist() == [[1, 2, 3, 4]]
 
     def test_permutation_property(self):
         rng = np.random.default_rng(7)
@@ -50,17 +52,13 @@ class TestRankContext:
             n = int(rng.integers(1, 12))
             b = int(rng.integers(1, n + 1))
             inst = generate_instance(n, b, 0.5, int(rng.integers(0, b + 1)), rng)
-            ctx = build_rank_context(inst)
-            assert sorted(ctx.rank_of_referent + ctx.rank_of_candidate) == list(
-                range(1, n + b + 1)
-            )
+            assert sorted(inst.batch.ranks[0].tolist()) == list(range(1, n + b + 1))
+        batch = sample_rounds(7, 3, 0.5, 1, range(50))
+        assert (np.sort(batch.ranks, axis=1) == np.arange(1, 11)).all()
 
     def test_tie_break_prefers_earlier(self):
         # duplicated score: referent outranks the candidate carrying the same value
-        inst = make_instance([0.5], [1], [0.5, 0.1])
-        ctx = build_rank_context(inst)
-        assert ctx.rank_of_referent == (1,)
-        assert ctx.rank_of_candidate == (2, 3)
+        assert make_instance([0.5], [1], [0.5, 0.1]).batch.ranks.tolist() == [[1, 2, 3]]
 
 
 class TestQuality:
@@ -69,8 +67,7 @@ class TestQuality:
         refs = [0.5495, 0.5494, 0.5493, 0.5492, 0.5491]
         cands = [0.56 + i * 1e-4 for i in range(50)] + [0.54 - i * 1e-4 for i in range(50)]
         inst = make_instance(refs, [1] * 5, cands)
-        ctx = build_rank_context(inst)
-        assert np.mean(ctx.rank_of_referent) == 53
+        assert np.mean(inst.batch.ranks[0, :5]) == 53
         assert compute_quality(inst) == pytest.approx(0.5)
 
     def test_top_ranks_give_q_one(self):
@@ -120,19 +117,18 @@ class TestGenerateInstance:
         trials = 20_000
         worst = np.empty(trials)
         for t in range(trials):
-            ctx = build_rank_context(generate_instance(100, 5, 0.5, 0, rng))
-            worst[t] = max(ctx.rank_of_referent)
+            worst[t] = generate_instance(100, 5, 0.5, 0, rng).batch.ranks[0, :5].max()
         assert abs(worst.mean() - 5 * 106 / 6) < 1.0
 
 
 class TestOfflineOptimum:
     def test_best_referent(self):
         inst = make_instance([0.99], [1], [0.5, 0.4])
-        assert offline_optimum(inst) == 1
+        assert inst.batch.offline_optimum().tolist() == [1]
 
     def test_hand_example(self):
         inst = make_instance([0.5], [0], [0.9, 0.1, 0.3])
-        assert offline_optimum(inst) == 1  # picks 0.9
+        assert inst.batch.offline_optimum().tolist() == [1]  # picks 0.9
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(99)
@@ -141,32 +137,33 @@ class TestOfflineOptimum:
             n = int(rng.integers(b, 10 - b + 1))
             r = int(rng.integers(0, b + 1))
             inst = generate_instance(n, b, 0.5, r, rng)
-            ctx = build_rank_context(inst)
-            pool = [
-                rk for rk, a in zip(ctx.rank_of_referent, inst.availability) if a
-            ] + list(ctx.rank_of_candidate)
+            ranks = inst.batch.ranks[0].tolist()
+            pool = [rk for rk, a in zip(ranks[:b], inst.availability) if a] + ranks[b:]
             brute = min(sum(s) for s in itertools.combinations(pool, inst.b))
-            assert offline_optimum(inst) == brute
+            assert inst.batch.offline_optimum()[0] == brute
 
 
 class TestRealizedRegret:
+    """RoundBatch.regret: the rank sum of the final assignment minus the
+    offline optimum."""
+
     def test_optimal_selection_gives_zero(self):
         inst = make_instance([0.9], [1], [0.5, 0.4])
-        assert realized_regret(inst, (0, 0), (1,)) == 0
+        assert regret(inst, (0, 0), (1,)) == 0
 
     def test_hand_trace(self):
         inst = make_instance([0.5], [0], [0.9, 0.1, 0.3])
-        assert realized_regret(inst, (0, 1, 0), (0,)) == 3  # rank 4 chosen, offline rank 1
+        assert regret(inst, (0, 1, 0), (0,)) == 3  # rank 4 chosen, offline rank 1
 
     def test_fill_constraint_enforced(self):
-        inst = make_instance([0.5], [1], [0.9, 0.1])
-        with pytest.raises(ContractError):
-            realized_regret(inst, (1, 0), (1,))
+        batch = make_instance([0.5], [1], [0.9, 0.1]).batch
+        with pytest.raises(ContractError, match="fill constraint"):
+            batch.regret(np.array([[True, False]]), np.array([[True]]))
 
     def test_cannot_keep_resigned(self):
-        inst = make_instance([0.5], [0], [0.9, 0.1])
-        with pytest.raises(ContractError):
-            realized_regret(inst, (0, 0), (1,))
+        batch = make_instance([0.5], [0], [0.9, 0.1]).batch
+        with pytest.raises(ContractError, match="resigned referent"):
+            batch.regret(np.array([[False, False]]), np.array([[True]]))
 
     def test_nonnegative_over_random_outcomes(self):
         rng = np.random.default_rng(41)
@@ -181,7 +178,7 @@ class TestRealizedRegret:
             hires_needed = inst.b - sum(keep)
             hire_at = rng.choice(n, size=hires_needed, replace=False)
             A = [1 if j in hire_at else 0 for j in range(n)]
-            assert realized_regret(inst, tuple(A), tuple(keep)) >= 0
+            assert regret(inst, A, keep) >= 0
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(17)
@@ -192,13 +189,13 @@ class TestRealizedRegret:
             keep[drop] = 0
             A = [0] * 8
             A[2] = A[5] = 1
-            base = realized_regret(inst, tuple(A), tuple(keep))
+            base = regret(inst, A, keep)
             warped = Instance(
                 reference_scores=tuple(math.exp(3 * s) for s in inst.reference_scores),
                 availability=inst.availability,
                 candidate_scores=tuple(math.exp(3 * s) for s in inst.candidate_scores),
             )
-            assert realized_regret(warped, tuple(A), tuple(keep)) == base
+            assert regret(warped, A, keep) == base
 
 
 class TestSeedEntropy:
@@ -266,16 +263,20 @@ class TestRoundBatch:
             assert tuple(batch.reference_scores[t].tolist()) == inst.reference_scores
             assert tuple(batch.availability[t].tolist()) == inst.availability
             assert tuple(batch.candidate_scores[t].tolist()) == inst.candidate_scores
-            ctx = build_rank_context(inst)
-            assert tuple(batch.ranks[t].tolist()) == ctx.rank_of_referent + ctx.rank_of_candidate
-            assert batch.offline_optimum()[t] == offline_optimum(inst)
+            assert batch.ranks[t].tolist() == inst.batch.ranks[0].tolist()
+            assert batch.offline_optimum()[t] == inst.batch.offline_optimum()[0]
 
     def test_ranks_break_ties_as_one_round(self):
         inst = make_instance([0.5, 0.3], [1, 1], [0.5, 0.3, 0.5])
-        batch = RoundBatch(np.array([inst.reference_scores]), np.array([inst.availability]),
-                           np.array([inst.candidate_scores]))
-        ctx = build_rank_context(inst)
-        assert batch.ranks.tolist() == [list(ctx.rank_of_referent + ctx.rank_of_candidate)]
+        assert inst.batch.ranks.tolist() == [[1, 4, 2, 5, 3]]
+        # an earlier item outranks a later one with the same score, in every row
+        batch = RoundBatch(np.array([[0.5], [0.9]]), np.array([[1], [1]]),
+                           np.array([[0.5, 0.7, 0.5], [0.2, 0.2, 0.3]]))
+        assert batch.ranks.tolist() == [[2, 3, 1, 4], [1, 3, 4, 2]]
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(DomainError, match="at least one seed"):
+            sample_rounds(5, 2, 0.5, 0, [])
 
     def test_regret_checks_the_decisions(self):
         batch = sample_rounds(4, 2, 0.5, 1, (5, 6))
@@ -324,8 +325,6 @@ class TestInstanceBoundary:
                 self.REFS, self.AVAIL, self.CANDS)
             assert all(type(s) is float for s in inst.reference_scores + inst.candidate_scores)
             assert all(type(a) is int for a in inst.availability)
-            assert all(type(k) is int
-                       for k in inst.ranks.rank_of_referent + inst.ranks.rank_of_candidate)
 
     def test_generated_instance_holds_python_numbers(self):
         inst = generate_instance(10, 3, 0.5, 1, 4)
@@ -363,6 +362,18 @@ class TestInstanceBoundary:
         assert (len(cands), len(refs)) == (n, b)
         with pytest.raises(DomainError, match=message):
             Instance(np.array(refs), np.array(avail, dtype=int), list(cands))
+
+    def test_batch_is_the_round_as_one_row(self):
+        inst = Instance(self.REFS, self.AVAIL, self.CANDS)
+        batch = inst.batch
+        assert (len(batch), batch.n, batch.b, batch.r) == (1, 3, 2, 1)
+        assert batch.reference_scores.tolist() == [list(self.REFS)]
+        assert batch.availability.tolist() == [list(self.AVAIL)]
+        assert batch.candidate_scores.tolist() == [list(self.CANDS)]
+        assert batch.ranks.tolist() == [[1, 4, 5, 2, 3]]
+        # derived: left out of equality, hashing and repr
+        assert "batch" not in repr(inst)
+        assert Instance(self.REFS, self.AVAIL, self.CANDS) == inst
 
     def test_n_b_and_r_come_from_the_arrays(self):
         inst = Instance(self.REFS, self.AVAIL, self.CANDS)

@@ -1,13 +1,13 @@
 """Multi-round driver tests: state evolution, pairing, policy selection."""
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-import seqselect.core
 import seqselect.multiround
-from seqselect.core import DomainError
+from seqselect.core import DomainError, RoundBatch
 from seqselect.multiround import (
     POLICY_NAMES,
     PopulationSpec,
@@ -67,15 +67,16 @@ class TestRunChain:
         assert np.mean(lasts) < np.mean(firsts)
 
     def test_ranks_each_round_once(self, monkeypatch):
+        # quality and regret read one ranking: its round's one-row batch
         calls = []
-        rank = seqselect.core.build_rank_context
-        monkeypatch.setattr(
-            seqselect.core, "build_rank_context", lambda inst: calls.append(1) or rank(inst)
-        )
+        rank = RoundBatch.ranks.func
+        counted = cached_property(lambda batch: calls.append(len(batch)) or rank(batch))
+        counted.__set_name__(RoundBatch, "ranks")
+        monkeypatch.setattr(RoundBatch, "ranks", counted)
         for name in POLICY_NAMES:
             calls.clear()
             run_chain(SMALL, 4, 0.5, make_policy_selector(name), 8)
-            assert len(calls) == 4, name
+            assert calls == [1] * 4, name
 
     def test_rejects_bad_rounds_and_seeds(self):
         for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqselect.cli import build_parser
-from seqselect.core import DomainError, generate_instance, realized_regret, sample_rounds
+from seqselect.core import DomainError, generate_instance, learning_cutoff, sample_rounds
 from seqselect.montecarlo import ExperimentSpec
 from seqselect.multiround import PopulationSpec, run_chain
 from seqselect.policies import (
@@ -82,6 +82,30 @@ class TestCutoffHandTraces:
         assert out.referent_decisions == (0, 0, 0)
 
 
+class TestThresholdTrace:
+    def test_no_entry_during_learning(self):
+        # n - min(c, n - r) = 10 - 4 steps after the learning phase
+        assert len(run_cutoff(generate_instance(10, 2, 0.5, 1, 3), 4).threshold_trace) == 6
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_entry_per_step_after_learning(self, variant):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            b = int(rng.integers(1, 5))
+            n = int(rng.integers(b, 15))
+            r = int(rng.integers(0, b + 1))
+            c = int(rng.integers(0, n + 1))
+            inst = generate_instance(n, b, 0.5, r, rng)
+            zone = ZoneConfig.default(n, b, [min(b, 0.1 * j) for j in range(1, n + 1)])
+            spec = PolicySpec(variant, cutoff=c, zone=zone if variant == "acsm" else None)
+            out = run_policy(inst, spec, rand_seed=int(rng.integers(0, 2**31)))
+            start = learning_cutoff(n, r, c) if variant in CUTOFF_VARIANTS else 0
+            assert len(out.threshold_trace) == n - start
+            # an entry is None exactly when all b positions were filled before its step
+            hires_before = np.cumsum((0,) + out.candidate_decisions)[start:n]
+            assert [tau is None for tau in out.threshold_trace] == (hires_before >= b).tolist()
+
+
 class TestFailureRule:
     def test_forced_below_threshold(self):
         assert is_failure(j=2, hires_before=0, n=2, r=1, score=0.1, threshold=0.9)
@@ -115,9 +139,13 @@ class TestInvariants:
             assert sum(out.candidate_decisions) + sum(out.referent_decisions) == b
             assert r <= out.hires <= b
             assert out.regret >= 0
-            assert out.regret == realized_regret(
-                inst, out.candidate_decisions, out.referent_decisions
-            )
+            # the regret, scored here by sorting: generated rounds have no ties
+            pool = inst.reference_scores + inst.candidate_scores
+            ranks = [1 + sum(x > s for x in pool) for s in pool]
+            chosen = [k for k, keep in zip(ranks[:b], out.referent_decisions) if keep]
+            chosen += [k for k, hire in zip(ranks[b:], out.candidate_decisions) if hire]
+            selectable = [k for k, a in zip(ranks[:b], inst.availability) if a] + ranks[b:]
+            assert out.regret == sum(chosen) - sum(sorted(selectable)[:b])
 
     def test_no_failures_when_no_resignations(self):
         rng = np.random.default_rng(5)
