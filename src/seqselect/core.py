@@ -126,17 +126,31 @@ def compute_quality(instance: Instance) -> float:
     return 1.0 - (mean_rank - x_min) / instance.n
 
 
-def _draw_round(rng: np.random.Generator, n: int, b: int, q: float, r: int):
-    """One round's draws from rng, as arrays: (reference_scores, availability,
-    candidate_scores).  The one home of the sampling law that
-    generate_instance documents."""
-    cands = rng.uniform(0.0, 1.0, size=n)
+def _draw_round(rngs, n: int, b: int, q: float, r: int):
+    """The rounds that the Generators rngs draw, one row each, as arrays:
+    (T, b) reference_scores, (T, b) availability and (T, n) candidate_scores.
+    The one home of the sampling law that generate_instance documents.
+
+    Each Generator makes two calls per round, so it draws what uniform(0, 1,
+    n), uniform(lo, hi, b) and choice draw, in that order: random(n + b),
+    whose first n values are the candidates (uniform(0, 1) is 0 + 1 * u) and
+    whose last b become lo + (hi - lo) * u, uniform's own expression; then
+    choice(b, r, replace=False), whose positions resign.  The scaling and
+    the descending sort run once over all rows.
+    """
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
-    refs = np.sort(rng.uniform(lo, hi, size=b))[::-1]
-    avail = np.ones(b, dtype=int)
-    if r > 0:
-        avail[rng.choice(b, size=r, replace=False)] = 0
-    return refs, avail, cands
+    draws = np.empty((len(rngs), n + b))
+    avail = np.ones((len(rngs), b), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        rng.random(out=draws[t])
+        if r > 0:
+            avail[t, rng.choice(b, size=r, replace=False)] = 0
+    refs = draws[:, n:]  # scaled and sorted in place: lo + (hi - lo) * u, ascending
+    refs *= hi - lo
+    refs += lo
+    refs.sort(axis=1)
+    # contiguous copies: on a small strided array every later numpy call costs more
+    return np.ascontiguousarray(refs[:, ::-1]), avail, np.ascontiguousarray(draws[:, :n])
 
 
 def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
@@ -149,8 +163,8 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     """
     check_quality(q)
     check_setting(n, b, r)
-    refs, avail, cands = _draw_round(np.random.default_rng(seed), n, b, q, r)
-    return Instance(refs, avail, cands)
+    refs, avail, cands = _draw_round([np.random.default_rng(seed)], n, b, q, r)
+    return Instance(refs[0], avail[0], cands[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +196,7 @@ class RoundBatch:
         if not ((avail == 0) | (avail == 1)).all():
             raise DomainError("availability entries must be 0 or 1")
         b = refs.shape[1]
-        held = set(avail.sum(axis=1).tolist())
+        held = set(avail.sum(axis=1).astype(int).tolist())
         if len(held) != 1:
             got = sorted(b - h for h in held)
             raise DomainError(f"every round must have the same r, got r in {got}")
@@ -234,11 +248,11 @@ class RoundBatch:
 
 def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
     """One round per seed, stacked: row t holds the round that
-    generate_instance(n, b, q, r, seeds[t]) draws."""
+    generate_instance(n, b, q, r, seeds[t]) draws.  A seed may be a Generator,
+    which draws the round from where its stream stands."""
     check_quality(q)
     check_setting(n, b, r)
-    draws = [_draw_round(np.random.default_rng(seed), n, b, q, r) for seed in seeds]
-    if not draws:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
         raise DomainError("sample_rounds needs at least one seed")
-    refs, avail, cands = (np.stack(field) for field in zip(*draws))
-    return RoundBatch(refs, avail, cands)
+    return RoundBatch(*_draw_round(rngs, n, b, q, r))

@@ -2,10 +2,12 @@
 
 Every trial draws from a documented substream derivation: the two children
 of SeedSequence([*cell_seed, trial_index]), one for instance sampling and one
-for policy randomness, each built directly from its spawn key.  A cell's
-trials run through the batch engine in batches of CHUNK, and aggregation
-reduces per-trial integer results in trial-index order, so results are
-bit-identical for any worker count.
+for policy randomness, each built directly from its spawn key (trial_stream).
+A batch derives the state words of all its streams at once as arrays
+(stream_words), equal to the words SeedSequence generates, and seeds one
+PCG64 Generator per trial from them.  A cell's trials run through the batch
+engine in batches of CHUNK, and aggregation reduces per-trial integer results
+in trial-index order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,10 +22,27 @@ from typing import Optional, Sequence
 import numpy as np
 
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, check_quality, learning_cutoff, sample_rounds, seed_entropy
+from seqselect.core import (
+    ContractError,
+    DomainError,
+    check_quality,
+    learning_cutoff,
+    sample_rounds,
+    seed_entropy,
+)
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
+
+# SeedSequence's hash constants and pool size, as numpy publishes them
+# (numpy/random/bit_generator.pyx), after Melissa O'Neill's seed_seq_fe.
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
+POOL_SIZE = 4
+STATE_WORDS = 8  # PCG64 seeds from generate_state(4, uint64), 8 words of 32 bits
 
 
 @dataclass(frozen=True)
@@ -92,18 +111,113 @@ def clamp_workers(workers: int, cpus: Optional[int]) -> int:
 def trial_stream(cell_seed: Sequence[int], trial_index: int, child: int) -> np.random.SeedSequence:
     """trial_seed(cell_seed, trial_index).spawn(2)[child] (0 samples the
     instance, 1 drives the policy), built directly from its spawn key, which
-    skips the parent's own mix."""
+    skips the parent's own mix.  The documented reference: a batch of trials
+    derives the same streams' state words at once with stream_words."""
     return np.random.SeedSequence([*cell_seed, trial_index], spawn_key=(child,))
+
+
+def _int_words(x: int) -> list:
+    """One entropy element as SeedSequence coerces it: its little-endian
+    32-bit words, [0] for 0."""
+    words = [x & MASK32]
+    while x > MASK32:
+        x >>= 32
+        words.append(x & MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant, as (before, after) each step."""
+    while True:
+        after = init * mult & MASK32
+        yield init, after
+        init = after
+
+
+def _state_words(columns: list) -> np.ndarray:
+    """(T, STATE_WORDS) uint32: row t is what SeedSequence's mix_entropy and
+    generate_state make of the assembled entropy whose words are
+    columns[k][t], at least POOL_SIZE of them, all in uint32 arithmetic."""
+    hash_a = _hash_constants(INIT_A, MULT_A)
+
+    def hashmix(value):
+        before, after = next(hash_a)
+        value = (value ^ before) * after
+        return value ^ (value >> XSHIFT)
+
+    def mix(x, y):
+        result = x * MIX_MULT_L - y * MIX_MULT_R
+        return result ^ (result >> XSHIFT)
+
+    pool = [hashmix(column) for column in columns[:POOL_SIZE]]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in columns[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(column))
+    words = np.empty((len(columns[0]), STATE_WORDS), dtype=np.uint32)
+    hash_b = _hash_constants(INIT_B, MULT_B)
+    for k in range(STATE_WORDS):
+        before, after = next(hash_b)
+        value = (pool[k % POOL_SIZE] ^ before) * after
+        words[:, k] = value ^ (value >> XSHIFT)
+    return words
+
+
+def stream_words(cell_seed: Sequence[int], start: int, stop: int, child: int) -> np.ndarray:
+    """(stop - start, STATE_WORDS) uint32: row k is
+    trial_stream(cell_seed, start + k, child).generate_state(STATE_WORDS),
+    for every trial of start..stop-1 at once.
+
+    The entropy is assembled as SeedSequence assembles it: the words of each
+    element of [*cell_seed, i], zeros up to the pool size, then the words of
+    the spawn key (child,).  Trial indices must lie below 2**32, so that each
+    is one word.
+    """
+    if not 0 <= start <= stop <= 2**32:
+        raise DomainError(f"trial indices must lie in [0, 2**32), got {start}..{stop}")
+    index = np.arange(start, stop, dtype=np.uint32)
+    prefix = [word for x in cell_seed for word in _int_words(x)]
+    padding = [0] * (POOL_SIZE - len(prefix) - 1)
+
+    def constant(word):
+        return np.full(len(index), word, dtype=np.uint32)
+
+    columns = [*map(constant, prefix), index, *map(constant, padding + _int_words(child))]
+    return _state_words(columns)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """The seed of one PCG64: a row of stream_words as the uint64 words that
+    generate_state(4, np.uint64) gives, all that PCG64 asks of its seed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if np.dtype(dtype) != np.uint64 or n_words > len(self.state):
+            raise ContractError(f"holds {len(self.state)} uint64 words, "
+                                f"asked for {n_words} of {np.dtype(dtype)}")
+        return self.state[:n_words]
+
+
+def trial_generators(cell_seed: Sequence[int], start: int, stop: int, child: int) -> list:
+    """default_rng(trial_stream(cell_seed, i, child)) for i in start..stop-1,
+    seeded from stream_words."""
+    words = stream_words(cell_seed, start, stop, child)
+    # each uint64 word is two state words, low word first, as SeedSequence pairs them
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(state))) for state in states]
 
 
 def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, start: int, stop: int) -> np.ndarray:
     """(regret, hires, failures) of trials start..stop-1, one row each, run
     as one batch."""
-    def streams(child):
-        return [trial_stream(cell_seed, i, child) for i in range(start, stop)]
-
-    batch = sample_rounds(n, b, q, r, streams(0))
-    return run_policy_batch(batch, spec, streams(1) if spec.variant == "rand" else None)
+    batch = sample_rounds(n, b, q, r, trial_generators(cell_seed, start, stop, 0))
+    rand_seeds = trial_generators(cell_seed, start, stop, 1) if spec.variant == "rand" else None
+    return run_policy_batch(batch, spec, rand_seeds)
 
 
 def run_cell(
