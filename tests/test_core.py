@@ -297,13 +297,13 @@ class TestRoundBatch:
         (0, [[0.9, 0.4]], [[1, 2]], [[0.1, 0.2, 0.3]], "availability entries must be 0 or 1"),
         (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1, 0.2, 0.3]] * 2,
          "every round must have the same r, got r in \\[0, 1\\]"),
-        (1, [[0.9, 0.4]] * 2, [[1., 0.], [1., 1.]], [[0.1, 0.2, 0.3]] * 2,
-         "every round must have the same r, got r in \\[0, 1\\]"),
         (0, [[0.9, 0.4]], [[1, 1]], [[0.1, math.nan, 0.3]], "scores must be finite"),
         (0, [[math.inf, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "scores must be finite"),
         (0, [[0.4, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "strictly descending"),
         (0, [0.9, 0.4], [1, 1], [0.1, 0.2, 0.3], "must be \\(T, b\\) arrays"),
         (2, [[0.9, 0.4]], [[0, 0]], [[0.1]], "need 0 <= r <= b <= n and b >= 1"),
+        (1, [[0.9, 0.4]] * 2, [[1., 0.], [1., 1.]], [[0.1, 0.2, 0.3]] * 2,
+         "every round must have the same r, got r in \\[0, 1\\]"),
     ])
     def test_domain_checks(self, r, refs, avail, cands, message):
         assert (np.asarray(avail) == 0).sum() == r
