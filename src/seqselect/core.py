@@ -8,6 +8,7 @@ rank 1 is the best score.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,25 +127,104 @@ def compute_quality(instance: Instance) -> float:
     return 1.0 - (mean_rank - x_min) / instance.n
 
 
-def _draw_round(rngs, n: int, b: int, q: float, r: int):
-    """The rounds that the Generators rngs draw, one row each, as arrays:
-    (T, b) reference_scores, (T, b) availability and (T, n) candidate_scores.
-    The one home of the sampling law that generate_instance documents.
+MASK32 = 0xFFFFFFFF  # the low 32 bits of a word
+# a seed that continues its own stream; any other seed starts a fresh one
+_CONTINUING = (np.random.Generator, np.random.BitGenerator)
 
-    Each Generator makes two calls per round, so it draws what uniform(0, 1,
-    n), uniform(lo, hi, b) and choice draw, in that order: random(n + b),
-    whose first n values are the candidates (uniform(0, 1) is 0 + 1 * u) and
-    whose last b become lo + (hi - lo) * u, uniform's own expression; then
-    choice(b, r, replace=False), whose positions resign.  The scaling and
-    the descending sort run once over all rows.
+
+def _floyd_word_count(b: int, r: int) -> int:
+    """The PCG64 words that choice(b, r, replace=False) takes when no draw
+    is rejected: one uint32 for each j of b-r..b-1 but j = 0, two per word."""
+    return (min(r, b - 1) + 1) // 2
+
+
+def _uint32s(words, bit_generator):
+    """A row's uint32 draws in PCG64's next_uint32 order: each word's low
+    half, then its high half, first of words, then of the words that
+    bit_generator draws next."""
+    for word in itertools.chain(map(int, words), iter(bit_generator.random_raw, None)):
+        yield word & MASK32
+        yield word >> 32
+
+
+def _floyd_row(draws, b: int, r: int) -> list:
+    """Floyd's sample of r positions of b, as choice(b, r, replace=False)
+    draws it from the uint32 iterator draws: Lemire's bounded integer in
+    [0, j] for j = b-r..b-1 (none at j = 0), j itself when that value was
+    already chosen.  A product whose low half lies below the threshold
+    (2**32 - 1 - j) % (j + 1) is rejected and drawn again."""
+    chosen = []
+    for j in range(b - r, b):
+        value = 0
+        if j:
+            threshold = (MASK32 - j) % (j + 1)
+            product = next(draws) * (j + 1)
+            while (product & MASK32) < threshold:
+                product = next(draws) * (j + 1)
+            value = product >> 32
+        chosen.append(j if value in chosen else value)
+    return chosen
+
+
+def _floyd_resigned(words: np.ndarray, b: int, r: int, bit_generators) -> np.ndarray:
+    """(T, b) bool: row t marks the r positions that _floyd_row draws from
+    the uint32 halves of row t of words, a (T, _floyd_word_count(b, r))
+    uint64 array, then of what bit_generators[t] draws next.  All rows draw
+    at once; a row with a rejected draw is drawn again on its own."""
+    halves = np.stack([words & MASK32, words >> 32], axis=2).reshape(len(words), -1)
+    resigned = np.zeros((len(words), b), dtype=bool)
+    rows = np.arange(len(words))
+    rejected = np.zeros(len(words), dtype=bool)
+    if r == b:  # j = 0 comes first and draws nothing: position 0
+        resigned[:, 0] = True
+    for k, j in enumerate(range(max(b - r, 1), b)):
+        product = halves[:, k] * np.uint64(j + 1)
+        rejected |= (product & MASK32) < (MASK32 - j) % (j + 1)
+        value = (product >> 32).astype(np.intp)
+        value[resigned[rows, value]] = j
+        resigned[rows, value] = True
+    for t in np.flatnonzero(rejected):
+        resigned[t] = False
+        resigned[t, _floyd_row(_uint32s(words[t], bit_generators[t]), b, r)] = True
+    return resigned
+
+
+def _draw_round(seeds, n: int, b: int, q: float, r: int):
+    """The rounds that seeds draw, one row each, as arrays: (T, b)
+    reference_scores, (T, b) availability and (T, n) candidate_scores.  The
+    one home of the sampling law that generate_instance documents.
+
+    Every row draws what uniform(0, 1, n), uniform(lo, hi, b) and
+    choice(b, r, replace=False) on default_rng(seed) draw, in that order:
+    n + b doubles, whose first n are the candidates (uniform(0, 1) is
+    0 + 1 * u) and whose last b become lo + (hi - lo) * u, uniform's own
+    expression; then the r positions that resign.
+
+    A Generator or BitGenerator seed continues its own stream, so its row
+    makes those two calls, random(n + b) and choice.  Any other seed starts
+    a fresh PCG64, which draws its row as one block of raw words:
+    (word >> 11) * 2**-53 is PCG64's double, and the resigned positions are
+    Floyd's set over the words' uint32 halves (_floyd_resigned), the set
+    that choice draws.  choice's final shuffle only reorders that set and
+    leaves a stream that no one reads again, so it is skipped.  The word
+    rows, the scaling and the descending sort run once over all rows.
     """
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
-    draws = np.empty((len(rngs), n + b))
-    avail = np.ones((len(rngs), b), dtype=np.int64)
-    for t, rng in enumerate(rngs):
+    draws = np.empty((len(seeds), n + b))
+    avail = np.ones((len(seeds), b), dtype=np.int64)
+    # choice runs Floyd's algorithm unless b > 10000 and r > b // 50
+    floyd = b <= 10000 or r <= b // 50
+    fresh = np.array([floyd and not isinstance(seed, _CONTINUING) for seed in seeds])
+    for t in np.flatnonzero(~fresh):
+        rng = np.random.default_rng(seeds[t])
         rng.random(out=draws[t])
         if r > 0:
             avail[t, rng.choice(b, size=r, replace=False)] = 0
+    if fresh.any():
+        bit_generators = [np.random.PCG64(seeds[t]) for t in np.flatnonzero(fresh)]
+        words = np.array([g.random_raw(n + b + _floyd_word_count(b, r)) for g in bit_generators])
+        draws[fresh] = (words[:, : n + b] >> 11) * 2.0**-53  # below 2**53: exact as a double
+        avail[fresh] = ~_floyd_resigned(words[:, n + b :], b, r, bit_generators)
     refs = draws[:, n:]  # scaled and sorted in place: lo + (hi - lo) * u, ascending
     refs *= hi - lo
     refs += lo
@@ -159,11 +239,14 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
     Candidates are i.i.d. Uniform(0,1).  Referents are i.i.d. Uniform on
     (max(0, 2q-1), min(1, 2q)), sorted descending, which yields quality q in
     expectation; exactly r of the b positions are marked resigned, uniformly
-    at random.
+    at random.  The round is what uniform(0, 1, n), uniform(lo, hi, b) and
+    choice(b, r, replace=False) on default_rng(seed) draw (_draw_round).  A
+    Generator or BitGenerator seed draws it from where its stream stands
+    and is left where those three calls leave it.
     """
     check_quality(q)
     check_setting(n, b, r)
-    refs, avail, cands = _draw_round([np.random.default_rng(seed)], n, b, q, r)
+    refs, avail, cands = _draw_round([seed], n, b, q, r)
     return Instance(refs[0], avail[0], cands[0])
 
 
@@ -248,11 +331,13 @@ class RoundBatch:
 
 def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
     """One round per seed, stacked: row t holds the round that
-    generate_instance(n, b, q, r, seeds[t]) draws.  A seed may be a Generator,
-    which draws the round from where its stream stands."""
+    generate_instance(n, b, q, r, seeds[t]) draws.  A Generator or
+    BitGenerator seed draws its round from where its stream stands; the
+    other seeds' rounds are drawn together, from one block of raw PCG64
+    words each (_draw_round)."""
     check_quality(q)
     check_setting(n, b, r)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if not rngs:
+    seeds = list(seeds)
+    if not seeds:
         raise DomainError("sample_rounds needs at least one seed")
-    return RoundBatch(*_draw_round(rngs, n, b, q, r))
+    return RoundBatch(*_draw_round(seeds, n, b, q, r))

@@ -4,10 +4,12 @@ Every trial draws from a documented substream derivation: the two children
 of SeedSequence([*cell_seed, trial_index]), one for instance sampling and one
 for policy randomness, each built directly from its spawn key (trial_stream).
 A batch derives the state words of all its streams at once as arrays
-(stream_words), equal to the words SeedSequence generates, and seeds one
-PCG64 Generator per trial from them.  A cell's trials run through the batch
-engine in batches of CHUNK, and aggregation reduces per-trial integer results
-in trial-index order, so results are bit-identical for any worker count.
+(stream_words), equal to the words SeedSequence generates, and hands each
+trial its row as a PCG64 seed (trial_streams), not a Generator:
+sample_rounds draws every fresh seed's round from one block of raw PCG64
+words, all rows at once.  A cell's trials run through the batch engine in
+batches of CHUNK, and aggregation reduces per-trial integer results in
+trial-index order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from seqselect.analytics import translate_cutoff
 from seqselect.core import (
+    MASK32,
     ContractError,
     DomainError,
     check_quality,
@@ -36,7 +39,6 @@ CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial c
 
 # SeedSequence's hash constants and pool size, as numpy publishes them
 # (numpy/random/bit_generator.pyx), after Melissa O'Neill's seed_seq_fe.
-MASK32 = 0xFFFFFFFF
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -197,26 +199,28 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if np.dtype(dtype) != np.uint64 or n_words > len(self.state):
+        # PCG64 asks for (4, np.uint64): the identity test spares it np.dtype's cost
+        if not (dtype is np.uint64 or np.dtype(dtype) == np.uint64) or n_words > len(self.state):
             raise ContractError(f"holds {len(self.state)} uint64 words, "
                                 f"asked for {n_words} of {np.dtype(dtype)}")
         return self.state[:n_words]
 
 
-def trial_generators(cell_seed: Sequence[int], start: int, stop: int, child: int) -> list:
-    """default_rng(trial_stream(cell_seed, i, child)) for i in start..stop-1,
-    seeded from stream_words."""
+def trial_streams(cell_seed: Sequence[int], start: int, stop: int, child: int) -> list:
+    """The seeds of trials start..stop-1, built from stream_words: seed i
+    seeds the PCG64 that trial_stream(cell_seed, i, child) seeds, so
+    default_rng of it draws what default_rng(trial_stream(...)) draws."""
     words = stream_words(cell_seed, start, stop, child)
     # each uint64 word is two state words, low word first, as SeedSequence pairs them
     states = words.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_StateWords(state))) for state in states]
+    return [_StateWords(state) for state in states]
 
 
 def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, start: int, stop: int) -> np.ndarray:
     """(regret, hires, failures) of trials start..stop-1, one row each, run
     as one batch."""
-    batch = sample_rounds(n, b, q, r, trial_generators(cell_seed, start, stop, 0))
-    rand_seeds = trial_generators(cell_seed, start, stop, 1) if spec.variant == "rand" else None
+    batch = sample_rounds(n, b, q, r, trial_streams(cell_seed, start, stop, 0))
+    rand_seeds = trial_streams(cell_seed, start, stop, 1) if spec.variant == "rand" else None
     return run_policy_batch(batch, spec, rand_seeds)
 
 

@@ -1,11 +1,15 @@
 """Property tests that pin the trial streams and the sampling law to numpy.
 
 A batch of trials derives its SeedSequence state words as arrays
-(stream_words) and draws each round with one random(n + b) call and one
-choice call (core._draw_round).  Both are twins of numpy's own calls, so
-both are held here to numpy itself: the words to SeedSequence's, the
-Generators to default_rng(trial_stream(...)), and every round to the
-three-call law written out below.
+(stream_words) and hands each trial its row as a PCG64 seed
+(trial_streams).  core._draw_round draws a fresh seed's round from one
+block of raw PCG64 words: the doubles as PCG64's next_double makes them and
+the resigned positions as Floyd's set that choice draws
+(core._floyd_resigned); a Generator seed makes numpy's own two calls,
+random(n + b) and choice.  Every piece is a twin of numpy's own, so each is
+held here to numpy itself: the words to SeedSequence's, the seeds to
+default_rng(trial_stream(...)), Floyd's set to choice, and every round to
+the three-call law written out below.
 """
 
 import numpy as np
@@ -15,8 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from seqselect.core import DomainError, generate_instance, sample_rounds  # noqa: E402
-from seqselect.montecarlo import stream_words, trial_generators, trial_stream  # noqa: E402
+from seqselect.core import (  # noqa: E402
+    DomainError,
+    _floyd_resigned,
+    _floyd_word_count,
+    generate_instance,
+    sample_rounds,
+)
+from seqselect.montecarlo import stream_words, trial_stream, trial_streams  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -72,9 +82,10 @@ def test_stream_words_are_seedsequence_words(cell_seed, child, bounds):
 def test_generators_draw_as_the_reference_streams(cell_seed, child, bounds, b_r, low, width):
     start, stop = (min(index, 2**32) for index in bounds)  # indices in range
     b, r = b_r
-    generators = trial_generators(cell_seed, start, stop, child)
-    assert len(generators) == stop - start
-    for i, rng in zip(range(start, stop), generators):
+    seeds = trial_streams(cell_seed, start, stop, child)
+    assert len(seeds) == stop - start
+    for i, seed in zip(range(start, stop), seeds):
+        rng = np.random.default_rng(seed)
         reference = np.random.default_rng(trial_stream(cell_seed, i, child))
         for draw in (lambda g: g.random(b), lambda g: g.choice(b, r, replace=False),
                      lambda g: g.uniform(low, low + width, b), lambda g: g.random()):
@@ -103,3 +114,108 @@ def test_rounds_follow_numpys_three_call_law(nbr, q, seeds):
         assert batch.reference_scores[t].tolist() == refs
         assert batch.availability[t].tolist() == avail
         assert batch.candidate_scores[t].tolist() == cands
+
+
+def grid_settings():
+    """(n, b, r) over b in {1, 2, 3, 5, 20, 64}, r in {0, 1, b - 1, b} and
+    n in {b, 100}."""
+    for b in (1, 2, 3, 5, 20, 64):
+        for r in sorted({0, 1, b - 1, b}):
+            for n in sorted({b, 100}):
+                yield n, b, r
+
+
+def assert_rows_follow_the_law(batch, references, n, b, q, r):
+    """Row t of batch is the round that three_call_law draws on references[t]."""
+    assert len(batch) == len(references)
+    for t, rng in enumerate(references):
+        refs, avail, cands = three_call_law(rng, n, b, q, r)
+        assert batch.reference_scores[t].tolist() == refs
+        assert batch.availability[t].tolist() == avail
+        assert batch.candidate_scores[t].tolist() == cands
+
+
+@pytest.mark.parametrize("n, b, r", list(grid_settings()))
+def test_fresh_and_continuing_rows_follow_the_law(n, b, r):
+    int_seeds = [0, 1, 2**32 - 1, 2**63 + 11, *range(7, 200, 17)]
+    sequences = [np.random.SeedSequence([b, r, k]) for k in range(len(int_seeds))]
+    streams = trial_streams((n, b, r), 0, len(int_seeds), 0)
+    for q in (1e-9, 0.3, 0.5, 0.81, 1 - 1e-9):
+        for seeds in (int_seeds, sequences, streams):
+            batch = sample_rounds(n, b, q, r, seeds)
+            assert_rows_follow_the_law(batch, [np.random.default_rng(s) for s in seeds], n, b, q, r)
+        # fresh seeds and Generators in one call: a Generator draws its round
+        # from where its stream stands and is left where the three calls leave it
+        shared, shared_reference = np.random.default_rng(5), np.random.default_rng(5)
+        shared.random(3), shared_reference.random(3)
+        bit_generator = np.random.PCG64(6)
+        seeds = [int_seeds[0], shared, sequences[1], bit_generator, streams[2], shared]
+        references = [np.random.default_rng(int_seeds[0]), shared_reference,
+                      np.random.default_rng(sequences[1]), np.random.default_rng(6),
+                      np.random.default_rng(streams[2]), shared_reference]
+        assert_rows_follow_the_law(sample_rounds(n, b, q, r, seeds), references, n, b, q, r)
+        assert shared.random() == shared_reference.random()
+        assert bit_generator.random_raw() == references[3].bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("r", [200, 201])
+def test_rows_past_floyds_range_follow_the_law(r):
+    # at b > 10000 choice leaves Floyd's algorithm for a tail shuffle once
+    # r > b // 50 = 200, and every row then makes numpy's own calls
+    seeds = [3, np.random.SeedSequence(4)]
+    batch = sample_rounds(10001, 10001, 0.5, r, seeds)
+    assert_rows_follow_the_law(batch, [np.random.default_rng(s) for s in seeds], 10001, 10001, 0.5, r)
+
+
+def words_of(*halves):
+    """uint64 words from uint32 halves, each word's low half first."""
+    return [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
+
+
+def test_a_rejected_draw_takes_the_rows_next_uint32():
+    # at j = 2 the threshold is (2**32 - 3) % 3 = 1, so a zero uint32 is
+    # rejected; choice(3, 1) draws once, at j = 2, and a half of 2**31 gives 1
+    assert (2**32 - 1 - 2) % 3 == 1
+    continuation = [np.random.PCG64(k) for k in range(3)]
+    words = np.array([words_of(0, 2**31), words_of(1, 2**31), words_of(2**31, 0)], dtype=np.uint64)
+    assert _floyd_word_count(3, 1) == 1
+    resigned = _floyd_resigned(words, 3, 1, continuation)
+    # row 0 skips its zero and takes its high half; row 1's product 3 keeps
+    # low half 3 >= 1 and gives 0; row 2's low half is not rejected
+    assert [np.flatnonzero(row).tolist() for row in resigned] == [[1], [0], [1]]
+
+
+def test_a_row_rejected_past_its_words_draws_from_its_bit_generator():
+    # both halves of the row's one word are rejected at j = 2: the row then
+    # draws its next words from its own bit generator, which is not re-seeded
+    continuation = np.random.PCG64(8)
+    expected = np.random.Generator(np.random.PCG64(8)).choice(3, 1, replace=False).tolist()
+    words = np.array([words_of(0, 0), words_of(2**31, 2**31)], dtype=np.uint64)
+    resigned = _floyd_resigned(words, 3, 1, [continuation, np.random.PCG64(9)])
+    assert [np.flatnonzero(row).tolist() for row in resigned] == [expected, [1]]
+    # later steps of a rejected row draw on from where its rejection left it:
+    # choice(4, 2) draws at j = 2 (its two zeros rejected, then the low half
+    # of the bit generator's next word), then at j = 3 (that word's high half)
+    word = int(np.random.PCG64(10).random_raw())
+    at_2, at_3 = (word & 0xFFFFFFFF) * 3 >> 32, (word >> 32) * 4 >> 32
+    expected = sorted({at_2, 3 if at_3 == at_2 else at_3})
+    words = np.array([words_of(0, 0)], dtype=np.uint64)
+    resigned = _floyd_resigned(words, 4, 2, [np.random.PCG64(10)])
+    assert np.flatnonzero(resigned[0]).tolist() == expected
+
+
+def test_floyd_from_words_is_chosen_by_choice():
+    # 10,000 seeded streams: the helper's set is choice's set
+    rng = np.random.default_rng(2024)
+    settings = {}
+    for seed in range(10_000):
+        b = int(rng.integers(1, 65))
+        settings.setdefault((b, int(rng.integers(0, b + 1))), []).append(seed)
+    for (b, r), seeds in settings.items():
+        bit_generators = [np.random.PCG64(seed) for seed in seeds]
+        words = np.array([g.random_raw(_floyd_word_count(b, r)) for g in bit_generators],
+                         dtype=np.uint64).reshape(len(seeds), -1)
+        resigned = _floyd_resigned(words, b, r, bit_generators)
+        for seed, row in zip(seeds, resigned):
+            chosen = np.random.Generator(np.random.PCG64(seed)).choice(b, r, replace=False)
+            assert np.flatnonzero(row).tolist() == sorted(chosen.tolist())
