@@ -8,7 +8,6 @@ rank 1 is the best score.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -138,55 +137,31 @@ def _floyd_word_count(b: int, r: int) -> int:
     return (min(r, b - 1) + 1) // 2
 
 
-def _uint32s(words, bit_generator):
-    """A row's uint32 draws in PCG64's next_uint32 order: each word's low
-    half, then its high half, first of words, then of the words that
-    bit_generator draws next."""
-    for word in itertools.chain(map(int, words), iter(bit_generator.random_raw, None)):
-        yield word & MASK32
-        yield word >> 32
-
-
-def _floyd_row(draws, b: int, r: int) -> list:
+def _floyd_resigned(words: np.ndarray, b: int, r: int):
     """Floyd's sample of r positions of b, as choice(b, r, replace=False)
-    draws it from the uint32 iterator draws: Lemire's bounded integer in
-    [0, j] for j = b-r..b-1 (none at j = 0), j itself when that value was
-    already chosen.  A product whose low half lies below the threshold
-    (2**32 - 1 - j) % (j + 1) is rejected and drawn again."""
-    chosen = []
-    for j in range(b - r, b):
-        value = 0
-        if j:
-            threshold = (MASK32 - j) % (j + 1)
-            product = next(draws) * (j + 1)
-            while (product & MASK32) < threshold:
-                product = next(draws) * (j + 1)
-            value = product >> 32
-        chosen.append(j if value in chosen else value)
-    return chosen
-
-
-def _floyd_resigned(words: np.ndarray, b: int, r: int, bit_generators) -> np.ndarray:
-    """(T, b) bool: row t marks the r positions that _floyd_row draws from
-    the uint32 halves of row t of words, a (T, _floyd_word_count(b, r))
-    uint64 array, then of what bit_generators[t] draws next.  All rows draw
-    at once; a row with a rejected draw is drawn again on its own."""
-    halves = np.stack([words & MASK32, words >> 32], axis=2).reshape(len(words), -1)
-    resigned = np.zeros((len(words), b), dtype=bool)
-    rows = np.arange(len(words))
-    rejected = np.zeros(len(words), dtype=bool)
+    draws it from the uint32 halves of each row of words, a
+    (T, _floyd_word_count(b, r)) uint64 array, low half first: Lemire's
+    bounded integer (u32 * (j + 1)) >> 32 in [0, j] for j = b-r..b-1 (none
+    at j = 0), j itself when that value was already chosen.  Returns the
+    (T, b) bool sets and the (T,) bool rows where choice would reject a
+    draw, a product whose low half lies below the threshold
+    (2**32 - 1 - j) % (j + 1), and draw past the words: those rows' sets
+    are not choice's.  All rows draw at once, one j at a time."""
+    T = len(words)
+    steps = np.arange(max(b - r, 1), b, dtype=np.uint64)  # the j that draw
+    # as little-endian uint32 pairs each word is its low half, then its high half
+    products = words.astype("<u8").view("<u4")[:, : len(steps)] * (steps + 1)
+    rejected = ((products & MASK32) < (MASK32 - steps) % (steps + 1)).any(axis=1)
+    # positions in the flat (T * b) result, one row of T per j: row t's v is t * b + v
+    starts = np.arange(T) * b
+    values = (products >> 32).astype(np.intp).T + starts
+    at_step = steps.astype(np.intp)[:, None] + starts
+    resigned = np.zeros(T * b, dtype=bool)
     if r == b:  # j = 0 comes first and draws nothing: position 0
-        resigned[:, 0] = True
-    for k, j in enumerate(range(max(b - r, 1), b)):
-        product = halves[:, k] * np.uint64(j + 1)
-        rejected |= (product & MASK32) < (MASK32 - j) % (j + 1)
-        value = (product >> 32).astype(np.intp)
-        value[resigned[rows, value]] = j
-        resigned[rows, value] = True
-    for t in np.flatnonzero(rejected):
-        resigned[t] = False
-        resigned[t, _floyd_row(_uint32s(words[t], bit_generators[t]), b, r)] = True
-    return resigned
+        resigned[starts] = True
+    for value, j in zip(values, at_step):
+        resigned[np.where(resigned[value], j, value)] = True
+    return resigned.reshape(T, b), rejected
 
 
 def _draw_round(seeds, n: int, b: int, q: float, r: int):
@@ -196,35 +171,48 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
 
     Every row draws what uniform(0, 1, n), uniform(lo, hi, b) and
     choice(b, r, replace=False) on default_rng(seed) draw, in that order:
-    n + b doubles, whose first n are the candidates (uniform(0, 1) is
-    0 + 1 * u) and whose last b become lo + (hi - lo) * u, uniform's own
+    random(n + b), whose first n doubles are the candidates (uniform(0, 1)
+    is 0 + 1 * u) and whose last b become lo + (hi - lo) * u, uniform's own
     expression; then the r positions that resign.
 
     A Generator or BitGenerator seed continues its own stream, so its row
-    makes those two calls, random(n + b) and choice.  Any other seed starts
-    a fresh PCG64, which draws its row as one block of raw words:
-    (word >> 11) * 2**-53 is PCG64's double, and the resigned positions are
-    Floyd's set over the words' uint32 halves (_floyd_resigned), the set
-    that choice draws.  choice's final shuffle only reorders that set and
-    leaves a stream that no one reads again, so it is skipped.  The word
-    rows, the scaling and the descending sort run once over all rows.
+    makes numpy's own calls, random(n + b) and choice.  So does every row
+    when r = 0, when choice would leave Floyd's algorithm, and when the
+    other, fresh seeds are too few for Floyd's loop to pay.  Otherwise each
+    fresh row draws random(n + b), then the raw words whose uint32 halves
+    choice would read, and _floyd_resigned draws the resigned positions of
+    all those rows at once.  choice's final shuffle only reorders that set
+    and leaves a stream that no one reads again, so it is skipped.  A row
+    where choice would reject a draw is drawn again by numpy's own calls.
+    The scaling and the descending sort run once over all rows.
     """
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
     draws = np.empty((len(seeds), n + b))
     avail = np.ones((len(seeds), b), dtype=np.int64)
-    # choice runs Floyd's algorithm unless b > 10000 and r > b // 50
-    floyd = b <= 10000 or r <= b // 50
-    fresh = np.array([floyd and not isinstance(seed, _CONTINUING) for seed in seeds])
+    fresh = np.array([not isinstance(seed, _CONTINUING) for seed in seeds])
+    # Floyd's loop costs about two choice calls to set up and less than one
+    # per pass, one pass per resigned position: it takes at least three
+    # fresh rows, and fewer passes than rows.  choice runs Floyd's algorithm
+    # unless b > 10000 and r > b // 50
+    count = fresh.sum()
+    if not (0 < r < count and count >= 3 and (b <= 10000 or r <= b // 50)):
+        fresh[:] = False
+    rows = np.flatnonzero(fresh)
+    words = np.empty((len(rows), _floyd_word_count(b, r)), dtype=np.uint64)
+    for k, t in enumerate(rows):
+        rng = np.random.default_rng(seeds[t])
+        rng.random(out=draws[t])
+        words[k] = rng.bit_generator.random_raw(words.shape[1])
+    if len(rows):
+        resigned, rejected = _floyd_resigned(words, b, r)
+        avail[rows] = ~resigned
+        fresh[rows[rejected]] = False
     for t in np.flatnonzero(~fresh):
         rng = np.random.default_rng(seeds[t])
         rng.random(out=draws[t])
+        avail[t] = 1
         if r > 0:
             avail[t, rng.choice(b, size=r, replace=False)] = 0
-    if fresh.any():
-        bit_generators = [np.random.PCG64(seeds[t]) for t in np.flatnonzero(fresh)]
-        words = np.array([g.random_raw(n + b + _floyd_word_count(b, r)) for g in bit_generators])
-        draws[fresh] = (words[:, : n + b] >> 11) * 2.0**-53  # below 2**53: exact as a double
-        avail[fresh] = ~_floyd_resigned(words[:, n + b :], b, r, bit_generators)
     refs = draws[:, n:]  # scaled and sorted in place: lo + (hi - lo) * u, ascending
     refs *= hi - lo
     refs += lo
@@ -332,9 +320,9 @@ class RoundBatch:
 def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
     """One round per seed, stacked: row t holds the round that
     generate_instance(n, b, q, r, seeds[t]) draws.  A Generator or
-    BitGenerator seed draws its round from where its stream stands; the
-    other seeds' rounds are drawn together, from one block of raw PCG64
-    words each (_draw_round)."""
+    BitGenerator seed draws its round from where its stream stands; when
+    there are enough other seeds, their resigned positions are drawn
+    together, from the raw words that choice would read (_draw_round)."""
     check_quality(q)
     check_setting(n, b, r)
     seeds = list(seeds)

@@ -2,14 +2,15 @@
 
 A batch of trials derives its SeedSequence state words as arrays
 (stream_words) and hands each trial its row as a PCG64 seed
-(trial_streams).  core._draw_round draws a fresh seed's round from one
-block of raw PCG64 words: the doubles as PCG64's next_double makes them and
-the resigned positions as Floyd's set that choice draws
-(core._floyd_resigned); a Generator seed makes numpy's own two calls,
-random(n + b) and choice.  Every piece is a twin of numpy's own, so each is
-held here to numpy itself: the words to SeedSequence's, the seeds to
-default_rng(trial_stream(...)), Floyd's set to choice, and every round to
-the three-call law written out below.
+(trial_streams).  core._draw_round draws every row's doubles with numpy's
+random(n + b); a batch of enough fresh seeds then takes the raw words that
+choice would read and draws the resigned positions of all its rows as
+Floyd's set (core._floyd_resigned), while a Generator seed, a small batch
+and a row that choice would reject make numpy's own choice call.  Every
+piece is a twin of numpy's own, so each is held here to numpy itself: the
+words to SeedSequence's, the seeds to default_rng(trial_stream(...)),
+Floyd's set to choice, and every round to the three-call law written out
+below.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from seqselect import core  # noqa: E402
 from seqselect.core import (  # noqa: E402
     DomainError,
     _floyd_resigned,
@@ -172,36 +174,59 @@ def words_of(*halves):
     return [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
 
 
-def test_a_rejected_draw_takes_the_rows_next_uint32():
+def test_a_rejected_draw_is_flagged():
     # at j = 2 the threshold is (2**32 - 3) % 3 = 1, so a zero uint32 is
-    # rejected; choice(3, 1) draws once, at j = 2, and a half of 2**31 gives 1
+    # rejected; choice(3, 1) draws once, at j = 2, from the row's first half
     assert (2**32 - 1 - 2) % 3 == 1
-    continuation = [np.random.PCG64(k) for k in range(3)]
-    words = np.array([words_of(0, 2**31), words_of(1, 2**31), words_of(2**31, 0)], dtype=np.uint64)
+    words = np.array([words_of(0, 2**31), words_of(1, 0), words_of(2**31, 0)], dtype=np.uint64)
     assert _floyd_word_count(3, 1) == 1
-    resigned = _floyd_resigned(words, 3, 1, continuation)
-    # row 0 skips its zero and takes its high half; row 1's product 3 keeps
-    # low half 3 >= 1 and gives 0; row 2's low half is not rejected
-    assert [np.flatnonzero(row).tolist() for row in resigned] == [[1], [0], [1]]
+    resigned, rejected = _floyd_resigned(words, 3, 1)
+    # row 0's zero is rejected; row 1's product 3 keeps low half 3 >= 1 and
+    # gives 0; row 2's half of 2**31 gives 1
+    assert rejected.tolist() == [True, False, False]
+    assert [np.flatnonzero(row).tolist() for row in resigned[1:]] == [[0], [1]]
+    # choice(4, 2) draws at j = 2, then at j = 3, whose threshold is 0: only
+    # a draw at j = 2 can be rejected, and it flags its row
+    words = np.array([words_of(0, 0), words_of(1, 0), words_of(2**31, 2**31)], dtype=np.uint64)
+    resigned, rejected = _floyd_resigned(words, 4, 2)
+    assert rejected.tolist() == [True, False, False]
+    assert [np.flatnonzero(row).tolist() for row in resigned[1:]] == [[0, 3], [1, 2]]
 
 
-def test_a_row_rejected_past_its_words_draws_from_its_bit_generator():
-    # both halves of the row's one word are rejected at j = 2: the row then
-    # draws its next words from its own bit generator, which is not re-seeded
-    continuation = np.random.PCG64(8)
-    expected = np.random.Generator(np.random.PCG64(8)).choice(3, 1, replace=False).tolist()
-    words = np.array([words_of(0, 0), words_of(2**31, 2**31)], dtype=np.uint64)
-    resigned = _floyd_resigned(words, 3, 1, [continuation, np.random.PCG64(9)])
-    assert [np.flatnonzero(row).tolist() for row in resigned] == [expected, [1]]
-    # later steps of a rejected row draw on from where its rejection left it:
-    # choice(4, 2) draws at j = 2 (its two zeros rejected, then the low half
-    # of the bit generator's next word), then at j = 3 (that word's high half)
-    word = int(np.random.PCG64(10).random_raw())
-    at_2, at_3 = (word & 0xFFFFFFFF) * 3 >> 32, (word >> 32) * 4 >> 32
-    expected = sorted({at_2, 3 if at_3 == at_2 else at_3})
-    words = np.array([words_of(0, 0)], dtype=np.uint64)
-    resigned = _floyd_resigned(words, 4, 2, [np.random.PCG64(10)])
-    assert np.flatnonzero(resigned[0]).tolist() == expected
+def test_a_rejected_row_is_drawn_as_numpy_draws_it(monkeypatch):
+    # no seed reaches a rejection at these sizes (about j / 2**32 a draw), so
+    # the sampler is made to flag every other row and to mark all of its
+    # positions: those rows are drawn again, whole, by numpy's own calls
+    floyd_resigned = core._floyd_resigned
+
+    def flag_every_other_row(words, b, r):
+        resigned, rejected = floyd_resigned(words, b, r)
+        resigned[::2], rejected[::2] = True, True
+        return resigned, rejected
+
+    monkeypatch.setattr(core, "_floyd_resigned", flag_every_other_row)
+    n, b, q, r = 30, 10, 0.81, 3
+    seeds = [11, np.random.SeedSequence(12), *trial_streams((13,), 0, 3, 0), 14]
+    batch = sample_rounds(n, b, q, r, seeds)
+    assert_rows_follow_the_law(batch, [np.random.default_rng(s) for s in seeds], n, b, q, r)
+
+
+@pytest.mark.parametrize("count, r, floyd", [
+    (12, 4, True), (3, 2, True), (12, 0, False), (2, 1, False), (5, 5, False), (5, 6, False),
+])
+def test_floyds_loop_runs_for_fewer_passes_than_rows(monkeypatch, count, r, floyd):
+    # the loop makes one pass per resigned position over all fresh rows, so
+    # it runs for r < the fresh row count, and at least three rows; a
+    # Generator row is not counted
+    calls = []
+    floyd_resigned = core._floyd_resigned
+    monkeypatch.setattr(core, "_floyd_resigned",
+                        lambda words, b, r: calls.append(len(words)) or floyd_resigned(words, b, r))
+    seeds = [*range(count), np.random.default_rng(99)]
+    batch = sample_rounds(20, 8, 0.5, r, seeds)
+    assert calls == ([count] if floyd else [])
+    references = [np.random.default_rng(s) for s in range(count)] + [np.random.default_rng(99)]
+    assert_rows_follow_the_law(batch, references, 20, 8, 0.5, r)
 
 
 def test_floyd_from_words_is_chosen_by_choice():
@@ -212,10 +237,10 @@ def test_floyd_from_words_is_chosen_by_choice():
         b = int(rng.integers(1, 65))
         settings.setdefault((b, int(rng.integers(0, b + 1))), []).append(seed)
     for (b, r), seeds in settings.items():
-        bit_generators = [np.random.PCG64(seed) for seed in seeds]
-        words = np.array([g.random_raw(_floyd_word_count(b, r)) for g in bit_generators],
+        words = np.array([np.random.PCG64(seed).random_raw(_floyd_word_count(b, r)) for seed in seeds],
                          dtype=np.uint64).reshape(len(seeds), -1)
-        resigned = _floyd_resigned(words, b, r, bit_generators)
+        resigned, rejected = _floyd_resigned(words, b, r)
+        assert not rejected.any()
         for seed, row in zip(seeds, resigned):
             chosen = np.random.Generator(np.random.PCG64(seed)).choice(b, r, replace=False)
             assert np.flatnonzero(row).tolist() == sorted(chosen.tolist())
