@@ -189,28 +189,25 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
     draws = np.empty((len(seeds), n + b))
     avail = np.ones((len(seeds), b), dtype=np.int64)
-    fresh = np.array([not isinstance(seed, _CONTINUING) for seed in seeds])
+    rows = [t for t, seed in enumerate(seeds) if not isinstance(seed, _CONTINUING)]
+    left = range(len(seeds))  # the rows that call choice
     # Floyd's loop costs about two choice calls to set up and less than one
     # per pass, one pass per resigned position: it takes at least three
     # fresh rows, and fewer passes than rows.  choice runs Floyd's algorithm
     # unless b > 10000 and r > b // 50
-    count = fresh.sum()
-    if not (0 < r < count and count >= 3 and (b <= 10000 or r <= b // 50)):
-        fresh[:] = False
-    rows = np.flatnonzero(fresh)
-    words = np.empty((len(rows), _floyd_word_count(b, r)), dtype=np.uint64)
-    for k, t in enumerate(rows):
-        rng = np.random.default_rng(seeds[t])
-        rng.random(out=draws[t])
-        words[k] = rng.bit_generator.random_raw(words.shape[1])
-    if len(rows):
+    if 0 < r < len(rows) and len(rows) >= 3 and (b <= 10000 or r <= b // 50):
+        words = np.empty((len(rows), _floyd_word_count(b, r)), dtype=np.uint64)
+        for k, t in enumerate(rows):
+            rng = np.random.default_rng(seeds[t])
+            rng.random(out=draws[t])
+            words[k] = rng.bit_generator.random_raw(words.shape[1])
         resigned, rejected = _floyd_resigned(words, b, r)
+        resigned[rejected] = False  # choice would draw past the words: drawn below
         avail[rows] = ~resigned
-        fresh[rows[rejected]] = False
-    for t in np.flatnonzero(~fresh):
+        left = sorted(set(left).difference(rows).union(np.array(rows)[rejected].tolist()))
+    for t in left:
         rng = np.random.default_rng(seeds[t])
         rng.random(out=draws[t])
-        avail[t] = 1
         if r > 0:
             avail[t, rng.choice(b, size=r, replace=False)] = 0
     refs = draws[:, n:]  # scaled and sorted in place: lo + (hi - lo) * u, ascending

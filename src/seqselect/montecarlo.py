@@ -7,9 +7,10 @@ A batch derives the state words of all its streams at once as arrays
 (stream_words), equal to the words SeedSequence generates, and hands each
 trial its row as a PCG64 seed (trial_streams), not a Generator:
 sample_rounds draws the resigned positions of a batch's fresh seeds
-together, from the raw words that choice would read.  A cell's trials run through the batch engine in
-batches of CHUNK, and aggregation reduces per-trial integer results in
-trial-index order, so results are bit-identical for any worker count.
+together, from the raw words that choice would read.  A cell's trials run
+through the batch engine in batches of CHUNK, and aggregation reduces
+per-trial integer results in trial-index order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
