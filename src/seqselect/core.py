@@ -184,7 +184,9 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     all those rows at once.  choice's final shuffle only reorders that set
     and leaves a stream that no one reads again, so it is skipped.  A row
     where choice would reject a draw is drawn again by numpy's own calls.
-    The scaling and the descending sort run once over all rows.
+    The scaling and the descending sort run once over all rows.  A row
+    whose referents round to the same double leaves the law by a few ulps:
+    each tied referent moves just below its better neighbour.
     """
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
     draws = np.empty((len(seeds), n + b))
@@ -215,7 +217,13 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     refs += lo
     refs.sort(axis=1)
     # contiguous copies: on a small strided array every later numpy call costs more
-    return np.ascontiguousarray(refs[:, ::-1]), avail, np.ascontiguousarray(draws[:, :n])
+    refs = np.ascontiguousarray(refs[:, ::-1])
+    # a row with no tie is kept; in a tied row min keeps every entry already
+    # below its better neighbour
+    for t in np.flatnonzero((refs[:, 1:] >= refs[:, :-1]).any(axis=1)):
+        for k in range(1, b):
+            refs[t, k] = min(refs[t, k], np.nextafter(refs[t, k - 1], -np.inf))
+    return refs, avail, np.ascontiguousarray(draws[:, :n])
 
 
 def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:

@@ -98,11 +98,6 @@ class CellStats:
     trials: int
 
 
-def trial_seed(cell_seed: Sequence[int], trial_index: int) -> np.random.SeedSequence:
-    """Documented, stable substream derivation for one trial."""
-    return np.random.SeedSequence([*cell_seed, trial_index])
-
-
 def clamp_workers(workers: int, cpus: Optional[int]) -> int:
     """Worker processes to start: at least 1 requested, at most cpus (the
     machine's processor count, None when unknown)."""
@@ -112,10 +107,10 @@ def clamp_workers(workers: int, cpus: Optional[int]) -> int:
 
 
 def trial_stream(cell_seed: Sequence[int], trial_index: int, child: int) -> np.random.SeedSequence:
-    """trial_seed(cell_seed, trial_index).spawn(2)[child] (0 samples the
-    instance, 1 drives the policy), built directly from its spawn key, which
-    skips the parent's own mix.  The documented reference: a batch of trials
-    derives the same streams' state words at once with stream_words."""
+    """SeedSequence([*cell_seed, trial_index]).spawn(2)[child] (0 samples
+    the instance, 1 drives the policy), built directly from its spawn key,
+    which skips the parent's own mix.  The documented reference: a batch of
+    trials derives the same streams' state words at once with stream_words."""
     return np.random.SeedSequence([*cell_seed, trial_index], spawn_key=(child,))
 
 

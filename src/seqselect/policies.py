@@ -10,6 +10,7 @@ the step threshold counts as a failure.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -217,12 +218,11 @@ def run_adjusted_cutoff(instance: Instance, c: int, zone: ZoneConfig) -> Selecti
 def run_mean_baseline(instance: Instance) -> SelectionOutcome:
     """Accept a candidate iff the score beats the mean of the remaining
     available referents (0.5 when none remain); no learning phase."""
-    def threshold_at(j, l, in_place):
-        if not in_place:
-            return 0.5
-        return sum(instance.reference_scores[i] for i in in_place) / len(in_place)
-
-    return _run_round(instance, 0, threshold_at)
+    # means[k]: mean score of the first k available referents, those in place
+    # once len(in_place) = k, summed left to right as the batch engine's cumsum
+    available = [s for s, a in zip(instance.reference_scores, instance.availability) if a]
+    means = [0.5] + [total / k for k, total in enumerate(itertools.accumulate(available), 1)]
+    return _run_round(instance, 0, lambda j, l, in_place: means[len(in_place)])
 
 
 def _rand_thresholds(seeds, n: int) -> np.ndarray:
@@ -303,9 +303,10 @@ def _available_scores(batch: RoundBatch) -> np.ndarray:
 def _cutoff_batch(batch: RoundBatch, c: int, zone: Optional[ZoneConfig]) -> np.ndarray:
     """_cutoff_round over every round of batch, band included.
 
-    The band's threshold is the idx-th best score seen so far.  The scores
-    are kept in joint-rank order, best first (batch.ranks), with a mask of
-    those seen: the idx-th seen entry is the threshold.
+    Out of the band, a round's threshold is the idx-th best of the b + j - 1
+    scores seen before step j, read from those scores sorted, as the scalar
+    engine reads its sorted list; tied scores share one value, so which of
+    them counts first does not matter.
     """
     n, b, r = batch.n, batch.b, batch.r
     if zone is not None and len(zone.mu) != n:
@@ -325,13 +326,6 @@ def _cutoff_batch(batch: RoundBatch, c: int, zone: Optional[ZoneConfig]) -> np.n
         return _run_batch(batch, c_eff, lambda j, hires, in_place: plain(hires, in_place))
 
     pool = np.concatenate([batch.reference_scores, batch.candidate_scores], axis=1)
-    ranks = batch.ranks - 1
-    by_rank = np.empty_like(pool)
-    np.put_along_axis(by_rank, ranks, pool, axis=1)
-    seen = np.zeros(pool.shape, dtype=bool)
-    np.put_along_axis(seen, ranks[:, : b + c_eff], True, axis=1)
-    # position of the learning threshold among everything seen (1 = best)
-    m = (learning >= y_b[:, None]).sum(axis=1)
     d_plus = np.zeros(len(batch), dtype=np.int64)
     d_minus = np.zeros(len(batch), dtype=np.int64)
     mode = np.zeros(len(batch), dtype=np.int8)  # 0 in the band, 1 below, 2 above
@@ -341,15 +335,14 @@ def _cutoff_batch(batch: RoundBatch, c: int, zone: Optional[ZoneConfig]) -> np.n
         tau = plain(hires, in_place)
         out = np.flatnonzero((mode != 0) & (hires < b))
         if out.size:
-            idx = np.where(mode[out] == 1, m[out] + d_plus[out], m[out] - d_minus[out])
-            idx = np.clip(idx, 1, b + j - 1)  # b + j - 1 scores seen before step j
-            pos = (np.cumsum(seen[out], axis=1) < idx[:, None]).sum(axis=1)
-            tau[out] = by_rank[out, pos]
+            seen = np.sort(pool[out, : b + j - 1], axis=1)  # the idx-th best at b + j - 1 - idx
+            # position of the learning threshold among everything seen (1 = best)
+            m = (seen >= y_b[out, None]).sum(axis=1)
+            idx = np.where(mode[out] == 1, m + d_plus[out], m - d_minus[out])
+            tau[out] = seen[np.arange(out.size), b + j - 1 - np.clip(idx, 1, b + j - 1)]
         return tau
 
     def after_step(j, hires):
-        seen[rows, ranks[:, b + j - 1]] = True
-        m[:] += batch.candidate_scores[:, j - 1] >= y_b
         below = hires < mu[j - 1] - width[j - 1]
         above = ~below & (hires > mu[j - 1] + width[j - 1])
         inside = ~below & ~above

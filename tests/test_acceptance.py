@@ -22,7 +22,7 @@ from seqselect.analytics import (
     translate_cutoff,
 )
 from seqselect.core import generate_instance
-from seqselect.montecarlo import run_cell, trial_seed
+from seqselect.montecarlo import run_cell
 from seqselect.multiround import PopulationSpec, compare_policies
 from seqselect.policies import ZoneConfig, run_adjusted_cutoff, run_cutoff
 

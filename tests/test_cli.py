@@ -137,6 +137,13 @@ class TestSimulate:
                 ) == 2, (policy, c)
         assert not out.exists()
 
+    def test_tied_referents_draw(self, tmp_path):
+        # near q = 1 the sampler can round two referents to one double
+        assert run_cli(
+            ["simulate", "--n", "2000", "--b", "1000", "--c", "100", "--q", "0.999999999",
+             "--trials", "5", "--seed", "1", "--out", str(tmp_path / "t.csv")]
+        ) == 0
+
     def test_json_format(self, capsys):
         assert run_cli(
             ["simulate", "--n", "15", "--b", "2", "--c", "3", "--trials", "20",

@@ -13,7 +13,6 @@ from seqselect.montecarlo import (
     clamp_workers,
     regret_heatmap,
     run_cell,
-    trial_seed,
     trial_stream,
 )
 from seqselect.policies import VARIANTS, policy_spec, run_cutoff, run_policy
@@ -21,11 +20,11 @@ from seqselect.policies import VARIANTS, policy_spec, run_cutoff, run_policy
 
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):
     """run_cell's statistics from one scalar round per trial, on the
-    documented streams trial_seed(seed, i).spawn(2)."""
+    documented streams trial_stream(seed, i, 0) and trial_stream(seed, i, 1)."""
     spec = policy_spec(policy, n, b, r, q, c)
     rows = []
     for i in range(trials):
-        inst_ss, policy_ss = trial_seed((seed,), i).spawn(2)
+        inst_ss, policy_ss = trial_stream((seed,), i, 0), trial_stream((seed,), i, 1)
         out = run_policy(generate_instance(n, b, q, r, inst_ss), spec, rand_seed=policy_ss)
         rows.append((out.regret, out.hires, out.failures))
     data = np.array(rows)
@@ -47,7 +46,7 @@ class TestRunCell:
 
     def test_single_trial_composes_with_direct_run(self):
         stats = run_cell(25, 3, 6, 0.5, 1, "csm", 1, 7)
-        inst_ss, _ = trial_seed((7,), 0).spawn(2)
+        inst_ss = trial_stream((7,), 0, 0)
         direct = run_cutoff(generate_instance(25, 3, 0.5, 1, inst_ss), 6)
         assert stats.mean_regret == direct.regret
         assert stats.mean_hires == direct.hires
@@ -84,7 +83,7 @@ class TestRunCell:
     def test_direct_streams_are_the_spawned_children(self):
         for cell_seed in ((7,), (0, 5, 40), (2**40, 3)):
             for i in (0, 1, 513, 10**6):
-                children = trial_seed(cell_seed, i).spawn(2)
+                children = np.random.SeedSequence([*cell_seed, i]).spawn(2)
                 for child, spawned in enumerate(children):
                     direct = trial_stream(cell_seed, i, child)
                     assert np.array_equal(direct.generate_state(8), spawned.generate_state(8))
@@ -116,7 +115,7 @@ class TestRunCell:
         # with a small budget and no resignations, perfect rounds happen
         zero_hits = 0
         for i in range(300):
-            inst_ss, _ = trial_seed((11,), i).spawn(2)
+            inst_ss = trial_stream((11,), i, 0)
             if run_cutoff(generate_instance(20, 2, 0.5, 0, inst_ss), 5).regret == 0:
                 zero_hits += 1
         assert zero_hits > 0

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from seqselect.cli import build_parser
-from seqselect.core import DomainError, generate_instance, learning_cutoff, sample_rounds
+from seqselect.core import (
+    DomainError,
+    RoundBatch,
+    generate_instance,
+    learning_cutoff,
+    sample_rounds,
+)
 from seqselect.montecarlo import ExperimentSpec
 from seqselect.multiround import PopulationSpec, run_chain
 from seqselect.policies import (
@@ -237,6 +243,28 @@ class TestAdjustedCutoff:
                 out = run_policy(generate_instance(n, b, q, r, seed), spec)
                 assert row == [out.regret, out.hires, out.failures]
 
+    def test_batch_decisions_read_no_joint_ranks(self, monkeypatch):
+        # joint ranks only score a round: with them unreadable and the regret
+        # stubbed, every variant decides as before, acsm out of its band too
+        n, b, r, q, seeds = 20, 4, 2, 0.6, range(30)
+        zones = (ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n),  # above once it hires
+                 ZoneConfig(mu=(float(b),) * n, width=(0.0,) * n))  # below until full
+        specs = [PolicySpec(v, cutoff=5) for v in ("csm", "mean", "rand")]
+        specs += [PolicySpec("acsm", cutoff=5, zone=zone) for zone in zones]
+        expected = [run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)[:, 1:]
+                    for spec in specs]
+
+        def unreadable(batch):
+            raise AssertionError("a decision read the joint ranks")
+
+        monkeypatch.setattr(RoundBatch, "ranks", property(unreadable))
+        monkeypatch.setattr(RoundBatch, "regret",
+                            lambda batch, hired, kept: np.zeros(len(batch), dtype=np.int64))
+        for spec, want in zip(specs, expected):
+            got = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)
+            assert got[:, 0].tolist() == [0] * len(seeds)
+            assert np.array_equal(got[:, 1:], want), spec.variant
+
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)
         with pytest.raises(Exception):
@@ -260,6 +288,17 @@ class TestBaselines:
         out = run_mean_baseline(inst)
         assert out.threshold_trace[0] == pytest.approx(0.5)
         assert out.candidate_decisions[0] == 1
+
+    def test_mean_threshold_is_the_left_to_right_prefix_mean(self):
+        # these referents sum to 2.6500000000000004 left to right and to 2.65
+        # compensated (math.fsum, and sum() from Python 3.12 on); the threshold
+        # is the left-to-right mean, as the batch engine's cumsum sums it
+        refs = (0.95, 0.9, 0.8)
+        assert 0.95 + 0.9 + 0.8 != math.fsum(refs)
+        out = run_mean_baseline(make_instance(refs, [1, 1, 1], [0.99, 0.97, 0.1]))
+        assert out.candidate_decisions == (1, 1, 0)
+        assert out.threshold_trace == ((0.95 + 0.9 + 0.8) / 3, (0.95 + 0.9) / 2, 0.95)
+        assert out.threshold_trace[0] != math.fsum(refs) / 3
 
     def test_mean_never_downgrades_except_forced(self):
         rng = np.random.default_rng(4)

@@ -20,10 +20,12 @@ from hypothesis import strategies as st  # noqa: E402
 from seqselect.analytics import optimal_cutoff, resolve_cutoff  # noqa: E402
 from seqselect.core import (  # noqa: E402
     DomainError,
+    Instance,
+    RoundBatch,
     generate_instance,
     sample_rounds,
 )
-from seqselect.montecarlo import trial_seed, trial_stream  # noqa: E402
+from seqselect.montecarlo import trial_stream  # noqa: E402
 from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
@@ -116,12 +118,44 @@ def test_batch_engine_is_the_scalar_engine(setting, trials, seed, data):
     got = run_policy_batch(batch, spec, streams[1])
     optima = batch.offline_optimum()
     for i in range(trials):
-        inst_ss, policy_ss = trial_seed((seed,), i).spawn(2)
-        inst = generate_instance(n, b, q, r, inst_ss)
-        out = run_policy(inst, spec, rand_seed=policy_ss)
+        inst = generate_instance(n, b, q, r, trial_stream((seed,), i, 0))
+        out = run_policy(inst, spec, rand_seed=trial_stream((seed,), i, 1))
         assert got[i].tolist() == [out.regret, out.hires, out.failures]
         assert got[i, 0] == brute_force_regret(inst, out)
         assert optima[i] == brute_force_optimum(inst)
+
+
+# a coarse grid: candidates tie each other, the referents and y_b
+GRID = tuple(k / 4 for k in range(5))
+
+
+@st.composite
+def tied_rounds(draw):
+    """Rounds of one setting (n, b, r) built from GRID scores, and a cutoff."""
+    b = draw(st.integers(1, 4))
+    n, r = draw(st.integers(b, 8)), draw(st.integers(0, b))
+    rounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        refs = sorted(draw(st.lists(st.sampled_from(GRID), min_size=b, max_size=b, unique=True)),
+                      reverse=True)
+        avail = draw(st.permutations([0] * r + [1] * (b - r)))
+        cands = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+        rounds.append(Instance(tuple(refs), tuple(avail), tuple(cands)))
+    return rounds, draw(st.integers(0, n))
+
+
+@SETTINGS
+@given(tied_rounds(), st.floats(0.05, 0.95), st.data())
+def test_batch_engine_is_the_scalar_engine_on_tied_scores(round_, q, data):
+    rounds, c = round_
+    n, b, r = rounds[0].n, rounds[0].b, rounds[0].r
+    spec = _cell_policy(data.draw, n, b, r, c, q)
+    batch = RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
+                         for name in ("reference_scores", "availability", "candidate_scores")))
+    got = run_policy_batch(batch, spec, range(len(rounds)))
+    for seed, inst in enumerate(rounds):
+        out = run_policy(inst, spec, rand_seed=seed)
+        assert got[seed].tolist() == [out.regret, out.hires, out.failures]
 
 
 @SETTINGS

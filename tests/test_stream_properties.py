@@ -169,6 +169,34 @@ def test_rows_past_floyds_range_follow_the_law(r):
     assert_rows_follow_the_law(batch, [np.random.default_rng(s) for s in seeds], 10001, 10001, 0.5, r)
 
 
+@pytest.mark.parametrize("n, b, q, r, count", [
+    (1000, 1000, 1 - 1e-9, 0, 20), (10001, 10001, 1 - 1e-7, 0, 20), (100, 20, 1 - 1e-12, 4, 512),
+])
+def test_tied_referents_move_just_below_their_better_neighbour(n, b, q, r, count):
+    # near q = 1 the law can round two referents to one double: such a row
+    # still draws, strictly descending, and leaves the law only at its ties
+    # (and where a moved referent pushes the next one down), by a few ulps
+    batch = sample_rounds(n, b, q, r, range(count))
+    tied_rows = []
+    for t in range(count):
+        refs, avail, cands = three_call_law(np.random.default_rng(t), n, b, q, r)
+        law, got = np.array(refs), batch.reference_scores[t]
+        assert batch.availability[t].tolist() == avail
+        assert batch.candidate_scores[t].tolist() == cands
+        ties = set((np.flatnonzero(law[1:] == law[:-1]) + 1).tolist())
+        moved = np.flatnonzero(got != law)
+        assert all(k in ties or k - 1 in moved for k in moved.tolist())
+        assert (got[moved] < law[moved]).all()
+        assert (law[moved] - got[moved] <= 4 * np.spacing(law[moved])).all()
+        if ties:
+            tied_rows.append(t)
+    assert tied_rows  # the law ties somewhere in these draws
+    for t in tied_rows:
+        inst = generate_instance(n, b, q, r, t)
+        assert list(inst.reference_scores) == batch.reference_scores[t].tolist()
+        assert list(inst.availability) == batch.availability[t].tolist()
+
+
 def words_of(*halves):
     """uint64 words from uint32 halves, each word's low half first."""
     return [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
