@@ -184,9 +184,10 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     all those rows at once.  choice's final shuffle only reorders that set
     and leaves a stream that no one reads again, so it is skipped.  A row
     where choice would reject a draw is drawn again by numpy's own calls.
-    The scaling and the descending sort run once over all rows.  A row
-    whose referents round to the same double leaves the law by a few ulps:
-    each tied referent moves just below its better neighbour.
+    The scaling and the descending sort run once over all rows.  A
+    referent that rounds to its better neighbour's double moves to the
+    double just below it: up to b - 1 ulps off the law, possibly below lo,
+    and DomainError below 0.
     """
     lo, hi = max(0.0, 2.0 * q - 1.0), min(1.0, 2.0 * q)
     draws = np.empty((len(seeds), n + b))
@@ -218,12 +219,13 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     refs.sort(axis=1)
     # contiguous copies: on a small strided array every later numpy call costs more
     refs = np.ascontiguousarray(refs[:, ::-1])
-    # a row with no tie is kept; in a tied row min keeps every entry already
-    # below its better neighbour
-    for t in np.flatnonzero((refs[:, 1:] >= refs[:, :-1]).any(axis=1)):
-        for k in range(1, b):
-            refs[t, k] = min(refs[t, k], np.nextafter(refs[t, k - 1], -np.inf))
-    return refs, avail, np.ascontiguousarray(draws[:, :n])
+    # bits[k] <= bits[k - 1] - 1 on the bit patterns of non-negative doubles,
+    # which order as the doubles do; a row with no tie is kept to the bit
+    steps = np.arange(b)
+    bits = np.minimum.accumulate(refs.view(np.int64) + steps, axis=1) - steps
+    if (bits[:, -1] < 0).any():
+        raise DomainError(f"q={q} leaves too few doubles above 0 to draw {b} distinct referents")
+    return bits.view(np.float64), avail, np.ascontiguousarray(draws[:, :n])
 
 
 def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
@@ -231,11 +233,11 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
 
     Candidates are i.i.d. Uniform(0,1).  Referents are i.i.d. Uniform on
     (max(0, 2q-1), min(1, 2q)), sorted descending, which yields quality q in
-    expectation; exactly r of the b positions are marked resigned, uniformly
-    at random.  The round is what uniform(0, 1, n), uniform(lo, hi, b) and
-    choice(b, r, replace=False) on default_rng(seed) draw (_draw_round).  A
-    Generator or BitGenerator seed draws it from where its stream stands
-    and is left where those three calls leave it.
+    expectation, bar the ulps that part tied referents; exactly r of the b
+    positions are marked resigned, uniformly at random.  The round is what
+    uniform(0, 1, n), uniform(lo, hi, b) and choice(b, r, replace=False) on
+    default_rng(seed) draw (_draw_round).  A Generator or BitGenerator seed
+    draws from where its stream stands and is left where those calls leave it.
     """
     check_quality(q)
     check_setting(n, b, r)

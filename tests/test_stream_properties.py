@@ -171,11 +171,13 @@ def test_rows_past_floyds_range_follow_the_law(r):
 
 @pytest.mark.parametrize("n, b, q, r, count", [
     (1000, 1000, 1 - 1e-9, 0, 20), (10001, 10001, 1 - 1e-7, 0, 20), (100, 20, 1 - 1e-12, 4, 512),
+    (1000, 1000, 1 - 2**-53, 0, 20),  # (lo, hi) holds two doubles: runs of ties reach below lo
 ])
 def test_tied_referents_move_just_below_their_better_neighbour(n, b, q, r, count):
     # near q = 1 the law can round two referents to one double: such a row
     # still draws, strictly descending, and leaves the law only at its ties
-    # (and where a moved referent pushes the next one down), by a few ulps
+    # (and where a moved referent pushes the next one down), each moved
+    # referent one ulp below its better neighbour, at most b - 1 ulps in all
     batch = sample_rounds(n, b, q, r, range(count))
     tied_rows = []
     for t in range(count):
@@ -187,7 +189,8 @@ def test_tied_referents_move_just_below_their_better_neighbour(n, b, q, r, count
         moved = np.flatnonzero(got != law)
         assert all(k in ties or k - 1 in moved for k in moved.tolist())
         assert (got[moved] < law[moved]).all()
-        assert (law[moved] - got[moved] <= 4 * np.spacing(law[moved])).all()
+        assert (got[moved] == np.nextafter(got[moved - 1], -np.inf)).all()
+        assert (law[moved] - got[moved] <= (b - 1) * np.spacing(law[moved])).all()
         if ties:
             tied_rows.append(t)
     assert tied_rows  # the law ties somewhere in these draws
@@ -195,6 +198,12 @@ def test_tied_referents_move_just_below_their_better_neighbour(n, b, q, r, count
         inst = generate_instance(n, b, q, r, t)
         assert list(inst.reference_scores) == batch.reference_scores[t].tolist()
         assert list(inst.availability) == batch.availability[t].tolist()
+
+
+def test_referents_that_would_fall_below_zero_raise():
+    # hi = 2q holds about 40 doubles above 0: 100 referents cannot be told apart
+    with pytest.raises(DomainError, match="too few doubles above 0"):
+        sample_rounds(100, 100, 1e-322, 0, range(2))
 
 
 def words_of(*halves):
