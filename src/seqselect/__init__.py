@@ -2,22 +2,17 @@
 
 from seqselect.core import (
     Instance,
-    SelectionOutcome,
     compute_quality,
     generate_instance,
 )
 from seqselect.policies import (
     PolicySpec,
     ZoneConfig,
-    run_adjusted_cutoff,
-    run_cutoff,
-    run_mean_baseline,
-    run_rand_baseline,
+    run_policy_batch,
 )
 from seqselect.analytics import (
     AnalyticParams,
     AnalyticCurve,
-    expected_available_rank,
     expected_max_hires,
     expected_offline,
     g_fn,

@@ -44,11 +44,17 @@ def check_setting(n: int, b: int, r: int) -> None:
         raise DomainError("need 0 <= r <= b <= n and b >= 1")
 
 
-def learning_cutoff(n: int, r: int, c: int) -> int:
+def learning_cutoff(n: int, r, c):
     """The learning phase that cutoff c runs, min(c, n - r), in every layer;
-    DomainError when c lies outside [0, n].  The last r steps stay open: they
-    are the forced-fill window, and a longer learning phase would leave fewer
-    than r candidates for the r empty positions."""
+    elementwise when c is an array, one cutoff per round, and r a number or
+    an array of rounds.  DomainError when c lies outside [0, n].  The last r
+    steps stay open: they are the forced-fill window, and a longer learning
+    phase would leave fewer than r candidates for the r empty positions."""
+    if isinstance(c, np.ndarray):
+        bad = c[(c < 0) | (c > n)]
+        if bad.size:
+            raise DomainError(f"need 0 <= c <= n, got c={bad[0]} n={n}")
+        return np.minimum(c, n - r)
     if not (0 <= c <= n):
         raise DomainError(f"need 0 <= c <= n, got c={c} n={n}")
     return min(c, n - r)
@@ -81,7 +87,7 @@ class Instance:
         # the one place a round's arrays become its frozen tuples of Python numbers
         frozen = (tuple(values.tolist()) for values in (refs, avail.astype(int), cands))
         fields = names + ("batch", "n", "b", "r")
-        for name, value in zip(fields, (*frozen, batch, batch.n, batch.b, batch.r)):
+        for name, value in zip(fields, (*frozen, batch, batch.n, batch.b, int(batch.r[0]))):
             object.__setattr__(self, name, value)
 
     def _array(self, name: str) -> np.ndarray:
@@ -95,35 +101,9 @@ class Instance:
         return values
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Final decisions of one policy run.
-
-    candidate_decisions[j] = 1 iff candidate j was hired; referent_decisions[i]
-    = 1 iff referent i keeps the position.  threshold_trace holds the realized
-    acceptance threshold of every step after the learning phase, so
-    n - min(c, n - r) entries for a cutoff c and n for mean and rand; an
-    entry is None once all b positions are filled.
-    """
-
-    candidate_decisions: tuple
-    referent_decisions: tuple
-    hires: int
-    failures: int
-    regret: int
-    threshold_trace: tuple = field(default=())
-
-
 def compute_quality(instance: Instance) -> float:
-    """Normalized average rank of the reference set; 1 is best, 1/2 is medium.
-
-    q = 1 - (mean referent rank - x_min) / (x_max - x_min) with
-    x_min = (b+1)/2 and x_max = n + (b+1)/2, so the denominator is n and
-    a mean rank of (n+b+1)/2 gives exactly q = 1/2.
-    """
-    mean_rank = float(np.mean(instance.batch.ranks[0, : instance.b]))
-    x_min = (instance.b + 1) / 2.0
-    return 1.0 - (mean_rank - x_min) / instance.n
+    """Normalized average rank of the reference set (RoundBatch.quality)."""
+    return float(instance.batch.quality()[0])
 
 
 MASK32 = 0xFFFFFFFF  # the low 32 bits of a word
@@ -247,14 +227,14 @@ def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
 
 @dataclass(frozen=True, eq=False)
 class RoundBatch:
-    """T rounds of one setting (n, b, r) as arrays, one row per round: the
-    batch twin of Instance, which holds its round as a batch of one.
+    """T rounds of one size (n, b) as arrays, one row per round: the batch
+    twin of Instance, which holds its round as a batch of one.
 
     reference_scores and availability are (T, b), candidate_scores (T, n);
-    n, b and r are derived, and every row of availability must mark the same
-    r resignations.  __post_init__ is the one check of a round's values, run
-    over every row: availability in {0, 1}, one r shared by every row,
-    check_setting on the derived (n, b, r), finite scores and strictly
+    n, b and r are derived, r per row: r[t] is the number of resignations
+    that row t of availability marks.  __post_init__ is the one check of a
+    round's values, run over every row: availability in {0, 1},
+    check_setting on the derived sizes, finite scores and strictly
     descending referents.
     """
 
@@ -263,7 +243,7 @@ class RoundBatch:
     candidate_scores: np.ndarray
     n: int = field(init=False)
     b: int = field(init=False)
-    r: int = field(init=False)
+    r: np.ndarray = field(init=False)
 
     def __post_init__(self):
         refs, avail, cands = self.reference_scores, self.availability, self.candidate_scores
@@ -273,13 +253,9 @@ class RoundBatch:
             raise DomainError("candidate_scores must be a (T, n) array")
         if not ((avail == 0) | (avail == 1)).all():
             raise DomainError("availability entries must be 0 or 1")
-        b = refs.shape[1]
-        held = set(avail.sum(axis=1).astype(int).tolist())
-        if len(held) != 1:
-            got = sorted(b - h for h in held)
-            raise DomainError(f"every round must have the same r, got r in {got}")
-        n, r = cands.shape[1], b - int(held.pop())
-        check_setting(n, b, r)
+        n, b = cands.shape[1], refs.shape[1]
+        r = b - avail.sum(axis=1).astype(np.int64)
+        check_setting(n, b, int(r.max(initial=0)))  # every r lies in [0, b]
         if not (np.isfinite(refs).all() and np.isfinite(cands).all()):
             raise DomainError("scores must be finite")
         if (refs[:, :-1] <= refs[:, 1:]).any():
@@ -311,6 +287,14 @@ class RoundBatch:
         # a resigned referent gets a rank past every rank: never among the b best
         selectable[:, :b][self.availability == 0] = n + b + 1
         return np.partition(selectable, b - 1, axis=1)[:, :b].sum(axis=1)
+
+    def quality(self) -> np.ndarray:
+        """Every round's normalized average referent rank; 1 is best, 1/2 is
+        medium: q = 1 - (mean referent rank - x_min) / (x_max - x_min) with
+        x_min = (b+1)/2 and x_max = n + (b+1)/2, so the denominator is n and
+        a mean rank of (n+b+1)/2 gives exactly q = 1/2."""
+        mean_rank = self.ranks[:, : self.b].mean(axis=1)
+        return 1.0 - (mean_rank - (self.b + 1) / 2.0) / self.n
 
     def regret(self, hired: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """The rank sum of every round's final assignment minus its offline

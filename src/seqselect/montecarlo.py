@@ -217,7 +217,7 @@ def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, start: int, stop: int) -
     as one batch."""
     batch = sample_rounds(n, b, q, r, trial_streams(cell_seed, start, stop, 0))
     rand_seeds = trial_streams(cell_seed, start, stop, 1) if spec.variant == "rand" else None
-    return run_policy_batch(batch, spec, rand_seeds)
+    return run_policy_batch(batch, spec, rand_seeds)[0]
 
 
 def run_cell(

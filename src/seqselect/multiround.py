@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from seqselect.core import DomainError, Instance, SelectionOutcome, compute_quality, seed_entropy
-from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy
+from seqselect.core import DomainError, RoundBatch, check_setting, seed_entropy
+from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -34,22 +34,27 @@ class PopulationSpec:
     b: int = 5
 
     def __post_init__(self):
+        check_setting(self.n, self.b, 0)
         if self.n + self.b > self.size:
             raise DomainError("population must hold at least n + b members")
 
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round of one chain: its draws, the measured reference quality,
+    the cutoff run (None for mean and rand), the decisions (candidate j
+    hired, referent i kept, as 0 or 1), and the regret, hires and failures."""
+
     round_index: int
     resignation_mask: tuple
     sampled: tuple
     quality: float
     cutoff: Optional[int]
-    outcome: SelectionOutcome
-
-    @property
-    def regret(self) -> int:
-        return self.outcome.regret
+    candidate_decisions: tuple
+    referent_decisions: tuple
+    regret: int
+    hires: int
+    failures: int
 
 
 def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySpec]:
@@ -64,56 +69,76 @@ def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySp
     return select
 
 
-def run_chain(
+def run_chains(
     pop: PopulationSpec,
     rounds: int,
     p_res: float,
     policy_selector: Callable[[int, int, int, float], PolicySpec],
-    seed,
+    seeds: Sequence,
 ) -> list:
-    """Run one multi-round chain; fully deterministic in (arguments, seed).
+    """Run one multi-round chain per seed: a list of each chain's
+    RoundRecords, in the order of seeds.
 
-    seed is an integer >= 0 or a sequence of them (core.seed_entropy).
+    A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
+    Chain t draws from seeds[t] alone, so it is the chain that
+    run_chains(..., [seeds[t]]) runs.  The chains advance in lock step:
+    round k of every chain runs as one row of a RoundBatch, each with its own
+    r, quality and PolicySpec.
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
         raise DomainError("p_res must lie in [0, 1]")
-    pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
-    pop_rng = np.random.default_rng(pop_ss)
-    scores = pop_rng.uniform(0.0, 1.0, size=pop.size)
-    employed = pop_rng.choice(pop.size, size=pop.b, replace=False)  # member indices
+    streams = [np.random.SeedSequence(seed_entropy(seed)).spawn(2) for seed in seeds]
+    if not streams:
+        raise DomainError("run_chains needs at least one seed")
+    T = len(streams)
+    rows = np.arange(T)[:, None]
+    scores = np.empty((T, pop.size))
+    employed = np.empty((T, pop.b), dtype=np.int64)  # member indices
+    for t, (pop_ss, _) in enumerate(streams):
+        pop_rng = np.random.default_rng(pop_ss)
+        scores[t] = pop_rng.uniform(0.0, 1.0, size=pop.size)
+        employed[t] = pop_rng.choice(pop.size, size=pop.b, replace=False)
 
-    records = []
+    records = [[] for _ in streams]
+    resigned = np.empty((T, pop.b), dtype=bool)
+    sampled = np.empty((T, pop.n), dtype=np.int64)
     for k in range(1, rounds + 1):
-        employed = employed[np.argsort(-scores[employed], kind="stable")]  # best first
-        resig_ss, sample_ss, policy_ss = stream_ss.spawn(1)[0].spawn(3)
-        resigned = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
-
-        eligible = np.ones(pop.size, dtype=bool)
-        eligible[employed] = False
-        sampled = np.random.default_rng(sample_ss).choice(
-            np.flatnonzero(eligible), size=pop.n, replace=False
-        )
-
-        instance = Instance(scores[employed], ~resigned, scores[sampled])
-        q_k = compute_quality(instance)
-        spec = policy_selector(pop.n, pop.b, instance.r, q_k)
-        outcome = run_policy(instance, spec, rand_seed=policy_ss)
-
-        kept = np.array(outcome.referent_decisions, dtype=bool)
-        hired = np.array(outcome.candidate_decisions, dtype=bool)
-        employed = np.concatenate((employed[kept], sampled[hired]))
-        records.append(
-            RoundRecord(
-                round_index=k,
-                resignation_mask=tuple(resigned.astype(int).tolist()),
-                sampled=tuple(sampled.tolist()),
-                quality=q_k,
-                cutoff=spec.cutoff if spec.variant in CUTOFF_VARIANTS else None,
-                outcome=outcome,
+        best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
+        employed = np.take_along_axis(employed, best_first, axis=1)
+        policy_seeds = []
+        for t, (_, stream_ss) in enumerate(streams):
+            resig_ss, sample_ss, policy_ss = stream_ss.spawn(1)[0].spawn(3)
+            resigned[t] = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
+            eligible = np.ones(pop.size, dtype=bool)
+            eligible[employed[t]] = False
+            sampled[t] = np.random.default_rng(sample_ss).choice(
+                np.flatnonzero(eligible), size=pop.n, replace=False
             )
-        )
+            policy_seeds.append(policy_ss)
+
+        batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
+        quality = batch.quality().tolist()
+        specs = [policy_selector(pop.n, pop.b, r, q) for r, q in zip(batch.r.tolist(), quality)]
+        results, hired, kept = run_policy_batch(batch, specs, policy_seeds)
+        # the kept referents, best first, then the hires in arrival order
+        chosen = np.concatenate((kept, hired), axis=1)
+        employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(T, pop.b)
+        for t, (chain, spec) in enumerate(zip(records, specs)):
+            regret, hires, failures = results[t].tolist()
+            chain.append(RoundRecord(
+                round_index=k,
+                resignation_mask=tuple(resigned[t].astype(int).tolist()),
+                sampled=tuple(sampled[t].tolist()),
+                quality=quality[t],
+                cutoff=spec.cutoff if spec.variant in CUTOFF_VARIANTS else None,
+                candidate_decisions=tuple(hired[t].astype(int).tolist()),
+                referent_decisions=tuple(kept[t].astype(int).tolist()),
+                regret=regret,
+                hires=hires,
+                failures=failures,
+            ))
     return records
 
 
@@ -149,16 +174,15 @@ def compare_policies(
     selectors = {p: make_policy_selector(p) for p in policy_names}
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
-    rows = {p: [] for p in policy_names}
-    for i in range(runs):
-        for p in policy_names:
-            # a fresh SeedSequence per policy: identical identity => paired streams
-            recs = run_chain(pop, rounds, p_res, selectors[p], [seed, i])
-            rows[p].extend(
-                (i, rec.round_index, rec.regret, rec.outcome.hires, rec.outcome.failures,
-                 rec.quality, rec.cutoff)
-                for rec in recs
-            )
+    rows = {}
+    for p in policy_names:
+        # run i of every policy draws from [seed, i]: identical identity => paired streams
+        seeds = [[seed, i] for i in range(runs)]
+        rows[p] = [
+            (i, rec.round_index, rec.regret, rec.hires, rec.failures, rec.quality, rec.cutoff)
+            for i, recs in enumerate(run_chains(pop, rounds, p_res, selectors[p], seeds))
+            for rec in recs
+        ]
     out = {}
     for p in policy_names:
         # (run, round) -> regret; rows run in run-major, round-minor order

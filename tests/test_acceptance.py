@@ -21,10 +21,10 @@ from seqselect.analytics import (
     optimal_cutoff,
     translate_cutoff,
 )
-from seqselect.core import generate_instance
+from seqselect.core import generate_instance, sample_rounds
 from seqselect.montecarlo import run_cell
 from seqselect.multiround import PopulationSpec, compare_policies
-from seqselect.policies import ZoneConfig, run_adjusted_cutoff, run_cutoff
+from seqselect.policies import PolicySpec, ZoneConfig, run_policy_batch
 
 
 def _report(criterion: str, ok: bool, detail: str) -> bool:
@@ -193,17 +193,16 @@ def test_criterion_7_invariant_suite():
         if sorted(inst.batch.ranks[0].tolist()) != list(range(1, n + b + 1)):
             ok, fail_note = False, f"permutation broken at case {i}"
             break
-        out = run_cutoff(inst, c)
-        if sum(out.candidate_decisions) + sum(out.referent_decisions) != b:
+        results, hired, kept = run_policy_batch(inst.batch, PolicySpec("csm", cutoff=c))
+        if hired.sum() + kept.sum() != b:
             ok, fail_note = False, f"fill constraint broken at case {i}"
             break
-        if out.regret < 0:
+        if results[0, 0] < 0:
             ok, fail_note = False, f"negative regret at case {i}"
             break
-        adj = run_adjusted_cutoff(inst, c, ZoneConfig.infinite(n))
-        if adj.candidate_decisions != out.candidate_decisions or (
-            adj.referent_decisions != out.referent_decisions
-        ):
+        zone = ZoneConfig.infinite(n)
+        _, adj_hired, adj_kept = run_policy_batch(inst.batch, PolicySpec("acsm", c, zone))
+        if not (np.array_equal(adj_hired, hired) and np.array_equal(adj_kept, kept)):
             ok, fail_note = False, f"adjusted/plain divergence at case {i}"
             break
     workers_same = run_cell(40, 4, 10, 0.5, 2, "csm", 200, 5, workers=1) == run_cell(
@@ -225,15 +224,14 @@ def test_criterion_8_mu_hat_validation():
     rng = np.random.default_rng(81)
     probes = [c + 1, 50, 100]
     kept = {j: [] for j in probes}
-    total = 100_000
-    for t in range(total):
-        inst = generate_instance(n, b, 0.5, r, rng)
-        out = run_cutoff(inst, c)
-        if out.failures:
-            continue
-        cum = np.cumsum(out.candidate_decisions)
+    total, chunk = 100_000, 1000
+    for _ in range(total // chunk):
+        # the rounds that generate_instance draws from rng, chunk after chunk
+        batch = sample_rounds(n, b, 0.5, r, [rng] * chunk)
+        results, hired, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=c))
+        cum = np.cumsum(hired[results[:, 2] == 0], axis=1)  # failure-free rounds
         for j in probes:
-            kept[j].append(int(cum[j - 1]))
+            kept[j].extend(cum[:, j - 1].tolist())
     ok = True
     lines = [f"c*={c}, kept {len(kept[probes[0]])}/{total} failure-free runs"]
     for j in probes:

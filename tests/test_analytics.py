@@ -24,7 +24,7 @@ from seqselect.analytics import (
     translate_cutoff,
 )
 from seqselect.core import DomainError, Instance, generate_instance
-from seqselect.policies import _learning_phase, run_cutoff
+from tests.scalar_engine import _learning_phase, run_cutoff
 
 
 class TestGamma0:

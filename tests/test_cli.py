@@ -291,6 +291,15 @@ class TestMultiround:
         assert agg[0] == "round,policy,mean_regret,ci95_low,ci95_high"
         assert "final-round mean regret" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, b", [(-1, 5), (10, 0), (3, 5)])
+    def test_bad_sizes_exit_code_before_any_draw(self, n, b, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["multiround", "--n", str(n), "--b", str(b), "--pop-size", "50", "--rounds", "2",
+                "--runs", "2", "--p-res", "0.2", "--out", str(tmp_path / "x.csv")]
+        assert exit_code(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == "error: need 0 <= r <= b <= n and b >= 1\n"
+
     def test_unknown_policy(self, tmp_path):
         assert run_cli(
             ["multiround", "--p-res", "0.5", "--policies", "nope",

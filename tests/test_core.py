@@ -20,7 +20,7 @@ from seqselect.core import (
     seed_entropy,
 )
 from seqselect.montecarlo import ExperimentSpec, run_cell
-from seqselect.policies import run_cutoff
+from seqselect.policies import PolicySpec, run_policy_batch
 
 
 def make_instance(refs, avail, cands):
@@ -223,7 +223,7 @@ class TestLearningCutoff:
         inst = generate_instance(10, 3, 0.5, 1, 0)
         calls = [
             lambda: learning_cutoff(10, 1, 11),
-            lambda: run_cutoff(inst, 11),
+            lambda: run_policy_batch(inst.batch, PolicySpec("csm", cutoff=11)),
             lambda: AnalyticParams(n=10, b=3, r=1, q=0.5, c=11),
             lambda: analyze_setting(10, 3, 1, 0.5, c=11),
             lambda: ExperimentSpec(n=10, b_values=(3,), c_values=(0, 11), q=0.5, r_values=(1,)),
@@ -257,7 +257,7 @@ class TestRoundBatch:
 
     def test_rows_are_the_generated_instances(self):
         batch = sample_rounds(9, 4, 0.7, 2, self.SEEDS)
-        assert (batch.n, batch.b, batch.r, len(batch)) == (9, 4, 2, len(self.SEEDS))
+        assert (batch.n, batch.b, batch.r.tolist()) == (9, 4, [2] * len(self.SEEDS))
         for t, seed in enumerate(self.SEEDS):
             inst = generate_instance(9, 4, 0.7, 2, seed)
             assert tuple(batch.reference_scores[t].tolist()) == inst.reference_scores
@@ -290,20 +290,26 @@ class TestRoundBatch:
         with pytest.raises(ContractError, match="resigned referent"):
             batch.regret(hired, np.ones((2, 2), dtype=bool))
 
+    def test_r_is_derived_per_row(self):
+        rounds = [generate_instance(9, 4, 0.7, r, seed) for r, seed in ((2, 3), (0, 11), (4, 12))]
+        batch = RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
+                             for name in ("reference_scores", "availability", "candidate_scores")))
+        assert batch.r.tolist() == [2, 0, 4]
+        assert batch.quality().tolist() == [compute_quality(inst) for inst in rounds]
+
     # r: the resignations the availability marks, which RoundBatch derives
     @pytest.mark.parametrize("r, refs, avail, cands, message", [
         (0, [[0.9, 0.4]], [[1, 1]], [[0.1, 0.2]] * 2, "candidate_scores must be a"),
         (0, [[0.9]], [[1, 1]], [[0.1, 0.2, 0.3]], "must be \\(T, b\\) arrays"),
         (0, [[0.9, 0.4]], [[1, 2]], [[0.1, 0.2, 0.3]], "availability entries must be 0 or 1"),
-        (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1, 0.2, 0.3]] * 2,
-         "every round must have the same r, got r in \\[0, 1\\]"),
+        (1, [[0.9, 0.4]] * 2, [[1, 0], [1, 1]], [[0.1]] * 2, "need 0 <= r <= b <= n and b >= 1"),
         (0, [[0.9, 0.4]], [[1, 1]], [[0.1, math.nan, 0.3]], "scores must be finite"),
         (0, [[math.inf, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "scores must be finite"),
         (0, [[0.4, 0.4]], [[1, 1]], [[0.1, 0.2, 0.3]], "strictly descending"),
         (0, [0.9, 0.4], [1, 1], [0.1, 0.2, 0.3], "must be \\(T, b\\) arrays"),
         (2, [[0.9, 0.4]], [[0, 0]], [[0.1]], "need 0 <= r <= b <= n and b >= 1"),
-        (1, [[0.9, 0.4]] * 2, [[1., 0.], [1., 1.]], [[0.1, 0.2, 0.3]] * 2,
-         "every round must have the same r, got r in \\[0, 1\\]"),
+        (1, [[0.9, 0.4]] * 2, [[1., 0.], [1., 1.]], [[0.1]] * 2,
+         "need 0 <= r <= b <= n and b >= 1"),
     ])
     def test_domain_checks(self, r, refs, avail, cands, message):
         assert (np.asarray(avail) == 0).sum() == r
@@ -368,7 +374,7 @@ class TestInstanceBoundary:
     def test_batch_is_the_round_as_one_row(self):
         inst = Instance(self.REFS, self.AVAIL, self.CANDS)
         batch = inst.batch
-        assert (len(batch), batch.n, batch.b, batch.r) == (1, 3, 2, 1)
+        assert (len(batch), batch.n, batch.b, batch.r.tolist()) == (1, 3, 2, [1])
         assert batch.reference_scores.tolist() == [list(self.REFS)]
         assert batch.availability.tolist() == [list(self.AVAIL)]
         assert batch.candidate_scores.tolist() == [list(self.CANDS)]

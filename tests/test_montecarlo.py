@@ -15,7 +15,8 @@ from seqselect.montecarlo import (
     run_cell,
     trial_stream,
 )
-from seqselect.policies import VARIANTS, policy_spec, run_cutoff, run_policy
+from seqselect.policies import VARIANTS, policy_spec
+from tests.scalar_engine import run_cutoff, run_policy
 
 
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):

@@ -13,7 +13,7 @@ from seqselect.multiround import (
     PopulationSpec,
     compare_policies,
     make_policy_selector,
-    run_chain,
+    run_chains,
 )
 
 
@@ -22,52 +22,48 @@ SMALL = PopulationSpec(size=60, n=20, b=3)
 
 class TestRunChain:
     def test_round_structure(self):
-        recs = run_chain(SMALL, 5, 0.4, make_policy_selector("csm-star"), 123)
+        recs = run_chains(SMALL, 5, 0.4, make_policy_selector("csm-star"), [123])[0]
         assert len(recs) == 5
         for rec in recs:
             assert len(rec.sampled) == SMALL.n
             assert len(set(rec.sampled)) == SMALL.n
-            assert sum(rec.outcome.candidate_decisions) + sum(
-                rec.outcome.referent_decisions
-            ) == SMALL.b
+            assert sum(rec.candidate_decisions) + sum(rec.referent_decisions) == SMALL.b
             assert rec.regret >= 0
             assert 0.0 <= rec.quality <= 1.0
 
     def test_determinism(self):
-        a = run_chain(SMALL, 4, 0.5, make_policy_selector("csm-star"), 9)
-        b = run_chain(SMALL, 4, 0.5, make_policy_selector("csm-star"), 9)
+        a = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])[0]
+        b = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])[0]
         assert a == b
 
     def test_sampled_disjoint_from_employed(self):
         # at p_res = 1 every referent resigns, so the staff of round k + 1 is
         # exactly the hires of round k, and none of them may be sampled again
         for name in ("mean", "csm-star", "acsm-star", "rand"):
-            for seed in range(5):
-                recs = run_chain(SMALL, 5, 1.0, make_policy_selector(name), seed)
+            for seed, recs in enumerate(run_chains(SMALL, 5, 1.0, make_policy_selector(name),
+                                                   range(5))):
                 for prev, rec in zip(recs, recs[1:]):
-                    decisions = prev.outcome.candidate_decisions
+                    decisions = prev.candidate_decisions
                     hires = {prev.sampled[j] for j, a in enumerate(decisions) if a}
                     assert len(hires) == SMALL.b
                     assert hires.isdisjoint(rec.sampled), (name, seed, prev.round_index)
 
     def test_full_resignation_every_round(self):
-        recs = run_chain(SMALL, 3, 1.0, make_policy_selector("csm-star"), 77)
+        recs = run_chains(SMALL, 3, 1.0, make_policy_selector("csm-star"), [77])[0]
         for rec in recs:
             assert sum(rec.resignation_mask) == SMALL.b
-            assert rec.outcome.hires == SMALL.b
+            assert rec.hires == SMALL.b
 
     def test_no_resignation_regret_trend(self):
         # with a stable staff the selection should improve over rounds
-        firsts, lasts = [], []
-        for seed in range(40):
-            recs = run_chain(PopulationSpec(200, 40, 4), 8, 0.0,
-                            make_policy_selector("csm-star"), seed)
-            firsts.append(recs[0].regret)
-            lasts.append(recs[-1].regret)
+        chains = run_chains(PopulationSpec(200, 40, 4), 8, 0.0,
+                            make_policy_selector("csm-star"), range(40))
+        firsts = [recs[0].regret for recs in chains]
+        lasts = [recs[-1].regret for recs in chains]
         assert np.mean(lasts) < np.mean(firsts)
 
     def test_ranks_each_round_once(self, monkeypatch):
-        # quality and regret read one ranking: its round's one-row batch
+        # quality and regret read one ranking: the round's batch
         calls = []
         rank = RoundBatch.ranks.func
         counted = cached_property(lambda batch: calls.append(len(batch)) or rank(batch))
@@ -75,20 +71,38 @@ class TestRunChain:
         monkeypatch.setattr(RoundBatch, "ranks", counted)
         for name in POLICY_NAMES:
             calls.clear()
-            run_chain(SMALL, 4, 0.5, make_policy_selector(name), 8)
+            run_chains(SMALL, 4, 0.5, make_policy_selector(name), [8])
             assert calls == [1] * 4, name
+            # chains in one call share one ranking per round index
+            calls.clear()
+            run_chains(SMALL, 4, 0.5, make_policy_selector(name), [8, 9, 10])
+            assert calls == [3] * 4, name
 
     def test_rejects_bad_rounds_and_seeds(self):
         for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):
             with pytest.raises(DomainError):
-                run_chain(SMALL, rounds, 0.5, make_policy_selector("csm-0"), seed)
+                run_chains(SMALL, rounds, 0.5, make_policy_selector("csm-0"), [seed])
+        with pytest.raises(DomainError, match="at least one seed"):
+            run_chains(SMALL, 2, 0.5, make_policy_selector("csm-0"), [])
 
     def test_p_res_domain(self):
         with pytest.raises(DomainError):
-            run_chain(SMALL, 2, 1.5, make_policy_selector("csm-0"), 1)
+            run_chains(SMALL, 2, 1.5, make_policy_selector("csm-0"), [1])
+
+    @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_a_chain_does_not_depend_on_its_batch_mates(self, name, p_res):
+        # chain t runs in one batch with the others, so it must be the chain
+        # its seed runs alone: this is the pairing compare_policies relies on
+        seeds = [3, [4, 1], 0, 17, [4, 2]]
+        select = make_policy_selector(name)
+        together = run_chains(SMALL, 4, p_res, select, seeds)
+        for seed, recs in zip(seeds, together):
+            (alone,) = run_chains(SMALL, 4, p_res, select, [seed])
+            assert recs == alone, seed
 
     def test_single_round_is_one_selection(self):
-        recs = run_chain(SMALL, 1, 0.0, make_policy_selector("csm-e"), 5)
+        recs = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])[0]
         assert len(recs) == 1
         assert recs[0].cutoff == int(20 / np.e)
 
@@ -180,7 +194,7 @@ class TestComparePolicies:
 
     def test_bad_name_fails_before_any_chain(self, monkeypatch):
         chains = []
-        monkeypatch.setattr(seqselect.multiround, "run_chain", lambda *a: chains.append(a))
+        monkeypatch.setattr(seqselect.multiround, "run_chains", lambda *a: chains.append(a))
         with pytest.raises(DomainError):
             compare_policies(SMALL, 2, 0.3, ("csm-star", "nope"), 3, 2)
         assert chains == []
@@ -198,7 +212,7 @@ class TestComparePolicies:
 class TestRepeatedPolicy:
     def test_repeated_name_fails_before_any_chain(self, monkeypatch):
         chains = []
-        monkeypatch.setattr(seqselect.multiround, "run_chain", lambda *a: chains.append(a))
+        monkeypatch.setattr(seqselect.multiround, "run_chains", lambda *a: chains.append(a))
         with pytest.raises(DomainError, match="repeat"):
             compare_policies(SMALL, 2, 0.3, ("rand", "csm-0", "rand"), 3, 2)
         assert chains == []

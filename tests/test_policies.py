@@ -14,19 +14,21 @@ from seqselect.core import (
     sample_rounds,
 )
 from seqselect.montecarlo import ExperimentSpec
-from seqselect.multiround import PopulationSpec, run_chain
+from seqselect.multiround import PopulationSpec, run_chains
 from seqselect.policies import (
     CUTOFF_VARIANTS,
     VARIANTS,
     PolicySpec,
     ZoneConfig,
-    is_failure,
     policy_spec,
+    run_policy_batch,
+)
+from tests.scalar_engine import (
+    is_failure,
     run_adjusted_cutoff,
     run_cutoff,
     run_mean_baseline,
     run_policy,
-    run_policy_batch,
     run_rand_baseline,
 )
 from tests.test_core import make_instance
@@ -238,7 +240,7 @@ class TestAdjustedCutoff:
             width = rng.uniform(0.0, rng.choice([0.0, 1.0, b]), n)
             spec = PolicySpec("acsm", cutoff=c, zone=ZoneConfig(tuple(mu), tuple(width)))
             seeds = rng.integers(0, 2**32, 20).tolist()
-            got = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec)
+            got, _, _ = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec)
             for row, seed in zip(got.tolist(), seeds):
                 out = run_policy(generate_instance(n, b, q, r, seed), spec)
                 assert row == [out.regret, out.hires, out.failures]
@@ -251,7 +253,7 @@ class TestAdjustedCutoff:
                  ZoneConfig(mu=(float(b),) * n, width=(0.0,) * n))  # below until full
         specs = [PolicySpec(v, cutoff=5) for v in ("csm", "mean", "rand")]
         specs += [PolicySpec("acsm", cutoff=5, zone=zone) for zone in zones]
-        expected = [run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)[:, 1:]
+        expected = [run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)[0][:, 1:]
                     for spec in specs]
 
         def unreadable(batch):
@@ -261,14 +263,25 @@ class TestAdjustedCutoff:
         monkeypatch.setattr(RoundBatch, "regret",
                             lambda batch, hired, kept: np.zeros(len(batch), dtype=np.int64))
         for spec, want in zip(specs, expected):
-            got = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)
+            got, _, _ = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec, seeds)
             assert got[:, 0].tolist() == [0] * len(seeds)
             assert np.array_equal(got[:, 1:], want), spec.variant
 
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)
-        with pytest.raises(Exception):
-            run_adjusted_cutoff(inst, 2, ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
+        spec = PolicySpec("acsm", cutoff=2, zone=ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
+        with pytest.raises(DomainError, match="zone mu curve length must equal n"):
+            run_policy_batch(inst.batch, spec)
+
+    def test_one_spec_or_one_per_round_of_one_variant(self):
+        batch = sample_rounds(10, 2, 0.5, 1, [1, 2, 3])
+        for specs in ([PolicySpec("csm", cutoff=2)] * 2,
+                      [PolicySpec("csm", cutoff=2)] * 2 + [PolicySpec("mean")]):
+            with pytest.raises(DomainError, match="one per round, all of one variant"):
+                run_policy_batch(batch, specs)
+        one, _, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=2))
+        each, _, _ = run_policy_batch(batch, [PolicySpec("csm", cutoff=2)] * 3)
+        assert np.array_equal(one, each)
 
     def test_width_length_must_match_mu(self):
         for width in ((0.1,) * 3, (0.1,) * 11):
@@ -351,7 +364,7 @@ class TestBaselines:
 class TestPolicySpecDispatch:
     def test_cutoff_variants_decide_every_cutoff_site(self):
         # heatmap and failure --policy, ExperimentSpec and the cutoff that
-        # run_chain records all follow CUTOFF_VARIANTS
+        # run_chains records all follow CUTOFF_VARIANTS
         assert VARIANTS == CUTOFF_VARIANTS + ("mean", "rand")
         parser = build_parser()
 
@@ -372,7 +385,7 @@ class TestPolicySpecDispatch:
                                           r_values=(0,), policy=variant)
             assert accepts(call, DomainError) == cutoff, variant
             select = lambda n, b, r, q: policy_spec(variant, n, b, r, q, c=3)
-            (record,) = run_chain(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, 4)
+            ((record,),) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, [4])
             assert record.cutoff == (3 if cutoff else None), variant
 
     def test_variants(self):

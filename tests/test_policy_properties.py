@@ -1,6 +1,7 @@
 """Property tests of one selection round over small (n, b, r, c).
 
-Both engines score a round with one ranking, oracle and regret
+The library's batch engine and the scalar reference engine
+(tests/scalar_engine.py) score a round with one ranking, oracle and regret
 (RoundBatch.ranks, .offline_optimum and .regret), so each has two
 references: the scalar engine for decisions, and for scores a brute-force
 oracle that ranks the pool and enumerates every feasible assignment by
@@ -30,11 +31,9 @@ from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
     policy_spec,
-    run_adjusted_cutoff,
-    run_cutoff,
-    run_policy,
     run_policy_batch,
 )
+from tests.scalar_engine import run_adjusted_cutoff, run_cutoff, run_policy  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -115,7 +114,7 @@ def test_batch_engine_is_the_scalar_engine(setting, trials, seed, data):
     spec = _cell_policy(data.draw, n, b, r, c, q)
     streams = [[trial_stream((seed,), i, child) for i in range(trials)] for child in (0, 1)]
     batch = sample_rounds(n, b, q, r, streams[0])
-    got = run_policy_batch(batch, spec, streams[1])
+    got, _, _ = run_policy_batch(batch, spec, streams[1])
     optima = batch.offline_optimum()
     for i in range(trials):
         inst = generate_instance(n, b, q, r, trial_stream((seed,), i, 0))
@@ -129,19 +128,28 @@ def test_batch_engine_is_the_scalar_engine(setting, trials, seed, data):
 GRID = tuple(k / 4 for k in range(5))
 
 
+def _tied_round(draw, n, b, r):
+    """A round of the setting (n, b, r) built from GRID scores."""
+    refs = sorted(draw(st.lists(st.sampled_from(GRID), min_size=b, max_size=b, unique=True)),
+                  reverse=True)
+    avail = draw(st.permutations([0] * r + [1] * (b - r)))
+    cands = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+    return Instance(tuple(refs), tuple(avail), tuple(cands))
+
+
 @st.composite
 def tied_rounds(draw):
     """Rounds of one setting (n, b, r) built from GRID scores, and a cutoff."""
     b = draw(st.integers(1, 4))
     n, r = draw(st.integers(b, 8)), draw(st.integers(0, b))
-    rounds = []
-    for _ in range(draw(st.integers(1, 6))):
-        refs = sorted(draw(st.lists(st.sampled_from(GRID), min_size=b, max_size=b, unique=True)),
-                      reverse=True)
-        avail = draw(st.permutations([0] * r + [1] * (b - r)))
-        cands = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
-        rounds.append(Instance(tuple(refs), tuple(avail), tuple(cands)))
+    rounds = [_tied_round(draw, n, b, r) for _ in range(draw(st.integers(1, 6)))]
     return rounds, draw(st.integers(0, n))
+
+
+def _stack(rounds):
+    """The rounds as one RoundBatch, a row each."""
+    return RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
+                        for name in ("reference_scores", "availability", "candidate_scores")))
 
 
 @SETTINGS
@@ -150,12 +158,47 @@ def test_batch_engine_is_the_scalar_engine_on_tied_scores(round_, q, data):
     rounds, c = round_
     n, b, r = rounds[0].n, rounds[0].b, rounds[0].r
     spec = _cell_policy(data.draw, n, b, r, c, q)
-    batch = RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
-                         for name in ("reference_scores", "availability", "candidate_scores")))
-    got = run_policy_batch(batch, spec, range(len(rounds)))
+    got, _, _ = run_policy_batch(_stack(rounds), spec, range(len(rounds)))
     for seed, inst in enumerate(rounds):
         out = run_policy(inst, spec, rand_seed=seed)
         assert got[seed].tolist() == [out.regret, out.hires, out.failures]
+
+
+@st.composite
+def mixed_rounds(draw):
+    """Rounds of one size (n, b) whose r differ, drawn by generate_instance
+    or built from GRID scores, and one PolicySpec per round, all of one
+    variant, whose cutoffs and bands differ."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(b, 8))
+    variant = draw(st.sampled_from(["csm", "acsm", "mean", "rand"]))
+    rounds, specs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.integers(0, b))
+        if draw(st.booleans()):
+            rounds.append(_tied_round(draw, n, b, r))
+        else:
+            q = draw(st.floats(0.05, 0.95))
+            rounds.append(generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1))))
+        # numpy draws, as in _cell_policy: bands that leave in both directions
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mu = np.sort(rng.uniform(0.0, b, n))
+        width = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, b])), n)
+        zone = ZoneConfig(mu=tuple(mu), width=tuple(width)) if variant == "acsm" else None
+        specs.append(PolicySpec(variant, cutoff=draw(st.integers(0, n)), zone=zone))
+    return rounds, specs
+
+
+@SETTINGS
+@given(mixed_rounds())
+def test_batch_engine_is_the_scalar_engine_on_mixed_rounds(mixed):
+    rounds, specs = mixed
+    got, hired, kept = run_policy_batch(_stack(rounds), specs, range(len(rounds)))
+    for seed, (inst, spec) in enumerate(zip(rounds, specs)):
+        out = run_policy(inst, spec, rand_seed=seed)
+        assert got[seed].tolist() == [out.regret, out.hires, out.failures]
+        assert hired[seed].astype(int).tolist() == list(out.candidate_decisions)
+        assert kept[seed].astype(int).tolist() == list(out.referent_decisions)
 
 
 @SETTINGS
