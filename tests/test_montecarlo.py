@@ -22,7 +22,7 @@ from tests.scalar_engine import run_cutoff, run_policy
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):
     """run_cell's statistics from one scalar round per trial, on the
     documented streams trial_stream(seed, i, 0) and trial_stream(seed, i, 1)."""
-    spec = policy_spec(policy, n, b, r, q, c)
+    (spec,) = policy_spec(policy, n, b, [r], [q], c)
     rows = []
     for i in range(trials):
         inst_ss, policy_ss = trial_stream((seed,), i, 0), trial_stream((seed,), i, 1)

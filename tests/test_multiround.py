@@ -101,6 +101,18 @@ class TestRunChain:
             (alone,) = run_chains(SMALL, 4, p_res, select, [seed])
             assert recs == alone, seed
 
+    def test_selector_runs_once_per_round_index(self):
+        # one call builds the specs of every chain at a round index
+        calls = []
+        select = make_policy_selector("acsm-star")
+
+        def counting(n, b, r, q):
+            calls.append((len(r), len(q)))
+            return select(n, b, r, q)
+
+        run_chains(SMALL, 4, 0.5, counting, [1, 2, 3])
+        assert calls == [(3, 3)] * 4
+
     def test_single_round_is_one_selection(self):
         recs = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])[0]
         assert len(recs) == 1
@@ -110,7 +122,7 @@ class TestRunChain:
 class TestSelectors:
     def test_tokens(self):
         for name in POLICY_NAMES:
-            spec = make_policy_selector(name)(20, 3, 1, 0.6)
+            (spec,) = make_policy_selector(name)(20, 3, [1], [0.6])
             assert spec.variant in ("csm", "acsm", "mean", "rand")
 
     def test_unknown_token(self):
@@ -119,13 +131,13 @@ class TestSelectors:
 
     def test_star_handles_extreme_quality(self):
         sel = make_policy_selector("csm-star")
-        assert sel(20, 3, 0, 1.0).cutoff == 0
-        assert sel(20, 3, 0, 0.999).cutoff == 0
-        low = sel(20, 3, 0, 1e-12)
+        assert sel(20, 3, [0], [1.0])[0].cutoff == 0
+        assert sel(20, 3, [0], [0.999])[0].cutoff == 0
+        (low,) = sel(20, 3, [0], [1e-12])
         assert 0 <= low.cutoff <= 20
 
     def test_acsm_star_builds_zone(self):
-        spec = make_policy_selector("acsm-star")(30, 3, 1, 0.55)
+        (spec,) = make_policy_selector("acsm-star")(30, 3, [1], [0.55])
         assert spec.variant == "acsm" and spec.zone is not None
         assert len(spec.zone.mu) == 30
 
@@ -172,7 +184,7 @@ def test_selectors_are_pinned(setting):
             "rand": ("rand", 0),
         }
         for name in POLICY_NAMES:
-            spec = make_policy_selector(name)(n, b, r, q)
+            (spec,) = make_policy_selector(name)(n, b, [r], [q])
             assert (spec.variant, spec.cutoff) == expected[name], (name, q)
             assert (spec.zone is None) == (name != "acsm-star"), (name, q)
             if spec.zone is not None:

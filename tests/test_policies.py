@@ -410,8 +410,8 @@ class TestPolicySpecDispatch:
         for variant in ("csm", "acsm", "mean", "rand"):
             for c in (-1, 11):
                 with pytest.raises(DomainError, match="0 <= c <= n"):
-                    policy_spec(variant, 10, 2, 0, 0.5, c)
-        assert policy_spec("mean", 10, 2, 0, 0.5, 10) == PolicySpec("mean")
+                    policy_spec(variant, 10, 2, [0], [0.5], c)
+        assert policy_spec("mean", 10, 2, [0], [0.5], 10) == [PolicySpec("mean")]
 
 
 class TestAdjustedReducesFailures:
@@ -419,7 +419,8 @@ class TestAdjustedReducesFailures:
         # high resignations and a competitive reference set: the band feedback
         # must cut failures relative to the plain policy on paired instances
         n, b, r, q, c = 100, 20, 20, 0.81, 15
-        zone = policy_spec("acsm", n, b, r, q, c).zone
+        (spec,) = policy_spec("acsm", n, b, [r], [q], c)
+        zone = spec.zone
         rng = np.random.default_rng(2718)
         plain_f = adj_f = 0
         for _ in range(800):

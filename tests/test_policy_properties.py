@@ -27,6 +27,7 @@ from seqselect.core import (  # noqa: E402
     sample_rounds,
 )
 from seqselect.montecarlo import trial_stream  # noqa: E402
+from seqselect.multiround import make_policy_selector  # noqa: E402
 from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
@@ -93,7 +94,7 @@ def _cell_policy(draw, n, b, r, c, q):
     variant = draw(st.sampled_from(["csm", "acsm-model", "acsm", "mean", "rand"]))
     if variant != "acsm":
         try:
-            return policy_spec(variant.removesuffix("-model"), n, b, r, q, c)
+            return policy_spec(variant.removesuffix("-model"), n, b, [r], [q], c)[0]
         except DomainError:  # acsm's no-failure event has probability zero
             reject()
     # numpy draws, not Hypothesis lists: these zones leave the band in both
@@ -226,3 +227,40 @@ def test_resolver_is_the_optimal_cutoff_at_medium_quality(setting):
     res = resolve_cutoff(n, b, r, 0.5)
     assert (res.n_source, res.c_source, res.degenerate) == (n, optimal_cutoff(n, b, r)[0], False)
     assert res.c_target == optimal_cutoff(n, b, r)[0]
+
+
+@st.composite
+def mixed_round_settings(draw):
+    """(n, b, r, q) of one round index over several chains: r from 0 to b
+    and q on both ends of [0, 1], just inside them and in between, so the
+    translated cutoffs come unsorted and repeated."""
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(b, 40))
+    qs = st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.tuples(st.integers(0, b), qs), min_size=1, max_size=8))
+    r, q = zip(*draw(st.permutations(rows + rows[:2])))
+    return n, b, r, q
+
+
+def _spec_bytes(spec):
+    zone = () if spec.zone is None else (spec.zone.mu, spec.zone.width)
+    return spec.variant, spec.cutoff, [np.asarray(x, dtype=float).tobytes() for x in zone]
+
+
+@SETTINGS
+@given(st.sampled_from(["csm-star", "acsm-star", "csm-e"]), mixed_round_settings())
+def test_a_batch_of_rounds_gives_the_one_round_specs(name, setting):
+    # policies.policy_spec builds every round's spec in one call, acsm's
+    # bands from one mu_hat_rows call; each must be the spec of its round alone
+    n, b, r, q = setting
+    select = make_policy_selector(name)
+    alone = []
+    for rt, qt in zip(r, q):
+        try:
+            alone += select(n, b, [rt], [qt])
+        except DomainError:  # acsm's no-failure event has probability zero
+            with pytest.raises(DomainError):
+                select(n, b, list(r), list(q))
+            return
+    together = select(n, b, list(r), list(q))
+    assert list(map(_spec_bytes, together)) == list(map(_spec_bytes, alone))
