@@ -159,7 +159,7 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
         e_hires, cand, ref = _full_resignation(n, b, c)
         m = n - c
         p_acc = b / (b + c + 1)
-        low, _, _ = _threshold_count_law(b, c, m)
+        low, _ = _threshold_count_law(b, c, m)
         columns = (gam, p_acc, p_acc * np.arange(1, m + 1), np.minimum(low[:m].sum(axis=1), 1.0))
     else:
         steps = []
@@ -239,17 +239,16 @@ def _threshold_count_law(b: int, c: int, m: int):
     """Law of K_s, the number of the first s later candidates that beat y_b.
 
     At medium quality y_b is the b-th best of b + c i.i.d. uniform scores, so
-    1 - y_b ~ Beta(b, c + 1) and K_s is beta-binomial(s, b, c + 1).  Returns
-    (low, high, up) for s = 0..m: low[s, i] = P(K_s = i) for i < b,
-    high[s] = P(K_s >= b), and up[s, i] = (b + i)/(b + c + 1 + s), the chance
-    that the next candidate beats y_b given K_s = i.  No entry is a difference,
-    so small probabilities keep their relative accuracy.
+    1 - y_b ~ Beta(b, c + 1) and K_s is beta-binomial(s, b, c + 1): given
+    K_s = i, the next candidate beats y_b with chance (b + i)/(b + c + 1 + s).
+    Returns (low, high) for s = 0..m: low[s, i] = P(K_s = i) for i < b and
+    high[s] = P(K_s >= b).  No entry is a difference, so small probabilities
+    keep their relative accuracy.
     """
-    s = np.arange(m + 1)[:, None]
-    low = _count_pmf(b, c, s)
-    up = (b + np.arange(b)) / (b + c + 1.0 + s)
-    high = np.concatenate(([0.0], np.cumsum(low[:-1, -1] * up[:-1, -1])))
-    return low, high, up
+    low = _count_pmf(b, c, np.arange(m + 1)[:, None])
+    up = (2 * b - 1) / (b + c + 1.0 + np.arange(m))  # at i = b - 1
+    high = np.concatenate(([0.0], np.cumsum(low[:-1, -1] * up)))
+    return low, high
 
 
 def _full_resignation(n: int, b: int, c):
@@ -394,15 +393,17 @@ def mu_hat_rows(n: int, b: int, r, q, c) -> np.ndarray:
     c = learning_cutoff(n, r, np.asarray(c, dtype=int))
     num, p_ok = np.zeros((len(c), n)), np.ones(len(c))
     i = np.arange(b)
+    # P(K_m >= b | K_s = i) depends on the u = m - s steps left alone, as the
+    # chance (b + i)/(b + c + 1 + s) is (b + i)/(b + n + 1 - u); 0 at u = 0
+    left = np.zeros((n + 1 - c[r == b].min(initial=n), b))
+    for u in range(1, len(left)):
+        up = (b + i) / (b + n + 1.0 - u)
+        left[u] = up * np.append(left[u - 1, 1:], 1.0) + (1.0 - up) * left[u - 1]
     for t in np.flatnonzero(r == b):
         m = n - c[t]
-        low, high, up = _threshold_count_law(b, c[t], m)
-        reach = np.zeros((m + 1, b))  # P(K_m >= b | K_s = i); 0 at s = m
-        for s in range(m - 1, -1, -1):
-            nxt = np.append(reach[s + 1, 1:], 1.0)
-            reach[s] = up[s] * nxt + (1.0 - up[s]) * reach[s + 1]
-        p_ok[t] = reach[0, 0]
-        num[t, c[t]:] = ((i * low * reach).sum(axis=1) + b * high)[1:]
+        low, high = _threshold_count_law(b, c[t], m)
+        p_ok[t] = left[m, 0]
+        num[t, c[t]:] = ((i * low * left[m::-1]).sum(axis=1) + b * high)[1:]
     rows = np.flatnonzero(r < b)
     rows = rows[np.argsort(c[rows], kind="stable")]  # _recursion's column order
     lam = np.zeros((rows.size, n))

@@ -65,6 +65,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        seed_entropy(self.master_seed)
         if self.policy not in CUTOFF_VARIANTS:
             raise DomainError(
                 f"a sweep needs a cutoff policy {CUTOFF_VARIANTS}, got {self.policy!r}")

@@ -70,23 +70,11 @@ def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], 
     return select
 
 
-def run_chains(
-    pop: PopulationSpec,
-    rounds: int,
-    p_res: float,
-    policy_selector: Callable[[int, int, Sequence, Sequence], list],
-    seeds: Sequence,
-) -> list:
-    """Run one multi-round chain per seed: a list of each chain's
-    RoundRecords, in the order of seeds.
-
-    A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
-    Chain t draws from seeds[t] alone, so it is the chain that
-    run_chains(..., [seeds[t]]) runs.  The chains advance in lock step:
-    round k of every chain runs as one row of a RoundBatch, each with its own
-    r, quality and PolicySpec, and policy_selector builds the round's specs
-    in one call.
-    """
+def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, seeds: Sequence) -> tuple:
+    """What chain t draws from seeds[t] alone, whatever policy runs it: row t
+    of the (T, size) scores and (T, b) first staff, and per round index the
+    (T, b) resignations, (T, n) sample positions and T RAND seeds.  A sample
+    position counts the size - b non-employed members in ascending order."""
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
@@ -95,38 +83,47 @@ def run_chains(
     if not streams:
         raise DomainError("run_chains needs at least one seed")
     T = len(streams)
-    rows = np.arange(T)[:, None]
     scores = np.empty((T, pop.size))
-    employed = np.empty((T, pop.b), dtype=np.int64)  # member indices
-    for t, (pop_ss, _) in enumerate(streams):
+    staff = np.empty((T, pop.b), dtype=np.int64)  # member indices
+    per_round = [(np.empty((T, pop.b), dtype=bool), np.empty((T, pop.n), dtype=np.int64), [])
+                 for _ in range(rounds)]
+    for t, (pop_ss, stream_ss) in enumerate(streams):
         pop_rng = np.random.default_rng(pop_ss)
         scores[t] = pop_rng.uniform(0.0, 1.0, size=pop.size)
-        employed[t] = pop_rng.choice(pop.size, size=pop.b, replace=False)
+        staff[t] = pop_rng.choice(pop.size, size=pop.b, replace=False)
+        for (resigned, positions, rand_seeds), round_ss in zip(per_round, stream_ss.spawn(rounds)):
+            resig_ss, sample_ss, rand_ss = round_ss.spawn(3)
+            resigned[t] = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
+            # choice(eligible, n) is eligible[choice(size - b, n)] in every round
+            positions[t] = np.random.default_rng(sample_ss).choice(
+                pop.size - pop.b, size=pop.n, replace=False)
+            rand_seeds.append(rand_ss)
+    return scores, staff, per_round
 
-    records = [[] for _ in streams]
-    resigned = np.empty((T, pop.b), dtype=bool)
-    sampled = np.empty((T, pop.n), dtype=np.int64)
-    for k in range(1, rounds + 1):
+
+def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
+    """The members at row t's positions among those outside employed[t]: a
+    position steps past each employed member at or below it, smallest first."""
+    for member in np.sort(employed, axis=1).T:
+        positions = positions + (positions >= member[:, None])
+    return positions
+
+
+def _run_rounds(pop: PopulationSpec, select: Callable, scores, employed, per_round) -> list:
+    """run_chains's chains, on _draw_chains's draws, under one policy."""
+    rows = np.arange(len(scores))[:, None]
+    records = [[] for _ in scores]
+    for k, (resigned, positions, rand_seeds) in enumerate(per_round, 1):
         best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
         employed = np.take_along_axis(employed, best_first, axis=1)
-        policy_seeds = []
-        for t, (_, stream_ss) in enumerate(streams):
-            resig_ss, sample_ss, policy_ss = stream_ss.spawn(1)[0].spawn(3)
-            resigned[t] = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
-            eligible = np.ones(pop.size, dtype=bool)
-            eligible[employed[t]] = False
-            sampled[t] = np.random.default_rng(sample_ss).choice(
-                np.flatnonzero(eligible), size=pop.n, replace=False
-            )
-            policy_seeds.append(policy_ss)
-
+        sampled = _members(positions, employed)
         batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
         quality = batch.quality().tolist()
-        specs = policy_selector(pop.n, pop.b, batch.r.tolist(), quality)
-        results, hired, kept = run_policy_batch(batch, specs, policy_seeds)
+        specs = select(pop.n, pop.b, batch.r.tolist(), quality)
+        results, hired, kept = run_policy_batch(batch, specs, rand_seeds)
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)
-        employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(T, pop.b)
+        employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(employed.shape)
         for t, (chain, spec) in enumerate(zip(records, specs)):
             regret, hires, failures = results[t].tolist()
             chain.append(RoundRecord(
@@ -142,6 +139,25 @@ def run_chains(
                 failures=failures,
             ))
     return records
+
+
+def run_chains(
+    pop: PopulationSpec,
+    rounds: int,
+    p_res: float,
+    policy_selector: Callable[[int, int, Sequence, Sequence], list],
+    seeds: Sequence,
+) -> list:
+    """Run one multi-round chain per seed: a list of each chain's
+    RoundRecords, in the order of seeds.
+
+    A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
+    Chain t draws from seeds[t] alone, so it is the chain that
+    run_chains(..., [seeds[t]]) runs.  Round k of every chain runs as one row
+    of a RoundBatch, with its own r, quality and PolicySpec, and
+    policy_selector builds the round's specs in one call.
+    """
+    return _run_rounds(pop, policy_selector, *_draw_chains(pop, rounds, p_res, seeds))
 
 
 @dataclass(frozen=True)
@@ -164,9 +180,9 @@ def compare_policies(
 ) -> dict:
     """Paired multi-round comparison.
 
-    Each run index derives one substream tree shared by all policies, so the
-    population, resignation draws and candidate samples are paired across
-    policies for variance reduction.
+    Run i draws its population, resignations and candidate samples once,
+    from the seed [seed, i], and every policy runs on those draws: the
+    policies are paired for variance reduction.
     """
     if not policy_names:
         raise DomainError("policy list must be non-empty")
@@ -176,25 +192,23 @@ def compare_policies(
     selectors = {p: make_policy_selector(p) for p in policy_names}
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
-    rows = {}
-    for p in policy_names:
-        # run i of every policy draws from [seed, i]: identical identity => paired streams
-        seeds = [[seed, i] for i in range(runs)]
-        rows[p] = [
-            (i, rec.round_index, rec.regret, rec.hires, rec.failures, rec.quality, rec.cutoff)
-            for i, recs in enumerate(run_chains(pop, rounds, p_res, selectors[p], seeds))
-            for rec in recs
-        ]
+    seed_entropy(seed)
+    draws = _draw_chains(pop, rounds, p_res, [[seed, i] for i in range(runs)])
     out = {}
     for p in policy_names:
+        rows = tuple(
+            (i, rec.round_index, rec.regret, rec.hires, rec.failures, rec.quality, rec.cutoff)
+            for i, recs in enumerate(_run_rounds(pop, selectors[p], *draws))
+            for rec in recs
+        )
         # (run, round) -> regret; rows run in run-major, round-minor order
-        regs = np.array([row[2] for row in rows[p]], dtype=float).reshape(runs, rounds)
+        regs = np.array([row[2] for row in rows], dtype=float).reshape(runs, rounds)
         mean = regs.mean(axis=0)
         se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(
             mean_regret=tuple(mean.tolist()),
             ci95_low=tuple((mean - 1.96 * se).tolist()),
             ci95_high=tuple((mean + 1.96 * se).tolist()),
-            per_run=tuple(rows[p]),
+            per_run=rows,
         )
     return out

@@ -251,10 +251,12 @@ class TestBadCounts:
         ["multiround", "--n", "10", "--b", "2", "--pop-size", "30", "--rounds", "2",
          "--runs", "2", "--p-res", "0.5"],
     ], ids=lambda argv: argv[0])
-    def test_negative_seed_exit_code(self, argv, tmp_path):
+    def test_negative_seed_exit_code(self, argv, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2
         assert not out.exists()
+        # the message names the seed as given, not a cell's or a chain's seed
+        assert capsys.readouterr().err == "error: seeds must be >= 0 and whole, got -1\n"
 
     def test_zero_runs_and_rounds_exit_code(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -5,12 +5,15 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqselect.multiround
 from seqselect.core import DomainError, RoundBatch
 from seqselect.multiround import (
     POLICY_NAMES,
     PopulationSpec,
+    _members,
     compare_policies,
     make_policy_selector,
     run_chains,
@@ -119,6 +122,31 @@ class TestRunChain:
         assert recs[0].cutoff == int(20 / np.e)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 300), st.integers(10_001, 10_400)).flatmap(
+           lambda size: st.tuples(st.just(size), st.integers(0, min(size - 1, 12)))),
+       st.integers(1, 3), st.data())
+def test_a_sample_is_its_positions_among_the_eligible_members(seed, pool, chains, data):
+    # the draw step takes a round's sample positions from the stream alone,
+    # and the round loop maps them to members with no per-chain draw
+    size, b = pool
+    employed = np.array([data.draw(st.lists(st.integers(0, size - 1), min_size=b, max_size=b,
+                                            unique=True)) for _ in range(chains)],
+                        dtype=np.int64).reshape(chains, b)
+    n = data.draw(st.integers(0, size - b))
+    positions = np.empty((chains, n), dtype=np.int64)
+    samples = []
+    for t in range(chains):
+        mask = np.ones(size, dtype=bool)
+        mask[employed[t]] = False
+        eligible = np.flatnonzero(mask)
+        positions[t] = np.random.default_rng([seed, t]).choice(size - b, size=n, replace=False)
+        samples.append(np.random.default_rng([seed, t]).choice(eligible, size=n, replace=False))
+        assert np.array_equal(samples[t], eligible[positions[t]])
+    assert np.array_equal(_members(positions, employed), np.array(samples).reshape(chains, n))
+
+
 class TestSelectors:
     def test_tokens(self):
         for name in POLICY_NAMES:
@@ -206,7 +234,7 @@ class TestComparePolicies:
 
     def test_bad_name_fails_before_any_chain(self, monkeypatch):
         chains = []
-        monkeypatch.setattr(seqselect.multiround, "run_chains", lambda *a: chains.append(a))
+        monkeypatch.setattr(seqselect.multiround, "_draw_chains", lambda *a: chains.append(a))
         with pytest.raises(DomainError):
             compare_policies(SMALL, 2, 0.3, ("csm-star", "nope"), 3, 2)
         assert chains == []
@@ -216,6 +244,16 @@ class TestComparePolicies:
             with pytest.raises(DomainError):
                 compare_policies(SMALL, rounds, 0.3, ("csm-0",), runs, seed)
 
+    def test_each_run_is_drawn_once_for_every_policy(self, monkeypatch):
+        # the policies are paired by sharing one draw per run, not by each
+        # drawing the same numbers again from the same seed
+        entropies = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda entropy: entropies.append(entropy) or seed_sequence(entropy))
+        compare_policies(SMALL, 3, 0.5, ("csm-star", "mean", "rand"), 4, 11)
+        assert sorted(entropies) == [(11, i) for i in range(4)]
+
     def test_empty_policy_list(self):
         with pytest.raises(DomainError):
             compare_policies(SMALL, 2, 0.3, (), 3, 2)
@@ -224,7 +262,7 @@ class TestComparePolicies:
 class TestRepeatedPolicy:
     def test_repeated_name_fails_before_any_chain(self, monkeypatch):
         chains = []
-        monkeypatch.setattr(seqselect.multiround, "run_chains", lambda *a: chains.append(a))
+        monkeypatch.setattr(seqselect.multiround, "_draw_chains", lambda *a: chains.append(a))
         with pytest.raises(DomainError, match="repeat"):
             compare_policies(SMALL, 2, 0.3, ("rand", "csm-0", "rand"), 3, 2)
         assert chains == []
