@@ -39,22 +39,21 @@ class PopulationSpec:
             raise DomainError("population must hold at least n + b members")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round of one chain: its draws, the measured reference quality,
-    the cutoff run (None for mean and rand), the decisions (candidate j
-    hired, referent i kept, as 0 or 1), and the regret, hires and failures."""
+@dataclass(frozen=True, eq=False)
+class ChainRound:
+    """One round index of every chain of a run_chains call, one row per
+    chain: the round's RoundBatch, whose r, availability (the chains'
+    resignations) and quality() are read from it, the (T, n) sampled member
+    indices, the (T,) cutoffs run (None when the round's variant runs no
+    cutoff), the (T, n) hired and (T, b) kept decisions, and the (T, 3)
+    (regret, hires, failures) results."""
 
-    round_index: int
-    resignation_mask: tuple
-    sampled: tuple
-    quality: float
-    cutoff: Optional[int]
-    candidate_decisions: tuple
-    referent_decisions: tuple
-    regret: int
-    hires: int
-    failures: int
+    batch: RoundBatch
+    sampled: np.ndarray
+    cutoffs: Optional[np.ndarray]
+    hired: np.ndarray
+    kept: np.ndarray
+    results: np.ndarray
 
 
 def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], list]:
@@ -110,35 +109,26 @@ def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
 
 
 def _run_rounds(pop: PopulationSpec, select: Callable, scores, employed, per_round) -> list:
-    """run_chains's chains, on _draw_chains's draws, under one policy."""
+    """run_chains's ChainRounds, on _draw_chains's draws, under one policy."""
     rows = np.arange(len(scores))[:, None]
-    records = [[] for _ in scores]
-    for k, (resigned, positions, rand_seeds) in enumerate(per_round, 1):
+    out = []
+    for resigned, positions, rand_seeds in per_round:
         best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
         employed = np.take_along_axis(employed, best_first, axis=1)
         sampled = _members(positions, employed)
         batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
-        quality = batch.quality().tolist()
-        specs = select(pop.n, pop.b, batch.r.tolist(), quality)
+        specs = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
+        if len(specs) != len(batch):
+            raise DomainError("a policy selector must return one PolicySpec per chain")
         results, hired, kept = run_policy_batch(batch, specs, rand_seeds)
+        # run_policy_batch runs one variant per round index
+        cutoffs = (np.array([s.cutoff for s in specs])
+                   if specs[0].variant in CUTOFF_VARIANTS else None)
+        out.append(ChainRound(batch, sampled, cutoffs, hired, kept, results))
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)
         employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(employed.shape)
-        for t, (chain, spec) in enumerate(zip(records, specs)):
-            regret, hires, failures = results[t].tolist()
-            chain.append(RoundRecord(
-                round_index=k,
-                resignation_mask=tuple(resigned[t].astype(int).tolist()),
-                sampled=tuple(sampled[t].tolist()),
-                quality=quality[t],
-                cutoff=spec.cutoff if spec.variant in CUTOFF_VARIANTS else None,
-                candidate_decisions=tuple(hired[t].astype(int).tolist()),
-                referent_decisions=tuple(kept[t].astype(int).tolist()),
-                regret=regret,
-                hires=hires,
-                failures=failures,
-            ))
-    return records
+    return out
 
 
 def run_chains(
@@ -148,11 +138,11 @@ def run_chains(
     policy_selector: Callable[[int, int, Sequence, Sequence], list],
     seeds: Sequence,
 ) -> list:
-    """Run one multi-round chain per seed: a list of each chain's
-    RoundRecords, in the order of seeds.
+    """Run one multi-round chain per seed: a list of rounds ChainRounds,
+    the k-th holding round k of every chain, row t that of seeds[t].
 
     A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
-    Chain t draws from seeds[t] alone, so it is the chain that
+    Chain t draws from seeds[t] alone, so row t is the one row that
     run_chains(..., [seeds[t]]) runs.  Round k of every chain runs as one row
     of a RoundBatch, with its own r, quality and PolicySpec, and
     policy_selector builds the round's specs in one call.
@@ -162,12 +152,15 @@ def run_chains(
 
 @dataclass(frozen=True)
 class PolicyCurve:
-    """Per-round regret aggregate of one policy over paired runs."""
+    """Per-round regret aggregate of one policy over paired runs.  per_run
+    holds one (run, round, regret, hires, failures, quality, cutoff) row of
+    Python numbers per chain round, run-major, with cutoff None for mean and
+    rand."""
 
     mean_regret: tuple
     ci95_low: tuple
     ci95_high: tuple
-    per_run: tuple  # (run, round, regret, hires, failures, quality, cutoff) rows
+    per_run: tuple
 
 
 def compare_policies(
@@ -196,13 +189,16 @@ def compare_policies(
     draws = _draw_chains(pop, rounds, p_res, [[seed, i] for i in range(runs)])
     out = {}
     for p in policy_names:
-        rows = tuple(
-            (i, rec.round_index, rec.regret, rec.hires, rec.failures, rec.quality, rec.cutoff)
-            for i, recs in enumerate(_run_rounds(pop, selectors[p], *draws))
-            for rec in recs
-        )
-        # (run, round) -> regret; rows run in run-major, round-minor order
-        regs = np.array([row[2] for row in rows], dtype=float).reshape(runs, rounds)
+        chain = _run_rounds(pop, selectors[p], *draws)
+        # each round index's columns, one entry per run
+        results = [cr.results.tolist() for cr in chain]
+        quality = [cr.batch.quality().tolist() for cr in chain]
+        cutoff = [[None] * runs if cr.cutoffs is None else cr.cutoffs.tolist() for cr in chain]
+        rows = tuple((i, k + 1, *results[k][i], quality[k][i], cutoff[k][i])
+                     for i, k in np.ndindex(runs, rounds))
+        # a C-contiguous (runs, rounds) matrix: past 8 runs, std's sum over
+        # runs depends on the layout
+        regs = np.column_stack([cr.results[:, 0] for cr in chain]).astype(float, order="C")
         mean = regs.mean(axis=0)
         se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(

@@ -86,15 +86,6 @@ def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) 
             for ct, row in zip(cutoffs, mu)]
 
 
-def _rand_thresholds(seeds, n: int) -> np.ndarray:
-    """The RAND policy's thresholds: row t holds one Uniform(0,1) draw per step
-    from seeds[t], a seed or a Generator.  A missing seed raises, so no round
-    takes OS entropy."""
-    if seeds is None or any(seed is None for seed in seeds):
-        raise DomainError("the rand policy needs a seed for every round")
-    return np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=n) for seed in seeds])
-
-
 # The round loop and the four policies run every round of a RoundBatch at
 # once.  A step is a handful of array operations whatever the number of
 # rounds, so one batch serves every round of a cell (montecarlo.run_cell) and
@@ -243,8 +234,13 @@ def _mean_batch(batch: RoundBatch) -> tuple:
 
 def _rand_batch(batch: RoundBatch, seeds) -> tuple:
     """RAND over every round of batch: accept above a fresh Uniform(0,1)
-    threshold drawn at every step, round t drawing from seeds[t]."""
-    draws = _rand_thresholds(seeds, batch.n)
+    threshold drawn at every step, round t drawing from seeds[t], a seed or
+    a Generator.  A missing seed or one seed too few or too many raises, so
+    no round takes OS entropy or another round's draws."""
+    if seeds is None or len(seeds) != len(batch) or any(seed is None for seed in seeds):
+        raise DomainError("the rand policy needs one seed per round")
+    draws = np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=batch.n)
+                      for seed in seeds])
     return _run_batch(batch, 0, lambda j, hires, in_place: draws[:, j - 1])
 
 
@@ -253,7 +249,8 @@ def run_policy_batch(batch: RoundBatch, spec, rand_seeds=None) -> tuple:
     _run_batch returns them.
 
     spec is one PolicySpec for every round, or a sequence of one per round,
-    all of one variant; rand_seeds holds round t's RAND seed at t.
+    all of one variant; rand_seeds holds one RAND seed per round, round t's
+    at t.
     """
     specs = [spec] if isinstance(spec, PolicySpec) else list(spec)
     if len(specs) not in (1, len(batch)) or len({s.variant for s in specs}) != 1:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from seqselect.core import DomainError, Instance, learning_cutoff
-from seqselect.policies import PolicySpec, ZoneConfig, _rand_thresholds
+from seqselect.policies import PolicySpec, ZoneConfig
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ def run_mean_baseline(instance: Instance) -> SelectionOutcome:
 
 
 def _rand_thresholds(seeds, n: int) -> np.ndarray:
-    """The RAND policy's thresholds: row t holds one Uniform(0,1) draw per step
-    from seeds[t], a seed or a Generator.  A missing seed raises, so no round
-    takes OS entropy."""
+    """This engine's own RAND thresholds, drawn as the batch engine draws
+    them: row t holds one Uniform(0,1) draw per step from seeds[t], a seed or
+    a Generator.  A missing seed raises, so no round takes OS entropy."""
     if seeds is None or any(seed is None for seed in seeds):
         raise DomainError("the rand policy needs a seed for every round")
     return np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=n) for seed in seeds])

@@ -23,47 +23,52 @@ from seqselect.multiround import (
 SMALL = PopulationSpec(size=60, n=20, b=3)
 
 
+def _row(cr, t):
+    """Row t of every field of a ChainRound, as Python values."""
+    batch = cr.batch
+    return (batch.reference_scores[t].tolist(), batch.availability[t].tolist(),
+            batch.candidate_scores[t].tolist(), cr.sampled[t].tolist(),
+            None if cr.cutoffs is None else cr.cutoffs[t].item(), cr.hired[t].tolist(),
+            cr.kept[t].tolist(), cr.results[t].tolist())
+
+
 class TestRunChain:
     def test_round_structure(self):
-        recs = run_chains(SMALL, 5, 0.4, make_policy_selector("csm-star"), [123])[0]
-        assert len(recs) == 5
-        for rec in recs:
-            assert len(rec.sampled) == SMALL.n
-            assert len(set(rec.sampled)) == SMALL.n
-            assert sum(rec.candidate_decisions) + sum(rec.referent_decisions) == SMALL.b
-            assert rec.regret >= 0
-            assert 0.0 <= rec.quality <= 1.0
+        chain = run_chains(SMALL, 5, 0.4, make_policy_selector("csm-star"), [123])
+        assert len(chain) == 5
+        for cr in chain:
+            assert cr.sampled.shape == (1, SMALL.n)
+            assert len(set(cr.sampled[0].tolist())) == SMALL.n
+            assert (cr.hired.sum(axis=1) + cr.kept.sum(axis=1)).tolist() == [SMALL.b]
+            assert cr.results[0, 0] >= 0
+            assert 0.0 <= cr.batch.quality()[0] <= 1.0
 
     def test_determinism(self):
-        a = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])[0]
-        b = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])[0]
-        assert a == b
+        a = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])
+        b = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])
+        assert [_row(cr, 0) for cr in a] == [_row(cr, 0) for cr in b]
 
     def test_sampled_disjoint_from_employed(self):
         # at p_res = 1 every referent resigns, so the staff of round k + 1 is
         # exactly the hires of round k, and none of them may be sampled again
         for name in ("mean", "csm-star", "acsm-star", "rand"):
-            for seed, recs in enumerate(run_chains(SMALL, 5, 1.0, make_policy_selector(name),
-                                                   range(5))):
-                for prev, rec in zip(recs, recs[1:]):
-                    decisions = prev.candidate_decisions
-                    hires = {prev.sampled[j] for j, a in enumerate(decisions) if a}
+            chain = run_chains(SMALL, 5, 1.0, make_policy_selector(name), range(5))
+            for k, (prev, cr) in enumerate(zip(chain, chain[1:]), 1):
+                for seed in range(5):
+                    hires = set(prev.sampled[seed][prev.hired[seed]].tolist())
                     assert len(hires) == SMALL.b
-                    assert hires.isdisjoint(rec.sampled), (name, seed, prev.round_index)
+                    assert hires.isdisjoint(cr.sampled[seed].tolist()), (name, seed, k)
 
     def test_full_resignation_every_round(self):
-        recs = run_chains(SMALL, 3, 1.0, make_policy_selector("csm-star"), [77])[0]
-        for rec in recs:
-            assert sum(rec.resignation_mask) == SMALL.b
-            assert rec.hires == SMALL.b
+        for cr in run_chains(SMALL, 3, 1.0, make_policy_selector("csm-star"), [77]):
+            assert (~cr.batch.availability).sum() == SMALL.b
+            assert cr.results[0, 1] == SMALL.b
 
     def test_no_resignation_regret_trend(self):
         # with a stable staff the selection should improve over rounds
-        chains = run_chains(PopulationSpec(200, 40, 4), 8, 0.0,
-                            make_policy_selector("csm-star"), range(40))
-        firsts = [recs[0].regret for recs in chains]
-        lasts = [recs[-1].regret for recs in chains]
-        assert np.mean(lasts) < np.mean(firsts)
+        chain = run_chains(PopulationSpec(200, 40, 4), 8, 0.0,
+                           make_policy_selector("csm-star"), range(40))
+        assert np.mean(chain[-1].results[:, 0]) < np.mean(chain[0].results[:, 0])
 
     def test_ranks_each_round_once(self, monkeypatch):
         # quality and regret read one ranking: the round's batch
@@ -100,9 +105,9 @@ class TestRunChain:
         seeds = [3, [4, 1], 0, 17, [4, 2]]
         select = make_policy_selector(name)
         together = run_chains(SMALL, 4, p_res, select, seeds)
-        for seed, recs in zip(seeds, together):
-            (alone,) = run_chains(SMALL, 4, p_res, select, [seed])
-            assert recs == alone, seed
+        for t, seed in enumerate(seeds):
+            alone = run_chains(SMALL, 4, p_res, select, [seed])
+            assert [_row(cr, t) for cr in together] == [_row(cr, 0) for cr in alone], seed
 
     def test_selector_runs_once_per_round_index(self):
         # one call builds the specs of every chain at a round index
@@ -116,10 +121,16 @@ class TestRunChain:
         run_chains(SMALL, 4, 0.5, counting, [1, 2, 3])
         assert calls == [(3, 3)] * 4
 
+    def test_selector_returns_one_spec_per_chain(self):
+        # run_policy_batch would run one spec on every chain, but the round
+        # index would then hold one cutoff for three chains
+        select = make_policy_selector("csm-0")
+        with pytest.raises(DomainError, match="one PolicySpec per chain"):
+            run_chains(SMALL, 2, 0.5, lambda n, b, r, q: select(n, b, r, q)[:1], [1, 2, 3])
+
     def test_single_round_is_one_selection(self):
-        recs = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])[0]
-        assert len(recs) == 1
-        assert recs[0].cutoff == int(20 / np.e)
+        (cr,) = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])
+        assert cr.cutoffs.tolist() == [int(20 / np.e)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -257,6 +268,37 @@ class TestComparePolicies:
     def test_empty_policy_list(self):
         with pytest.raises(DomainError):
             compare_policies(SMALL, 2, 0.3, (), 3, 2)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_shared_draw_runs_the_chains_of_run_chains(self, name):
+        # the draw step that every policy shares runs run i as run_chains
+        # runs the seed [seed, i]
+        runs, rounds, seed = 4, 3, 11
+        (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, seed).values()
+        chain = run_chains(SMALL, rounds, 0.5, make_policy_selector(name),
+                           [[seed, i] for i in range(runs)])
+        rows = []
+        for i in range(runs):
+            for k, cr in enumerate(chain, 1):
+                cutoff = None if cr.cutoffs is None else int(cr.cutoffs[i])
+                rows.append((i, k, *map(int, cr.results[i]), float(cr.batch.quality()[i]),
+                             cutoff))
+        assert curve.per_run == tuple(rows)
+        assert {row[6] is None for row in rows} == {name in ("mean", "rand")}
+
+    def test_aggregate_of_a_c_contiguous_regret_matrix(self):
+        # past 8 runs, numpy's sum over runs depends on the matrix layout: the
+        # curve is that of the C-contiguous (runs, rounds) float matrix
+        runs, rounds = 12, 5
+        curves = compare_policies(SMALL, rounds, 0.5, POLICY_NAMES, runs, 3)
+        for name, curve in curves.items():
+            regs = np.array([row[2] for row in curve.per_run], dtype=float).reshape(runs, rounds)
+            assert regs.flags.c_contiguous
+            mean = regs.mean(axis=0)
+            se = regs.std(axis=0, ddof=1) / np.sqrt(runs)
+            assert curve.mean_regret == tuple(mean.tolist()), name
+            assert curve.ci95_low == tuple((mean - 1.96 * se).tolist()), name
+            assert curve.ci95_high == tuple((mean + 1.96 * se).tolist()), name
 
 
 class TestRepeatedPolicy:

@@ -356,15 +356,17 @@ class TestBaselines:
         with pytest.raises(DomainError, match="seed"):
             run_policy(inst, PolicySpec("rand"))
         batch = sample_rounds(15, 3, 0.5, 1, [1, 2, 3])
-        for seeds in (None, [4, None, 6]):
+        # nor may one seed run every round on its draws, or another wrong
+        # count reach numpy's broadcasting
+        for seeds in (None, [4, None, 6], [7], [7, 8], [7, 8, 9, 10]):
             with pytest.raises(DomainError, match="seed"):
                 run_policy_batch(batch, PolicySpec("rand"), seeds)
 
 
 class TestPolicySpecDispatch:
     def test_cutoff_variants_decide_every_cutoff_site(self):
-        # heatmap and failure --policy, ExperimentSpec and the cutoff that
-        # run_chains records all follow CUTOFF_VARIANTS
+        # heatmap and failure --policy, ExperimentSpec and the cutoffs that
+        # run_chains returns all follow CUTOFF_VARIANTS
         assert VARIANTS == CUTOFF_VARIANTS + ("mean", "rand")
         parser = build_parser()
 
@@ -385,8 +387,9 @@ class TestPolicySpecDispatch:
                                           r_values=(0,), policy=variant)
             assert accepts(call, DomainError) == cutoff, variant
             select = lambda n, b, r, q: policy_spec(variant, n, b, r, q, c=3)
-            ((record,),) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, [4])
-            assert record.cutoff == (3 if cutoff else None), variant
+            (cr,) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, [4])
+            cutoffs = None if cr.cutoffs is None else cr.cutoffs.tolist()
+            assert cutoffs == ([3] if cutoff else None), variant
 
     def test_variants(self):
         inst = generate_instance(10, 2, 0.5, 0, 3)
