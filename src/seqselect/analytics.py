@@ -78,13 +78,8 @@ def g_fn(count, lam):
 
 def _g_due(count, lam, s):
     """g_fn under the recursion's branch rule: 1 while count exceeds the s
-    steps completed since the cutoff, so gammaincc runs only past that point."""
-    if not isinstance(count, np.ndarray):
-        return np.ones(len(lam)) if count > s else g_fn(count, lam)
-    out = np.ones(len(count))
-    due = count <= s
-    out[due] = g_fn(count[due], lam[due])
-    return out
+    steps completed since the cutoff."""
+    return np.where(np.greater(count, s), 1.0, g_fn(count, lam))
 
 
 def _poisson_pmf(k, lam):
@@ -208,7 +203,7 @@ def _recursion(n: int, b: int, r, q, c, after_step=None):
         live = slice(np.searchsorted(c, n - s))
         gam, delta, coef, lam, hired, cand = (
             x[live] for x in (gam, delta, ref_coef, lam, hired, cand))
-        gjb = _g_due(b, lam, s)
+        gjb = _g_due(b, lam, s) if s >= b else np.ones(lam.size)  # spares gammaincc at s < b
         gjd = _g_due(delta, lam, s)
         gj = np.maximum(gam * gjd + coef * np.maximum(b - hired, 0.0) * (1.0 - gjd), 1.0)
         pj = (gj - 1.0) / (n + b)

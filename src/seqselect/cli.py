@@ -185,9 +185,10 @@ def cmd_cutoff_table(args) -> Path:
 
 def cmd_cutoff_curves(args) -> Path:
     """The csm heatmap's two optimal-cutoff paths, one sweep per quality."""
+    # every quality's sweep is checked before the first one runs
+    specs = [_sweep_spec(args, q, "csm") for q in args.q_values]
     rows = []
-    for q in args.q_values:
-        spec = _sweep_spec(args, q, "csm")
+    for q, spec in zip(args.q_values, specs):
         result = regret_heatmap(spec, workers=args.workers)
         rows.extend((q, b, result.sim_path[b], result.analytic_path[b]) for b in spec.b_values)
     return _write_lines(Path(args.out), _csv_lines("q,b,c_star_sim,c_star_analytic", rows))
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 5
     return 0
 
 

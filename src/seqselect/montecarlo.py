@@ -30,13 +30,14 @@ from seqselect.core import (
     ContractError,
     DomainError,
     check_quality,
+    check_setting,
     learning_cutoff,
     sample_rounds,
     seed_entropy,
 )
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
-CHUNK = 512  # trials per batch: a cell's memory is bounded whatever its trial count
+CHUNK = 512  # trials per batch: a batch's memory is bounded whatever the trial count
 
 # SeedSequence's hash constants and pool size, as numpy publishes them
 # (numpy/random/bit_generator.pyx), after Melissa O'Neill's seed_seq_fe.
@@ -77,11 +78,9 @@ class ExperimentSpec:
                 raise DomainError(f"{name} values must not repeat, got {values}")
         if len(self.r_values) != len(self.b_values):
             raise DomainError(f"need one r per b, got r={self.r_values} for b={self.b_values}")
-        if not all(1 <= b <= self.n for b in self.b_values):
-            raise DomainError(f"b values must lie in [1, n={self.n}], got {self.b_values}")
-        for r in self.r_values:
-            for c in self.c_values:
-                learning_cutoff(self.n, r, c)
+        for b, r in zip(self.b_values, self.r_values):
+            check_setting(self.n, b, r)
+        learning_cutoff(self.n, 0, np.array(self.c_values))
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,10 @@ def trial_streams(cell_seed: Sequence[int], start: int, stop: int, child: int) -
     return [_StateWords(state) for state in states]
 
 
-def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, start: int, stop: int) -> np.ndarray:
-    """(regret, hires, failures) of trials start..stop-1, one row each, run
-    as one batch."""
+def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, trials: int, start: int) -> np.ndarray:
+    """(regret, hires, failures) of the trials from start to the next batch's
+    start or the last trial, one row each, run as one batch."""
+    stop = min(start + CHUNK, trials)
     batch = sample_rounds(n, b, q, r, trial_streams(cell_seed, start, stop, 0))
     rand_seeds = trial_streams(cell_seed, start, stop, 1) if spec.variant == "rand" else None
     return run_policy_batch(batch, spec, rand_seeds)[0]
@@ -234,28 +234,28 @@ def run_cell(
 ) -> CellStats:
     """Run one parameter cell; deterministic in (arguments, seed) for any workers.
 
-    The trials run in batches of CHUNK, so memory stays bounded whatever the
-    trial count; workers share out the batches.
+    The trials run in batches of CHUNK, which workers share out.  Only the
+    (trials, 3) int64 results, 24 bytes a trial, grow with the trial count;
+    they are allocated first, so a count that cannot fit fails at once.
     """
     cell_seed = seed_entropy(seed)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     workers = clamp_workers(workers, os.cpu_count())
-    (spec,) = policy_spec(policy, n, b, [r], [q], c)
-    starts = range(0, trials, CHUNK)
-    stops = [min(start + CHUNK, trials) for start in starts]
-    run = partial(_run_chunk, n, b, q, r, spec, cell_seed)
+    spec = policy_spec(policy, n, b, [r], [q], c)
     data = np.empty((trials, 3), dtype=np.int64)
+    starts = range(0, trials, CHUNK)
+    run = partial(_run_chunk, n, b, q, r, spec, cell_seed, trials)
 
     def collect(parts):
-        for start, stop, part in zip(starts, stops, parts):
-            data[start:stop] = part
+        for start, part in zip(starts, parts):
+            data[start : start + CHUNK] = part
 
     if workers == 1 or len(starts) == 1:
-        collect(map(run, starts, stops))
+        collect(map(run, starts))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            collect(pool.map(run, starts, stops))
+            collect(pool.map(run, starts))
     regrets = data[:, 0].astype(float)
     mean = float(regrets.mean())
     stderr = float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.core import DomainError, RoundBatch, check_setting, seed_entropy
-from seqselect.policies import CUTOFF_VARIANTS, policy_spec, run_policy_batch
+from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -56,37 +56,37 @@ class ChainRound:
     results: np.ndarray
 
 
-def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], list]:
+def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], PolicySpec]:
     """Map one round index's (n, b, r, q), r and q one entry per chain, to
-    the chains' PolicySpecs for a policy token (policies.policy_spec)."""
+    the chains' PolicySpec for a policy token (policies.policy_spec)."""
     if name not in POLICY_NAMES:
         raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     variant, cutoff = _TOKENS[name]
 
-    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> list:
+    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> PolicySpec:
         return policy_spec(variant, n, b, r, q, None if cutoff is None else cutoff(n))
 
     return select
 
 
-def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, seeds: Sequence) -> tuple:
-    """What chain t draws from seeds[t] alone, whatever policy runs it: row t
-    of the (T, size) scores and (T, b) first staff, and per round index the
-    (T, b) resignations, (T, n) sample positions and T RAND seeds.  A sample
+def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, count: int, seeds) -> tuple:
+    """What chain t draws from the t-th of the count seeds alone, whatever
+    policy runs it: row t of the (T, size) scores and (T, b) first staff, and
+    per round index the (T, b) resignations, (T, n) sample positions and T
+    RAND seeds, the arrays allocated before any seed is read.  A sample
     position counts the size - b non-employed members in ascending order."""
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
         raise DomainError("p_res must lie in [0, 1]")
-    streams = [np.random.SeedSequence(seed_entropy(seed)).spawn(2) for seed in seeds]
-    if not streams:
+    if count < 1:
         raise DomainError("run_chains needs at least one seed")
-    T = len(streams)
-    scores = np.empty((T, pop.size))
-    staff = np.empty((T, pop.b), dtype=np.int64)  # member indices
-    per_round = [(np.empty((T, pop.b), dtype=bool), np.empty((T, pop.n), dtype=np.int64), [])
-                 for _ in range(rounds)]
-    for t, (pop_ss, stream_ss) in enumerate(streams):
+    scores = np.empty((count, pop.size))
+    staff = np.empty((count, pop.b), dtype=np.int64)  # member indices
+    per_round = [(np.empty((count, pop.b), dtype=bool),
+                  np.empty((count, pop.n), dtype=np.int64), []) for _ in range(rounds)]
+    for t, seed in enumerate(seeds):
+        pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
         pop_rng = np.random.default_rng(pop_ss)
         scores[t] = pop_rng.uniform(0.0, 1.0, size=pop.size)
         staff[t] = pop_rng.choice(pop.size, size=pop.b, replace=False)
@@ -108,27 +108,23 @@ def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _run_rounds(pop: PopulationSpec, select: Callable, scores, employed, per_round) -> list:
-    """run_chains's ChainRounds, on _draw_chains's draws, under one policy."""
+def _run_rounds(pop: PopulationSpec, select: Callable, scores, employed, per_round):
+    """run_chains's ChainRounds, on _draw_chains's draws, under one policy,
+    yielded one round index at a time."""
     rows = np.arange(len(scores))[:, None]
-    out = []
     for resigned, positions, rand_seeds in per_round:
         best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
         employed = np.take_along_axis(employed, best_first, axis=1)
         sampled = _members(positions, employed)
         batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
-        specs = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
-        if len(specs) != len(batch):
-            raise DomainError("a policy selector must return one PolicySpec per chain")
-        results, hired, kept = run_policy_batch(batch, specs, rand_seeds)
-        # run_policy_batch runs one variant per round index
-        cutoffs = (np.array([s.cutoff for s in specs])
-                   if specs[0].variant in CUTOFF_VARIANTS else None)
-        out.append(ChainRound(batch, sampled, cutoffs, hired, kept, results))
+        spec = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
+        results, hired, kept = run_policy_batch(batch, spec, rand_seeds)
+        cutoffs = (np.broadcast_to(spec.cutoff, len(batch))
+                   if spec.variant in CUTOFF_VARIANTS else None)
+        yield ChainRound(batch, sampled, cutoffs, hired, kept, results)
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)
         employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(employed.shape)
-    return out
 
 
 def run_chains(
@@ -144,10 +140,11 @@ def run_chains(
     A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
     Chain t draws from seeds[t] alone, so row t is the one row that
     run_chains(..., [seeds[t]]) runs.  Round k of every chain runs as one row
-    of a RoundBatch, with its own r, quality and PolicySpec, and
-    policy_selector builds the round's specs in one call.
+    of a RoundBatch, with its own r, quality, cutoff and band, and
+    policy_selector builds the round index's PolicySpec in one call.
     """
-    return _run_rounds(pop, policy_selector, *_draw_chains(pop, rounds, p_res, seeds))
+    draws = _draw_chains(pop, rounds, p_res, len(seeds), seeds)
+    return list(_run_rounds(pop, policy_selector, *draws))
 
 
 @dataclass(frozen=True)
@@ -186,19 +183,20 @@ def compare_policies(
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
     seed_entropy(seed)
-    draws = _draw_chains(pop, rounds, p_res, [[seed, i] for i in range(runs)])
+    draws = _draw_chains(pop, rounds, p_res, runs, ([seed, i] for i in range(runs)))
     out = {}
     for p in policy_names:
-        chain = _run_rounds(pop, selectors[p], *draws)
-        # each round index's columns, one entry per run
-        results = [cr.results.tolist() for cr in chain]
-        quality = [cr.batch.quality().tolist() for cr in chain]
-        cutoff = [[None] * runs if cr.cutoffs is None else cr.cutoffs.tolist() for cr in chain]
+        # each round index's columns, one entry per run, read as the round
+        # index runs, so a policy does not hold all its ChainRounds at once
+        results, quality, cutoff = zip(*(
+            (cr.results.tolist(), cr.batch.quality().tolist(),
+             [None] * runs if cr.cutoffs is None else cr.cutoffs.tolist())
+            for cr in _run_rounds(pop, selectors[p], *draws)))
         rows = tuple((i, k + 1, *results[k][i], quality[k][i], cutoff[k][i])
                      for i, k in np.ndindex(runs, rounds))
         # a C-contiguous (runs, rounds) matrix: past 8 runs, std's sum over
         # runs depends on the layout
-        regs = np.column_stack([cr.results[:, 0] for cr in chain]).astype(float, order="C")
+        regs = np.array(results, dtype=float)[..., 0].T.copy(order="C")
         mean = regs.mean(axis=0)
         se = regs.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(rounds)
         out[p] = PolicyCurve(

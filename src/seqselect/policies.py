@@ -9,7 +9,6 @@ is below the step threshold counts as a failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,37 +26,41 @@ VARIANTS = CUTOFF_VARIANTS + ("mean", "rand")
 class ZoneConfig:
     """Band around the expected no-failure acceptance trajectory.
 
-    mu[j-1] is the expected number of accepted candidates at step j given no
-    failure occurs; width[j-1] the band half-width.
+    mu[..., j-1] is the expected number of accepted candidates at step j
+    given no failure occurs; width[..., j-1] the band half-width.  Each is a
+    float array of shape (n,), one band for every round, or (T, n), one row
+    per round.
     """
 
-    mu: tuple
-    width: tuple
+    mu: np.ndarray
+    width: np.ndarray
 
     def __post_init__(self):
-        if len(self.mu) != len(self.width):
-            raise DomainError("zone mu and width must have equal lengths")
+        for name in ("mu", "width"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if {self.mu.ndim, self.width.ndim} - {1, 2} or self.mu.shape[-1] != self.width.shape[-1]:
+            raise DomainError("zone mu and width must be (n,) or (T, n) arrays of equal lengths n")
 
     @classmethod
-    def default(cls, n: int, b: int, mu: Sequence[float]) -> "ZoneConfig":
-        if len(mu) != n:
-            raise DomainError("mu curve must have length n")
-        width = tuple(0.5 * b * (1.0 - j / n) for j in range(1, n + 1))
-        return cls(mu=tuple(np.asarray(mu, dtype=float).tolist()), width=width)
+    def default(cls, n: int, b: int, mu) -> "ZoneConfig":
+        """The band of half-width 0.5 b (1 - j/n) at step j around mu."""
+        return cls(mu=mu, width=0.5 * b * (1.0 - np.arange(1, n + 1) / n))
 
     @classmethod
     def infinite(cls, n: int) -> "ZoneConfig":
         """Band that never triggers an adjustment (engine coincides with the
         plain cutoff policy decision-by-decision)."""
-        return cls(mu=(0.0,) * n, width=(math.inf,) * n)
+        return cls(mu=np.zeros(n), width=np.full(n, np.inf))
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Which policy to run and its parameters."""
+    """Which policy to run over a batch of rounds, and its parameters: the
+    cutoff is one int for every round or an int array of one per round, and
+    the zone's rows are likewise one band or one per round."""
 
     variant: str  # one of VARIANTS
-    cutoff: int = 0
+    cutoff: int | np.ndarray = 0
     zone: Optional[ZoneConfig] = None
 
     def __post_init__(self):
@@ -67,23 +70,24 @@ class PolicySpec:
             raise DomainError("acsm requires a zone config")
 
 
-def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) -> list:
-    """One PolicySpec of variant per round of the settings (n, b, r[t], q[t]):
-    a cutoff policy runs c, or the translated cutoff when c is None, and acsm
-    adds the default band around the model's mu_hat there, every round's
-    from one mu_hat_rows call; mean and rand take no parameter, but a given c
-    must still lie in [0, n] for every variant."""
+def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) -> PolicySpec:
+    """The PolicySpec of variant for the rounds of the settings (n, b, r[t],
+    q[t]): a cutoff policy runs c in every round, or each round's translated
+    cutoff when c is None, one entry per round, and acsm adds the default
+    band around the model's mu_hat there, a row per round from one
+    mu_hat_rows call; mean and rand take no parameter, but a given c must
+    still lie in [0, n] for every variant."""
     if c is not None:
         learning_cutoff(n, 0, c)
     if variant not in CUTOFF_VARIANTS:
-        return [PolicySpec(variant)] * len(r)
-    cutoffs = [resolve_cutoff(n, b, rt, qt).c_target if c is None else c for rt, qt in zip(r, q)]
+        return PolicySpec(variant)
+    cutoff = np.array([resolve_cutoff(n, b, rt, qt).c_target if c is None else c
+                       for rt, qt in zip(r, q)], dtype=np.int64)
     if variant == "csm":
-        return [PolicySpec(variant, cutoff=ct) for ct in cutoffs]
+        return PolicySpec(variant, cutoff)
     # the model needs 0 < q < 1; a chain's measured quality can sit on an end
-    mu = mu_hat_rows(n, b, r, np.clip(q, 1e-6, 1.0 - 1e-6), cutoffs)
-    return [PolicySpec(variant, cutoff=ct, zone=ZoneConfig.default(n, b, row))
-            for ct, row in zip(cutoffs, mu)]
+    mu = mu_hat_rows(n, b, r, np.clip(q, 1e-6, 1.0 - 1e-6), cutoff)
+    return PolicySpec(variant, cutoff, ZoneConfig.default(n, b, mu))
 
 
 # The round loop and the four policies run every round of a RoundBatch at
@@ -244,26 +248,22 @@ def _rand_batch(batch: RoundBatch, seeds) -> tuple:
     return _run_batch(batch, 0, lambda j, hires, in_place: draws[:, j - 1])
 
 
-def run_policy_batch(batch: RoundBatch, spec, rand_seeds=None) -> tuple:
-    """Run a policy over every round of batch: (results, hired, kept) as
-    _run_batch returns them.
+def run_policy_batch(batch: RoundBatch, spec: PolicySpec, rand_seeds=None) -> tuple:
+    """Run spec's policy over every round of batch: (results, hired, kept)
+    as _run_batch returns them.
 
-    spec is one PolicySpec for every round, or a sequence of one per round,
-    all of one variant; rand_seeds holds one RAND seed per round, round t's
-    at t.
+    The spec's cutoff and its zone's rows are one for every round or one per
+    round; any other count, or a band not n long, raises DomainError.
+    rand_seeds holds one RAND seed per round, round t's at t.
     """
-    specs = [spec] if isinstance(spec, PolicySpec) else list(spec)
-    if len(specs) not in (1, len(batch)) or len({s.variant for s in specs}) != 1:
-        raise DomainError("need one PolicySpec, or one per round, all of one variant")
-    variant = specs[0].variant
-    if variant == "mean":
+    if spec.variant == "mean":
         return _mean_batch(batch)
-    if variant == "rand":
+    if spec.variant == "rand":
         return _rand_batch(batch, rand_seeds)
-    zone = None
-    if variant == "acsm":
-        if any(len(s.zone.mu) != batch.n for s in specs):
-            raise DomainError("zone mu curve length must equal n")
-        zone = tuple(np.array([getattr(s.zone, name) for s in specs], dtype=float)
-                     for name in ("mu", "width"))
-    return _cutoff_batch(batch, np.array([s.cutoff for s in specs]), zone)
+    cutoff = np.asarray(spec.cutoff)
+    zone = np.atleast_2d(spec.zone.mu, spec.zone.width) if spec.variant == "acsm" else None
+    if cutoff.ndim > 1 or cutoff.size not in (1, len(batch)) or zone is not None and any(
+            x.shape[-1] != batch.n or len(x) not in (1, len(batch)) for x in zone):
+        raise DomainError("need one cutoff and band for every round or one per round, "
+                          "each band n long")
+    return _cutoff_batch(batch, cutoff, zone)

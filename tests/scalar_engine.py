@@ -121,7 +121,7 @@ def _cutoff_round(instance: Instance, c: int, zone: Optional[ZoneConfig]) -> Sel
     Forced acceptances are unchanged.
     """
     n, r = instance.n, instance.r
-    if zone is not None and len(zone.mu) != n:
+    if zone is not None and (zone.mu.shape != (n,) or zone.width.shape != (n,)):
         raise DomainError("zone mu curve length must equal n")
     c_eff, y_b, n_rej, seen = _learning_phase(instance, c)
     d_plus = d_minus = 0
@@ -189,8 +189,20 @@ def run_rand_baseline(instance: Instance, seed) -> SelectionOutcome:
     return _run_round(instance, 0, lambda j, l, in_place: draws[j - 1])
 
 
-def run_policy(instance: Instance, spec: PolicySpec, rand_seed=None) -> SelectionOutcome:
-    """Dispatch a PolicySpec against one instance."""
+def spec_row(spec: PolicySpec, t: int) -> PolicySpec:
+    """Round t's one-round PolicySpec: the cutoff and band rows that spec
+    holds for round t, or the ones it holds for every round."""
+    def row(values, ndim):
+        values = np.asarray(values)
+        return values if values.ndim == ndim else values[t if len(values) > 1 else 0]
+
+    zone = None if spec.zone is None else ZoneConfig(row(spec.zone.mu, 1), row(spec.zone.width, 1))
+    return PolicySpec(spec.variant, int(row(spec.cutoff, 0)), zone)
+
+
+def run_policy(instance: Instance, spec: PolicySpec, rand_seed=None, t: int = 0) -> SelectionOutcome:
+    """Run round t of a PolicySpec (spec_row) against one instance."""
+    spec = spec_row(spec, t)
     if spec.variant == "csm":
         return run_cutoff(instance, spec.cutoff)
     if spec.variant == "acsm":

@@ -196,6 +196,54 @@ class TestHeatmap:
         assert not out.exists() and not (tmp_path / "h_cutoffs.csv").exists()
 
 
+class TestSweepsCheckEverySettingFirst:
+    @pytest.mark.parametrize("argv, error", [
+        (["heatmap", "--n", "20", "--r", "3", "--b-values", "5,2"],
+         "error: need 0 <= r <= b <= n and b >= 1\n"),
+        (["cutoff-curves", "--n", "20", "--q-values", "0.5,1.5", "--b-values", "3"],
+         "error: need 0 < q < 1, got q=1.5\n"),
+    ], ids=["heatmap-r-above-a-later-b", "cutoff-curves-later-q"])
+    def test_no_cell_runs(self, argv, error, tmp_path, capsys, monkeypatch):
+        # a bad later setting must not cost the cells of the earlier ones
+        calls = []
+        real = seqselect.montecarlo.run_cell
+        monkeypatch.setattr(seqselect.montecarlo, "run_cell",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        out = tmp_path / "x.csv"
+        assert run_cli(argv + ["--c-values", "0,5", "--trials", "5", "--out", str(out)]) == 2
+        assert len(calls) == 0
+        assert capsys.readouterr().err == error
+        assert list(tmp_path.iterdir()) == []
+
+
+def main_under_memory_limit(argv, tmp_path, limit=1 << 30):
+    """main(argv) in a child process whose address space is capped at limit
+    bytes once seqselect is imported (RLIMIT_AS), so a run that asks for
+    more memory than that fails in the child alone."""
+    code = ("import resource, sys\n"
+            "from seqselect.cli import main\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(seqselect.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestSizesThatCannotFit:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--b", "2", "--c", "3", "--trials", "100000000000000"],
+        ["multiround", "--p-res", "0.5", "--runs", "1000000000", "--out", "x.csv"],
+    ], ids=["simulate-trials", "multiround-runs"])
+    def test_fail_at_once_with_an_error_line(self, argv, tmp_path):
+        # the results (simulate) and the draws (multiround) are allocated
+        # before any Python list grows with the count
+        res = main_under_memory_limit(argv, tmp_path)
+        assert (res.returncode, res.stdout) == (5, "")
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCutoffCurves:
     def test_curve_file(self, tmp_path):
         out = tmp_path / "curves.csv"

@@ -22,7 +22,7 @@ from tests.scalar_engine import run_cutoff, run_policy
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):
     """run_cell's statistics from one scalar round per trial, on the
     documented streams trial_stream(seed, i, 0) and trial_stream(seed, i, 1)."""
-    (spec,) = policy_spec(policy, n, b, [r], [q], c)
+    spec = policy_spec(policy, n, b, [r], [q], c)
     rows = []
     for i in range(trials):
         inst_ss, policy_ss = trial_stream((seed,), i, 0), trial_stream((seed,), i, 1)
@@ -201,10 +201,12 @@ class TestHeatmap:
 
 class TestExperimentSpecB:
     def test_b_outside_range(self):
-        for b_values in ((0,), (-3,), (2, 11)):
-            with pytest.raises(DomainError, match="b values"):
+        # every (b, r) pair is a setting, checked by the one rule of core
+        for b_values, r_values in (((0,), (0,)), ((-3,), (0,)), ((2, 11), (0, 0)),
+                                   ((5, 2), (3, 3))):
+            with pytest.raises(DomainError, match=r"need 0 <= r <= b <= n and b >= 1"):
                 ExperimentSpec(
-                    n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_values=(0,) * len(b_values)
+                    n=10, b_values=b_values, c_values=(0, 5), q=0.5, r_values=r_values
                 )
 
     def test_repeated_b_or_c(self):

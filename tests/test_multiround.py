@@ -121,12 +121,14 @@ class TestRunChain:
         run_chains(SMALL, 4, 0.5, counting, [1, 2, 3])
         assert calls == [(3, 3)] * 4
 
-    def test_selector_returns_one_spec_per_chain(self):
-        # run_policy_batch would run one spec on every chain, but the round
-        # index would then hold one cutoff for three chains
+    def test_selector_spec_holds_one_cutoff_per_chain(self):
+        # a spec of one cutoff runs it on every chain; two for three chains
+        # would leave a chain without one
         select = make_policy_selector("csm-0")
-        with pytest.raises(DomainError, match="one PolicySpec per chain"):
-            run_chains(SMALL, 2, 0.5, lambda n, b, r, q: select(n, b, r, q)[:1], [1, 2, 3])
+        with pytest.raises(DomainError, match="one per round"):
+            run_chains(SMALL, 2, 0.5, lambda n, b, r, q: select(n, b, r[:2], q[:2]), [1, 2, 3])
+        (cr,) = run_chains(SMALL, 1, 0.5, lambda n, b, r, q: select(n, b, r[:1], q[:1]), [1, 2, 3])
+        assert cr.cutoffs.tolist() == [0, 0, 0]
 
     def test_single_round_is_one_selection(self):
         (cr,) = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])
@@ -161,7 +163,7 @@ def test_a_sample_is_its_positions_among_the_eligible_members(seed, pool, chains
 class TestSelectors:
     def test_tokens(self):
         for name in POLICY_NAMES:
-            (spec,) = make_policy_selector(name)(20, 3, [1], [0.6])
+            spec = make_policy_selector(name)(20, 3, [1], [0.6])
             assert spec.variant in ("csm", "acsm", "mean", "rand")
 
     def test_unknown_token(self):
@@ -170,15 +172,15 @@ class TestSelectors:
 
     def test_star_handles_extreme_quality(self):
         sel = make_policy_selector("csm-star")
-        assert sel(20, 3, [0], [1.0])[0].cutoff == 0
-        assert sel(20, 3, [0], [0.999])[0].cutoff == 0
-        (low,) = sel(20, 3, [0], [1e-12])
-        assert 0 <= low.cutoff <= 20
+        assert sel(20, 3, [0], [1.0]).cutoff.tolist() == [0]
+        assert sel(20, 3, [0], [0.999]).cutoff.tolist() == [0]
+        (low,) = sel(20, 3, [0], [1e-12]).cutoff
+        assert 0 <= low <= 20
 
     def test_acsm_star_builds_zone(self):
-        (spec,) = make_policy_selector("acsm-star")(30, 3, [1], [0.55])
+        spec = make_policy_selector("acsm-star")(30, 3, [1], [0.55])
         assert spec.variant == "acsm" and spec.zone is not None
-        assert len(spec.zone.mu) == 30
+        assert spec.zone.mu.shape == (1, 30)
 
 
 PIN_Q = (0.0, 1e-12, 0.3, 0.5, 0.81, 0.999, 1.0)
@@ -223,7 +225,7 @@ def test_selectors_are_pinned(setting):
             "rand": ("rand", 0),
         }
         for name in POLICY_NAMES:
-            (spec,) = make_policy_selector(name)(n, b, [r], [q])
+            spec = make_policy_selector(name)(n, b, [r], [q])
             assert (spec.variant, spec.cutoff) == expected[name], (name, q)
             assert (spec.zone is None) == (name != "acsm-star"), (name, q)
             if spec.zone is not None:

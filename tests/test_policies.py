@@ -30,6 +30,7 @@ from tests.scalar_engine import (
     run_mean_baseline,
     run_policy,
     run_rand_baseline,
+    spec_row,
 )
 from tests.test_core import make_instance
 
@@ -270,18 +271,22 @@ class TestAdjustedCutoff:
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)
         spec = PolicySpec("acsm", cutoff=2, zone=ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
-        with pytest.raises(DomainError, match="zone mu curve length must equal n"):
+        with pytest.raises(DomainError, match="each band n long"):
             run_policy_batch(inst.batch, spec)
 
-    def test_one_spec_or_one_per_round_of_one_variant(self):
+    def test_one_cutoff_for_every_round_or_one_per_round(self):
         batch = sample_rounds(10, 2, 0.5, 1, [1, 2, 3])
-        for specs in ([PolicySpec("csm", cutoff=2)] * 2,
-                      [PolicySpec("csm", cutoff=2)] * 2 + [PolicySpec("mean")]):
-            with pytest.raises(DomainError, match="one per round, all of one variant"):
-                run_policy_batch(batch, specs)
+        for cutoff in ([2, 2], [2, 2, 2, 2], [[2, 2, 2]]):
+            with pytest.raises(DomainError, match="one per round"):
+                run_policy_batch(batch, PolicySpec("csm", cutoff=np.array(cutoff)))
         one, _, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=2))
-        each, _, _ = run_policy_batch(batch, [PolicySpec("csm", cutoff=2)] * 3)
-        assert np.array_equal(one, each)
+        for cutoff in ([2], [2, 2, 2]):
+            each, _, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=np.array(cutoff)))
+            assert np.array_equal(one, each)
+        # csm runs no band, whatever zone its spec holds
+        zone = ZoneConfig(mu=(2.0,) * 10, width=(0.0,) * 10)
+        banded, _, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=2, zone=zone))
+        assert np.array_equal(one, banded)
 
     def test_width_length_must_match_mu(self):
         for width in ((0.1,) * 3, (0.1,) * 11):
@@ -414,7 +419,7 @@ class TestPolicySpecDispatch:
             for c in (-1, 11):
                 with pytest.raises(DomainError, match="0 <= c <= n"):
                     policy_spec(variant, 10, 2, [0], [0.5], c)
-        assert policy_spec("mean", 10, 2, [0], [0.5], 10) == [PolicySpec("mean")]
+        assert policy_spec("mean", 10, 2, [0], [0.5], 10) == PolicySpec("mean")
 
 
 class TestAdjustedReducesFailures:
@@ -422,8 +427,7 @@ class TestAdjustedReducesFailures:
         # high resignations and a competitive reference set: the band feedback
         # must cut failures relative to the plain policy on paired instances
         n, b, r, q, c = 100, 20, 20, 0.81, 15
-        (spec,) = policy_spec("acsm", n, b, [r], [q], c)
-        zone = spec.zone
+        zone = spec_row(policy_spec("acsm", n, b, [r], [q], c), 0).zone
         rng = np.random.default_rng(2718)
         plain_f = adj_f = 0
         for _ in range(800):

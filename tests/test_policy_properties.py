@@ -34,7 +34,12 @@ from seqselect.policies import (  # noqa: E402
     policy_spec,
     run_policy_batch,
 )
-from tests.scalar_engine import run_adjusted_cutoff, run_cutoff, run_policy  # noqa: E402
+from tests.scalar_engine import (  # noqa: E402
+    run_adjusted_cutoff,
+    run_cutoff,
+    run_policy,
+    spec_row,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -94,7 +99,7 @@ def _cell_policy(draw, n, b, r, c, q):
     variant = draw(st.sampled_from(["csm", "acsm-model", "acsm", "mean", "rand"]))
     if variant != "acsm":
         try:
-            return policy_spec(variant.removesuffix("-model"), n, b, [r], [q], c)[0]
+            return policy_spec(variant.removesuffix("-model"), n, b, [r], [q], c)
         except DomainError:  # acsm's no-failure event has probability zero
             reject()
     # numpy draws, not Hypothesis lists: these zones leave the band in both
@@ -165,15 +170,31 @@ def test_batch_engine_is_the_scalar_engine_on_tied_scores(round_, q, data):
         assert got[seed].tolist() == [out.regret, out.hires, out.failures]
 
 
+def _band(draw, rng, b, shape):
+    """Band rows of the given shape's leading axes: each row above the hire
+    count once a round hires (mu = 0), below it until the round is full
+    (mu = b), or a numpy draw, as in _cell_policy, that leaves the band in
+    both directions."""
+    kinds = draw(st.lists(st.sampled_from(["above", "below", "drawn"]),
+                          min_size=int(np.prod(shape[:-1])), max_size=int(np.prod(shape[:-1]))))
+    mu = np.sort(rng.uniform(0.0, b, shape), axis=-1).reshape(-1, shape[-1])
+    for row, kind in zip(mu, kinds):
+        row[:] = {"above": 0.0, "below": b}.get(kind, row)
+    width = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, b])), shape)
+    width *= np.array([kind == "drawn" for kind in kinds]).reshape(shape[:-1] + (1,))
+    return ZoneConfig(mu.reshape(shape), width)
+
+
 @st.composite
 def mixed_rounds(draw):
     """Rounds of one size (n, b) whose r differ, drawn by generate_instance
-    or built from GRID scores, and one PolicySpec per round, all of one
-    variant, whose cutoffs and bands differ."""
+    or built from GRID scores, and one PolicySpec for all of them.  Its
+    cutoff is one plain int, or an array of one entry for every round or one
+    per round, and its band rows likewise: (n,), (1, n) or (T, n)."""
     b = draw(st.integers(1, 4))
     n = draw(st.integers(b, 8))
     variant = draw(st.sampled_from(["csm", "acsm", "mean", "rand"]))
-    rounds, specs = [], []
+    rounds = []
     for _ in range(draw(st.integers(1, 6))):
         r = draw(st.integers(0, b))
         if draw(st.booleans()):
@@ -181,25 +202,48 @@ def mixed_rounds(draw):
         else:
             q = draw(st.floats(0.05, 0.95))
             rounds.append(generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1))))
-        # numpy draws, as in _cell_policy: bands that leave in both directions
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        mu = np.sort(rng.uniform(0.0, b, n))
-        width = rng.uniform(0.0, draw(st.sampled_from([0.0, 1.0, b])), n)
-        zone = ZoneConfig(mu=tuple(mu), width=tuple(width)) if variant == "acsm" else None
-        specs.append(PolicySpec(variant, cutoff=draw(st.integers(0, n)), zone=zone))
-    return rounds, specs
+    rows = draw(st.sampled_from([(), (1,), (len(rounds),)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cutoff = rng.integers(0, n + 1, rows)
+    zone = _band(draw, rng, b, rows + (n,)) if variant == "acsm" else None
+    return rounds, PolicySpec(variant, int(cutoff) if rows == () else cutoff, zone)
 
 
 @SETTINGS
 @given(mixed_rounds())
 def test_batch_engine_is_the_scalar_engine_on_mixed_rounds(mixed):
-    rounds, specs = mixed
-    got, hired, kept = run_policy_batch(_stack(rounds), specs, range(len(rounds)))
-    for seed, (inst, spec) in enumerate(zip(rounds, specs)):
-        out = run_policy(inst, spec, rand_seed=seed)
-        assert got[seed].tolist() == [out.regret, out.hires, out.failures]
-        assert hired[seed].astype(int).tolist() == list(out.candidate_decisions)
-        assert kept[seed].astype(int).tolist() == list(out.referent_decisions)
+    # one spec decides each round of the batch as its row of the spec (or
+    # its one row) decides the round run alone, and as the scalar engine does
+    rounds, spec = mixed
+    got, hired, kept = run_policy_batch(_stack(rounds), spec, range(len(rounds)))
+    for t, inst in enumerate(rounds):
+        alone = run_policy_batch(inst.batch, spec_row(spec, t), [t])
+        out = run_policy(inst, spec, rand_seed=t, t=t)
+        assert got[t].tolist() == alone[0][0].tolist() == [out.regret, out.hires, out.failures]
+        assert hired[t].tolist() == alone[1][0].tolist()
+        assert kept[t].tolist() == alone[2][0].tolist()
+        assert hired[t].astype(int).tolist() == list(out.candidate_decisions)
+        assert kept[t].astype(int).tolist() == list(out.referent_decisions)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(2, 8), st.sampled_from(["cutoff", "rows", "n", "width"]),
+       st.integers(0, 9))
+def test_a_cutoff_or_band_of_the_wrong_length_raises(T, n, wrong, length):
+    # a spec holds one cutoff and band row for every round or one per round,
+    # each band n long; any other length would reach numpy's broadcasting
+    if length in ((1, T) if wrong in ("cutoff", "rows") else (n,)):
+        reject()
+    batch = sample_rounds(n, 2, 0.5, 1, range(T))
+    cutoff = np.zeros(length if wrong == "cutoff" else T, dtype=np.int64)
+    steps = length if wrong == "n" else n
+    mu = np.zeros((length if wrong == "rows" else T, steps))
+    with pytest.raises(DomainError):
+        zone = ZoneConfig(mu, np.zeros(length if wrong == "width" else steps))
+        run_policy_batch(batch, PolicySpec("acsm", cutoff, zone))
+    if wrong == "cutoff":
+        with pytest.raises(DomainError, match="one per round"):
+            run_policy_batch(batch, PolicySpec("csm", cutoff))
 
 
 @SETTINGS
@@ -250,17 +294,18 @@ def _spec_bytes(spec):
 @SETTINGS
 @given(st.sampled_from(["csm-star", "acsm-star", "csm-e"]), mixed_round_settings())
 def test_a_batch_of_rounds_gives_the_one_round_specs(name, setting):
-    # policies.policy_spec builds every round's spec in one call, acsm's
-    # bands from one mu_hat_rows call; each must be the spec of its round alone
+    # policies.policy_spec builds one spec for every round, acsm's bands
+    # from one mu_hat_rows call; row t must be the spec of round t alone
     n, b, r, q = setting
     select = make_policy_selector(name)
     alone = []
     for rt, qt in zip(r, q):
         try:
-            alone += select(n, b, [rt], [qt])
+            alone.append(select(n, b, [rt], [qt]))
         except DomainError:  # acsm's no-failure event has probability zero
             with pytest.raises(DomainError):
                 select(n, b, list(r), list(q))
             return
     together = select(n, b, list(r), list(q))
-    assert list(map(_spec_bytes, together)) == list(map(_spec_bytes, alone))
+    assert ([_spec_bytes(spec_row(together, t)) for t in range(len(r))]
+            == [_spec_bytes(spec_row(spec, 0)) for spec in alone])
