@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter, OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,10 @@ from seqselect.core import (
     ContractError,
     DomainError,
     check_quality,
+    check_scan_size,
     check_setting,
     learning_cutoff,
+    similar_n,
 )
 
 #: steps subtracted from the raw argmin of the recursion (r < b only).  It is
@@ -182,9 +184,11 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     )
 
 
-def _recursion(n: int, b: int, r, q, c, after_step=None):
-    """The r < b recursion of threshold_curve over an array c of cutoffs in
-    ascending order, one column each; r and q are numbers or one per column.
+def _recursion(n, b, r, q, c, after_step=None):
+    """The r < b recursion of threshold_curve, one column per setting
+    (n, b, r, q, c): c is an array, and n, b, r and q are numbers or arrays
+    of one entry per column.  The columns must be sorted by n - c, the
+    steps each runs, in descending order; for one n that is ascending c.
 
     The loop counts s, the steps completed since the cutoff (step
     j = c + 1 + s).  A column runs while c + s < n, so the live columns are
@@ -192,21 +196,27 @@ def _recursion(n: int, b: int, r, q, c, after_step=None):
     in-place += writes through to the full per-column arrays.
     after_step(s, gamma_j, p_j, lam_j, g_j(b)), when given, sees each step's
     values over the live prefix.  Returns (e_hires, candidate_term,
-    referent_term), elementwise over c.
+    referent_term), one entry per column.
     """
+    n, b, r = (np.broadcast_to(x, c.shape) for x in (n, b, r))
+    left = n - c  # steps each column runs
+    if np.any(np.diff(left) > 0):
+        raise ContractError("recursion columns must be sorted by n - c, descending")
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
-    ref_coef = expected_available_rank(1, q, n, b, r) + np.zeros(len(c))
+    ref_coef = expected_available_rank(1, q, n, b, r)
+    cap, size = b, n + b
     lam, hired, cand = (np.zeros(len(c)) for _ in range(3))
     totals = hired, cand
-    for s in range(n - c.min(initial=n)):
-        live = slice(np.searchsorted(c, n - s))
-        gam, delta, coef, lam, hired, cand = (
-            x[live] for x in (gam, delta, ref_coef, lam, hired, cand))
-        gjb = _g_due(b, lam, s) if s >= b else np.ones(lam.size)  # spares gammaincc at s < b
+    for s in range(left.max(initial=0)):
+        live = slice(np.searchsorted(-left, -s))  # the columns with left > s
+        cap, size, gam, delta, coef, lam, hired, cand = (
+            x[live] for x in (cap, size, gam, delta, ref_coef, lam, hired, cand))
+        # spares gammaincc while s < b, where every entry of the b-count call is 1
+        gjb = _g_due(cap, lam, s) if s >= cap.min() else np.ones(lam.size)
         gjd = _g_due(delta, lam, s)
-        gj = np.maximum(gam * gjd + coef * np.maximum(b - hired, 0.0) * (1.0 - gjd), 1.0)
-        pj = (gj - 1.0) / (n + b)
+        gj = np.maximum(gam * gjd + coef * np.maximum(cap - hired, 0.0) * (1.0 - gjd), 1.0)
+        pj = (gj - 1.0) / size
         cand += gjb * gj * (gj - 1.0) / 2.0
         hired += pj * gjb  # sum of p_i g_i(b), i <= j
         lam += pj
@@ -288,28 +298,88 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
 
 
 def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
-    """Expected regret over every cutoff c in [0, n] at medium quality, one
-    array pass over the learning phases they run (core.learning_cutoff)."""
-    check_setting(n, b, r)
-    runs = learning_cutoff(n, r, np.arange(n + 1))
-    c = np.arange(runs[-1] + 1)
-    e_hires, cand, ref = _full_resignation(n, b, c) if r == b else _recursion(n, b, r, 0.5, c)
-    regret = cand + ref - expected_offline(n, b, r, 0.5)
-    return regret[runs]
+    """Expected regret over every cutoff c in [0, n] at medium quality: the
+    one-setting call of _regret_scans."""
+    return _regret_scans([(n, b, r)])[0]
 
 
-@lru_cache(maxsize=100_000)
+def _regret_scans(settings) -> list:
+    """_regret_scan of each (n, b, r) of settings, in one array pass over
+    the learning phases c in [0, n - r] that their cutoffs run
+    (core.learning_cutoff).  Every r < b setting's learning phases are
+    columns of one _recursion, sorted by the steps they run; each r = b
+    setting is one _full_resignation expression.  Every setting is checked,
+    and its n held to core.MAX_SCAN_N, before any scan starts.
+    """
+    for n, b, r in settings:
+        check_setting(n, b, r)
+        check_scan_size(n)
+    n, b, r = np.array([s for s in settings if s[2] < s[1]], dtype=np.int64).reshape(-1, 3).T
+    phases = n - r + 1
+    starts = np.cumsum(phases) - phases  # each setting's first column
+    n, b, r = (np.repeat(x, phases) for x in (n, b, r))
+    c = np.arange(n.size) - np.repeat(starts, phases)
+    order = np.argsort(c - n, kind="stable")  # n - c descending
+    totals = np.empty(c.size)
+    if c.size:  # no pass without an r < b setting
+        _, cand, ref = _recursion(n[order], b[order], r[order], 0.5, c[order])
+        totals[order] = cand + ref
+    partial = iter(np.split(totals, starts[1:]))
+    scans = []
+    for n, b, r in settings:
+        if r == b:
+            _, cand, ref = _full_resignation(n, b, np.arange(n - r + 1))
+            total = cand + ref
+        else:
+            total = next(partial)
+        regret = total - expected_offline(n, b, r, 0.5)
+        scans.append(regret[learning_cutoff(n, r, np.arange(n + 1))])
+    return scans
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_SOLVED_MAX = 100_000
+_solved = OrderedDict()  # (n, b, r) -> optimal_cutoff's result, least recently used first
+_lookups = Counter()
+
+
+def _optimal_cutoffs(settings) -> list:
+    """optimal_cutoff of each (n, b, r) of settings, from one cache.
+
+    The settings not yet solved are scanned together, in one _regret_scans
+    pass; the cache keeps the _SOLVED_MAX settings used last.  A lookup is a
+    hit when its setting was solved before, earlier in the same call too, as
+    one functools.lru_cache call per setting would count it.
+    """
+    cold = [s for s in dict.fromkeys(settings) if s not in _solved]
+    for (n, b, r), vals in zip(cold, _regret_scans(cold)):
+        raw = int(np.argmin(vals))
+        c_star = raw if r == b else max(raw - CUTOFF_CORRECTION, 0)
+        _solved[n, b, r] = c_star, float(vals[c_star])
+    _lookups.update(hits=len(settings) - len(cold), misses=len(cold))
+    out = []
+    for s in settings:
+        _solved.move_to_end(s)
+        out.append(_solved[s])
+    while len(_solved) > _SOLVED_MAX:
+        _solved.popitem(last=False)
+    return out
+
+
 def optimal_cutoff(n: int, b: int, r: int) -> tuple:
     """Optimal learning-phase length at medium quality and its expected regret.
 
     Scans c in {0..n} exhaustively (ties toward smaller c).  For r < b the
     recursion's argmin is moved down by CUTOFF_CORRECTION; the r = b argmin is
-    used as is.  Other qualities go through resolve_cutoff.
+    used as is.  Other qualities go through resolve_cutoff.  Results are
+    cached, for resolve_cutoff and cutoff_table too; cache_info() reads the
+    cache as functools.lru_cache's does.
     """
-    vals = _regret_scan(n, b, r)
-    raw = int(np.argmin(vals))
-    c_star = raw if r == b else max(raw - CUTOFF_CORRECTION, 0)
-    return c_star, float(vals[c_star])
+    return _optimal_cutoffs([(n, b, r)])[0]
+
+
+optimal_cutoff.cache_info = lambda: CacheInfo(
+    _lookups["hits"], _lookups["misses"], _SOLVED_MAX, len(_solved))
 
 
 @dataclass(frozen=True)
@@ -320,9 +390,13 @@ class TranslationResult:
     degenerate: bool = False
 
 
-def resolve_cutoff(n: int, b: int, r: int, q: float) -> TranslationResult:
+def resolve_cutoff(n: int, b, r, q) -> list:
     """The cutoff policy's cutoff at reference quality q, via the
-    gamma_0-similar medium-quality setting.
+    gamma_0-similar medium-quality setting, for each setting
+    (n, b[t], r[t], q[t]): b, r and q are numbers or sequences of one
+    length, a number standing for every setting.  Returns one
+    TranslationResult per setting.  The similar settings not yet solved
+    are scanned together, in one pass (optimal_cutoff's cache).
 
     The similar setting has n_s = floor((n + b - 1)(1 - q)/(1 - 1/2) - b + 1),
     which matches gamma_0 exactly; its optimal cutoff is scaled back by the
@@ -330,14 +404,32 @@ def resolve_cutoff(n: int, b: int, r: int, q: float) -> TranslationResult:
     this is the identity: n_s = n and the factor is 1.  Every q is accepted:
     q below 1e-9 (a reference set at the bottom of the pool) is read as 1e-9,
     and q >= 1 gives n_s < b, a degenerate similar setting whose cutoff is 0
-    (the reference set already beats the field).
+    (the reference set already beats the field).  An n_s above
+    core.MAX_SCAN_N raises DomainError before any scan.
     """
-    n_s = math.floor((n + b - 1) * (1.0 - max(q, 1e-9)) / 0.5 - b + 1)
-    if n_s < b:
-        return TranslationResult(n_source=n_s, c_source=0, c_target=0, degenerate=True)
-    c_s = optimal_cutoff(n_s, b, r)[0]
-    c_t = math.floor(c_s * (n + b - 1) / (n_s + b - 1))
-    return TranslationResult(n_source=n_s, c_source=c_s, c_target=min(c_t, n))
+    b, r, q = (x.tolist() for x in np.broadcast_arrays(*np.atleast_1d(b, r, q)))
+    n_s = [similar_n(n, bt, qt) for bt, qt in zip(b, q)]
+    solved = iter(_optimal_cutoffs([(ns, bt, rt) for ns, bt, rt in zip(n_s, b, r) if ns >= bt]))
+    out = []
+    for ns, bt in zip(n_s, b):
+        if ns < bt:
+            out.append(TranslationResult(n_source=ns, c_source=0, c_target=0, degenerate=True))
+            continue
+        c_s = next(solved)[0]
+        c_t = math.floor(c_s * (n + bt - 1) / (ns + bt - 1))
+        out.append(TranslationResult(n_source=ns, c_source=c_s, c_target=min(c_t, n)))
+    return out
+
+
+def warn_degenerate(b, results) -> None:
+    """Warn for each of resolve_cutoff's results whose similar setting is
+    degenerate, b holding its setting's b, a number or one per result."""
+    for bt, res in zip(np.broadcast_to(b, len(results)).tolist(), results):
+        if res.degenerate:
+            warnings.warn(
+                f"degenerate similar setting (n_s={res.n_source} < b={bt}); returning cutoff 0",
+                stacklevel=3,
+            )
 
 
 def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
@@ -345,13 +437,9 @@ def translate_cutoff(n_t: int, b: int, q_t: float, r: int) -> TranslationResult:
     with a warning when the similar setting is degenerate."""
     check_quality(q_t)
     check_setting(n_t, b, r)
-    res = resolve_cutoff(n_t, b, r, q_t)
-    if res.degenerate:
-        warnings.warn(
-            f"degenerate similar setting (n_s={res.n_source} < b={b}); returning cutoff 0",
-            stacklevel=2,
-        )
-    return res
+    results = resolve_cutoff(n_t, b, r, q_t)
+    warn_degenerate(b, results)
+    return results[0]
 
 
 def mu_hat_curve(params: AnalyticParams) -> np.ndarray:
@@ -432,7 +520,7 @@ def cutoff_table(n_values, b_values, r_values) -> list:
     grid = [(n, b, r) for n in n_values for b in b_values for r in r_values if r <= b <= n]
     if not grid:
         raise DomainError("the (n, b, r) grid has no point with r <= b <= n")
-    return [(n, b, r, *optimal_cutoff(n, b, r)) for n, b, r in grid]
+    return [(*setting, *solved) for setting, solved in zip(grid, _optimal_cutoffs(grid))]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ rank 1 is the best score.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,27 @@ def check_setting(n: int, b: int, r: int) -> None:
     at least b candidates."""
     if not (0 <= r <= b <= n and b >= 1):
         raise DomainError("need 0 <= r <= b <= n and b >= 1")
+
+
+#: the largest n the analytic cutoff scan takes.  A scan runs a step per
+#: candidate over a column per cutoff, so its cost grows as n^2: on a 2-vCPU
+#: x86_64 host, 0.5 s at (n, b, r) = (2,000, 5, 0), 2.6 s at (5,000, 5, 0)
+#: and 5.8 s at (5,000, 50, 5); n = 1,000,000 would take about a day.
+MAX_SCAN_N = 5_000
+
+
+def check_scan_size(n: int) -> None:
+    """The one bound of the analytic cutoff scan (analytics), checked before
+    any scan and, for a run that resolves cutoffs, before it starts."""
+    if n > MAX_SCAN_N:
+        raise DomainError(f"the cutoff scan takes n <= {MAX_SCAN_N}, got n={n}")
+
+
+def similar_n(n: int, b: int, q: float) -> int:
+    """n of the gamma_0-similar medium-quality setting of (n, b) at quality
+    q, the setting whose cutoff analytics.resolve_cutoff scans; q below 1e-9
+    is read as 1e-9."""
+    return math.floor((n + b - 1) * (1.0 - max(q, 1e-9)) / 0.5 - b + 1)
 
 
 def learning_cutoff(n: int, r, c):

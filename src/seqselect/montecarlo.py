@@ -24,16 +24,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from seqselect.analytics import translate_cutoff
+from seqselect.analytics import resolve_cutoff, warn_degenerate
 from seqselect.core import (
     MASK32,
     ContractError,
     DomainError,
     check_quality,
+    check_scan_size,
     check_setting,
     learning_cutoff,
     sample_rounds,
     seed_entropy,
+    similar_n,
 )
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
@@ -80,6 +82,7 @@ class ExperimentSpec:
             raise DomainError(f"need one r per b, got r={self.r_values} for b={self.b_values}")
         for b, r in zip(self.b_values, self.r_values):
             check_setting(self.n, b, r)
+            check_scan_size(similar_n(self.n, b, self.q))  # the analytic path's scan
         learning_cutoff(self.n, 0, np.array(self.c_values))
 
 
@@ -276,10 +279,13 @@ class HeatmapResult:
 
 
 def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
-    """Mean empirical regret per (b, c) cell plus both optimal-cutoff paths."""
+    """Mean empirical regret per (b, c) cell plus both optimal-cutoff paths.
+    The analytic path of every b is resolved first, in one resolve_cutoff
+    call, with translate_cutoff's warning for a degenerate setting."""
+    analytic = resolve_cutoff(spec.n, spec.b_values, spec.r_values, spec.q)
+    warn_degenerate(spec.b_values, analytic)
     cells = {}
     sim_path = {}
-    analytic_path = {}
     for b, r in zip(spec.b_values, spec.r_values):
         best_c, best_val = None, math.inf
         for c in spec.c_values:
@@ -291,5 +297,5 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
             if st.mean_regret < best_val:
                 best_val, best_c = st.mean_regret, c
         sim_path[b] = best_c
-        analytic_path[b] = translate_cutoff(spec.n, b, spec.q, r).c_target
+    analytic_path = {b: res.c_target for b, res in zip(spec.b_values, analytic)}
     return HeatmapResult(cells=cells, sim_path=sim_path, analytic_path=analytic_path)

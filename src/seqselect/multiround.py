@@ -17,7 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from seqselect.core import DomainError, RoundBatch, check_setting, seed_entropy
+from seqselect.core import (
+    DomainError,
+    RoundBatch,
+    check_scan_size,
+    check_setting,
+    seed_entropy,
+    similar_n,
+)
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
@@ -182,6 +189,10 @@ def compare_policies(
     selectors = {p: make_policy_selector(p) for p in policy_names}
     if len(selectors) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
+    if any(_TOKENS[p][0] in CUTOFF_VARIANTS and _TOKENS[p][1] is None for p in policy_names):
+        # a translated cutoff scans the similar setting of the round's
+        # quality, which can lie near 0: the largest is checked before any chain
+        check_scan_size(similar_n(pop.n, pop.b, 0.0))
     seed_entropy(seed)
     draws = _draw_chains(pop, rounds, p_res, runs, ([seed, i] for i in range(runs)))
     out = {}

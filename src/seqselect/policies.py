@@ -73,16 +73,19 @@ class PolicySpec:
 def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) -> PolicySpec:
     """The PolicySpec of variant for the rounds of the settings (n, b, r[t],
     q[t]): a cutoff policy runs c in every round, or each round's translated
-    cutoff when c is None, one entry per round, and acsm adds the default
-    band around the model's mu_hat there, a row per round from one
-    mu_hat_rows call; mean and rand take no parameter, but a given c must
-    still lie in [0, n] for every variant."""
+    cutoff when c is None, one entry per round from one resolve_cutoff call
+    (which scans the similar settings not yet solved in one pass), and acsm
+    adds the default band around the model's mu_hat there, a row per round
+    from one mu_hat_rows call; mean and rand take no parameter, but a given
+    c must still lie in [0, n] for every variant."""
     if c is not None:
         learning_cutoff(n, 0, c)
     if variant not in CUTOFF_VARIANTS:
         return PolicySpec(variant)
-    cutoff = np.array([resolve_cutoff(n, b, rt, qt).c_target if c is None else c
-                       for rt, qt in zip(r, q)], dtype=np.int64)
+    if c is None:
+        cutoff = np.array([res.c_target for res in resolve_cutoff(n, b, r, q)], dtype=np.int64)
+    else:
+        cutoff = np.full(len(r), c, dtype=np.int64)
     if variant == "csm":
         return PolicySpec(variant, cutoff)
     # the model needs 0 < q < 1; a chain's measured quality can sit on an end

@@ -1,5 +1,7 @@
 """Property tests of the hard bounds of the analytic curves over small settings."""
 
+from collections import Counter, OrderedDict
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from seqselect import analytics  # noqa: E402
 from seqselect.analytics import (  # noqa: E402
     AnalyticParams,
     _regret_scan,
+    _regret_scans,
     g_fn,
     mu_hat_curve,
     mu_hat_rows,
@@ -17,6 +21,7 @@ from seqselect.analytics import (  # noqa: E402
     threshold_curve,
 )
 from seqselect.core import DomainError  # noqa: E402
+from seqselect.policies import policy_spec  # noqa: E402
 
 TOL = 1e-12
 
@@ -98,6 +103,53 @@ def test_scan_is_the_curve_at_every_cutoff(setting):
     for c in range(n + 1):
         curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
         assert scan[c] == curve.expected_regret(), c
+
+
+@st.composite
+def mixed_settings(draw):
+    """(n, b, r) settings in no order, each with its own n and b, r from 0
+    to b - 1 or r = b, some repeated."""
+    def setting(b):
+        return st.tuples(st.integers(b, 40), st.just(b),
+                         st.one_of(st.just(b), st.integers(0, b - 1)))
+
+    found = draw(st.lists(st.integers(1, 8).flatmap(setting), min_size=1, max_size=8))
+    found += draw(st.lists(st.sampled_from(found), max_size=3))
+    return draw(st.permutations(found))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mixed_settings())
+def test_many_settings_scan_is_each_settings_scan(found):
+    # one recursion pass over every setting's cutoffs gives each setting's
+    # own scan, bit for bit
+    scans = _regret_scans(found)
+    assert len(scans) == len(found)
+    for setting, scan in zip(found, scans):
+        assert scan.tobytes() == _regret_scan(*setting).tobytes(), setting
+
+
+def test_a_round_index_scans_its_cold_settings_in_one_pass(monkeypatch):
+    monkeypatch.setattr(analytics, "_solved", OrderedDict())
+    monkeypatch.setattr(analytics, "_lookups", Counter())
+    columns = []
+    recursion = analytics._recursion
+    monkeypatch.setattr(analytics, "_recursion",
+                        lambda n, b, r, q, c, *rest: columns.append(c.size)
+                        or recursion(n, b, r, q, c, *rest))
+    # similar settings (n_s, r): (40, 0), (40, 1), (57, 1), (40, 1) again,
+    # (22, 2) and a degenerate one (q = 1), which scans nothing; a setting
+    # scans its n_s - r + 1 learning phases
+    r, q = [0, 1, 1, 1, 2, 0], [0.5, 0.5, 0.3, 0.5, 0.7, 1.0]
+    first = policy_spec("csm", 40, 4, r, q)
+    assert columns == [41 + 40 + 57 + 21]
+    assert analytics.optimal_cutoff.cache_info()[:2] == (1, 4)  # hits, misses
+    again = policy_spec("csm", 40, 4, r, q)
+    assert columns == [159] and again.cutoff.tolist() == first.cutoff.tolist()
+    assert analytics.optimal_cutoff.cache_info()[:2] == (1 + 5, 4)
+    # only the settings not yet solved are scanned: (40, 0) is, (40, 3) is not
+    policy_spec("csm", 40, 4, [0, 3], [0.5, 0.5])
+    assert columns == [159, 38]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -244,6 +244,48 @@ class TestSizesThatCannotFit:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestScanSizeBound:
+    # the cutoff scan's cost grows as n^2: a day at n = 1,000,000
+    @pytest.mark.parametrize("argv, error", [
+        (["analyze", "--n", "1000000", "--b", "5"],
+         "error: the cutoff scan takes n <= 5000, got n=1000000\n"),
+        (["cutoff-table", "--n-values", "1000000", "--b-values", "5", "--out", "x.csv"],
+         "error: the cutoff scan takes n <= 5000, got n=1000000\n"),
+    ], ids=["analyze", "cutoff-table"])
+    def test_fail_at_once(self, argv, error, tmp_path):
+        # in a child process, so a scan that did start would time out alone
+        res = main_under_memory_limit(argv, tmp_path)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", error)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_and_chains_fail_before_they_start(self, tmp_path, capsys, monkeypatch):
+        # the similar setting of q = 0.1 at n = 3,000 has n = 5,403; a
+        # multiround round's quality can be near 0, so n = 3,000 can need 6,003
+        calls = []
+        for module, name in ((seqselect.montecarlo, "run_cell"),
+                             (seqselect.multiround, "_draw_chains")):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+        out = str(tmp_path / "x.csv")
+        assert run_cli(["heatmap", "--n", "3000", "--q", "0.1", "--b-values", "5",
+                        "--c-values", "0", "--out", out]) == 2
+        assert run_cli(["multiround", "--n", "3000", "--pop-size", "4000", "--p-res", "0.5",
+                        "--policies", "mean,csm-star", "--out", out]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the cutoff scan takes n <= 5000, got n=5403",
+            "error: the cutoff scan takes n <= 5000, got n=6003",
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "6000", "--b", "2", "--c", "100", "--trials", "2"],
+        ["failure", "--n", "6000", "--b", "2", "--r", "1", "--q", "0.5", "--c", "100",
+         "--trials", "2"],
+    ], ids=["simulate", "failure"])
+    def test_a_given_cutoff_runs_no_scan(self, argv, capsys):
+        assert run_cli(argv) == 0
+
+
 class TestCutoffCurves:
     def test_curve_file(self, tmp_path):
         out = tmp_path / "curves.csv"

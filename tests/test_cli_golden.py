@@ -61,6 +61,12 @@ FILE_CASES = {
         ["cutoff-table", "--n-values", "20,25", "--b-values", "3,5", "--r-values", "0,3,5"],
         ["out.csv"],
     ),
+    # the grid of the analytic-table benchmark workload
+    "cutoff-table-bench": (
+        ["cutoff-table", "--n-values", "100,200,300,400", "--b-values", "5,20,50",
+         "--r-values", "0,5"],
+        ["out.csv"],
+    ),
     "multiround-half": (
         ["multiround", "--n", "20", "--b", "3", "--pop-size", "60", "--rounds", "3",
          "--runs", "4", "--p-res", "0.5", "--policies", ALL_POLICIES, "--seed", "3"],
@@ -156,6 +162,8 @@ GOLDEN = {
         "7b61cbc197c36e99bb5170f0df684f0ff7d179b0d3a643320a347289cc8a6073",
     "cutoff-table:out.csv":
         "460d982554f758d281a53ee90a80e9d76deeaf3deab2a196a2d64f62ae3442b0",
+    "cutoff-table-bench:out.csv":
+        "228ff87df51171de62f7b9ccd0555fac10bb40ff39eb29516243e604a073d5e3",
     "failure-acsm:out.csv":
         "2a5c310e1522cfd9742e3e0cc23682b60a5abbab5cb463758a57ba178d43322f",
     "failure-medium:out.csv":

@@ -5,6 +5,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from seqselect import montecarlo
+from seqselect.analytics import translate_cutoff
 from seqselect.core import DomainError, RoundBatch, generate_instance
 from seqselect.montecarlo import (
     CHUNK,
@@ -197,6 +199,22 @@ class TestHeatmap:
         for b, r in ((2, 1), (4, 3)):
             for c in (0, 6):
                 assert result.cells[(b, c)] == run_cell(12, b, c, 0.5, r, "csm", 10, (2, b, c))
+
+    def test_analytic_path_is_one_resolver_call_with_translates_warnings(self, monkeypatch):
+        # at q = 0.8, n = 12: b = 2 has the similar n_s = 4, b = 5 the
+        # degenerate n_s = 2
+        calls = []
+        real = montecarlo.resolve_cutoff
+        monkeypatch.setattr(montecarlo, "resolve_cutoff", lambda *a: calls.append(a) or real(*a))
+        spec = ExperimentSpec(n=12, b_values=(2, 5), c_values=(0, 6), q=0.8, r_values=(1, 0),
+                              trials=5)
+        with pytest.warns(UserWarning) as got:
+            result = regret_heatmap(spec)
+        assert len(calls) == 1
+        with pytest.warns(UserWarning) as want:
+            expected = {b: translate_cutoff(12, b, 0.8, r).c_target for b, r in ((2, 1), (5, 0))}
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert len(got) == 1 and result.analytic_path == expected
 
 
 class TestExperimentSpecB:

@@ -268,7 +268,7 @@ def test_adjusted_policy_with_infinite_zone_is_the_cutoff_policy(round_):
 ))
 def test_resolver_is_the_optimal_cutoff_at_medium_quality(setting):
     b, n, r = setting
-    res = resolve_cutoff(n, b, r, 0.5)
+    (res,) = resolve_cutoff(n, b, r, 0.5)
     assert (res.n_source, res.c_source, res.degenerate) == (n, optimal_cutoff(n, b, r)[0], False)
     assert res.c_target == optimal_cutoff(n, b, r)[0]
 
