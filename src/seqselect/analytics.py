@@ -78,12 +78,6 @@ def g_fn(count, lam):
     return gammaincc(np.where(pos, count, 1), lam) * pos
 
 
-def _g_due(count, lam, s):
-    """g_fn under the recursion's branch rule: 1 while count exceeds the s
-    steps completed since the cutoff."""
-    return np.where(np.greater(count, s), 1.0, g_fn(count, lam))
-
-
 def _poisson_pmf(k, lam):
     """P(Poisson(lam) = k) by scipy.stats.poisson's own expression, elementwise."""
     return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
@@ -192,8 +186,13 @@ def _recursion(n, b, r, q, c, after_step=None):
 
     The loop counts s, the steps completed since the cutoff (step
     j = c + 1 + s).  A column runs while c + s < n, so the live columns are
-    a prefix: each step rebinds the state to that prefix view, and its
-    in-place += writes through to the full per-column arrays.
+    a prefix, whose length at every step comes from one searchsorted before
+    the loop: each step works on views of that prefix, and its in-place +=
+    writes through to the full per-column arrays.  The two g factors are
+    g_fn's values under the step-index branch rule (_DueG), with gammaincc
+    called only on the entries whose value is read; the intensity is
+    checked once, after the loop, to have stayed >= 0 (ContractError
+    otherwise), where g_fn would check it at every call.
     after_step(s, gamma_j, p_j, lam_j, g_j(b)), when given, sees each step's
     values over the live prefix.  Returns (e_hires, candidate_term,
     referent_term), one entry per column.
@@ -205,27 +204,65 @@ def _recursion(n, b, r, q, c, after_step=None):
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
     ref_coef = expected_available_rank(1, q, n, b, r)
-    cap, size = b, n + b
+    size = n + b
     lam, hired, cand = (np.zeros(len(c)) for _ in range(3))
-    totals = hired, cand
-    for s in range(left.max(initial=0)):
-        live = slice(np.searchsorted(-left, -s))  # the columns with left > s
-        cap, size, gam, delta, coef, lam, hired, cand = (
-            x[live] for x in (cap, size, gam, delta, ref_coef, lam, hired, cand))
-        # spares gammaincc while s < b, where every entry of the b-count call is 1
-        gjb = _g_due(cap, lam, s) if s >= cap.min() else np.ones(lam.size)
-        gjd = _g_due(delta, lam, s)
-        gj = np.maximum(gam * gjd + coef * np.maximum(cap - hired, 0.0) * (1.0 - gjd), 1.0)
-        pj = (gj - 1.0) / size
-        cand += gjb * gj * (gj - 1.0) / 2.0
-        hired += pj * gjb  # sum of p_i g_i(b), i <= j
-        lam += pj
+    live = np.searchsorted(-left, -np.arange(left.max(initial=0)))  # columns with left > s
+    g_cap, g_delta = _DueG(b, live), _DueG(delta, live)
+    for s, k in enumerate(live.tolist()):
+        lam_s = lam[:k]
+        gjb, gjd = g_cap.at(s, lam_s), g_delta.at(s, lam_s)
+        gj = np.maximum(
+            gam[:k] * gjd + ref_coef[:k] * np.maximum(b[:k] - hired[:k], 0.0) * (1.0 - gjd), 1.0)
+        pj = (gj - 1.0) / size[:k]
+        cand[:k] += gjb * gj * (gj - 1.0) / 2.0
+        hired[:k] += pj * gjb  # sum of p_i g_i(b), i <= j
+        lam_s += pj
         if after_step is not None:
-            after_step(s, gj, pj, lam, gjb)
-    hired, cand = totals
+            after_step(s, gj, pj, lam_s, gjb)
+    if not lam.min(initial=0.0) >= 0:  # nan fails too
+        raise ContractError("the recursion's intensity went below 0")
     e_hires = np.minimum(hired, b)  # the summed intensity can overshoot the cap
     referent = ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires)
     return e_hires, cand / (n + b), referent
+
+
+class _DueG:
+    """g_fn(count, lam) of one column each under the recursion's branch
+    rule, over the live prefixes live[s] of its steps: 1 while count
+    exceeds the s steps completed since the cutoff, else g_fn's value.
+
+    count is constant per column, so gammaincc's count argument (1 standing
+    in where count <= 0, the product with pos zeroing it) is built once, and
+    at each step gammaincc runs only on the live entries that are due
+    (count <= s): none, all of them, or those of a mask.  Each value is
+    g_fn's to the bit, as gammaincc is elementwise; lam is not checked here
+    (_recursion checks it once per pass)."""
+
+    def __init__(self, count, live):
+        count = np.asarray(count)
+        self.count = count
+        self.pos = np.greater(count, 0)
+        self.arg = np.where(self.pos, count, 1)
+        self.ones = np.ones(len(count))
+        # the first s at which each column is due, and over each live prefix
+        # its largest and smallest
+        due = np.ceil(np.maximum(count, 0))
+        steps = np.arange(len(live))
+        self.all_due = np.maximum.accumulate(due)[live - 1] <= steps
+        self.none_due = np.minimum.accumulate(due)[live - 1] > steps
+        self.any_off = not self.pos.all()
+
+    def at(self, s: int, lam: np.ndarray) -> np.ndarray:
+        k = lam.size
+        if self.none_due[s]:
+            return self.ones[:k]
+        if self.all_due[s]:
+            g = gammaincc(self.arg[:k], lam)
+            return g * self.pos[:k] if self.any_off else g
+        due = self.count[:k] <= s
+        g = np.ones(k)
+        g[due] = gammaincc(self.arg[:k][due], lam[due]) * self.pos[:k][due]
+        return g
 
 
 def _count_pmf(b: int, c, s):
@@ -468,7 +505,9 @@ def mu_hat_rows(n: int, b: int, r, q, c) -> np.ndarray:
     """mu_hat_curve of the settings (n, b, r[t], q[t], c[t]), one per row of
     a (len(c), n) array.  The r < b rows share one pass of _recursion, their
     columns sorted by cutoff; the r = b rows follow the count law one at a
-    time.  Raises as mu_hat_curve would on any of the rows.
+    time.  At r < b, P(N_n >= r | N_j = i) is 1 where i >= r, and gammainc
+    is evaluated only where N_n >= r still needs hires (i < r).  Raises as
+    mu_hat_curve would on any of the rows.
     """
     for row in zip(r, q, c):
         AnalyticParams(n, b, *row)
@@ -490,15 +529,19 @@ def mu_hat_rows(n: int, b: int, r, q, c) -> np.ndarray:
     rows = np.flatnonzero(r < b)
     rows = rows[np.argsort(c[rows], kind="stable")]  # _recursion's column order
     lam = np.zeros((rows.size, n))
+    at, cols = np.arange(rows.size), c[rows]
 
     def keep(s, gj, pj, lam_s, gjb):
-        lam[np.arange(lam_s.size), c[rows[: lam_s.size]] + s] = lam_s
+        lam[at[: lam_s.size], cols[: lam_s.size] + s] = lam_s
 
-    _recursion(n, b, r[rows], q[rows], c[rows], keep)
+    _recursion(n, b, r[rows], q[rows], cols, keep)
     lam_n = lam[:, -1]
-    need = (r[rows, None] - i)[:, None, :]  # further hires that N_n >= r still needs
-    reach = np.where(
-        need > 0, gammainc(np.maximum(need, 1), (lam_n[:, None] - lam)[..., None]), 1.0)
+    # further hires that N_n >= r still needs; the chance of them is 1 where none
+    need = np.broadcast_to((r[rows, None] - i)[:, None, :], (rows.size, n, b))
+    due = need > 0
+    reach = np.ones(need.shape)
+    rest = np.broadcast_to((lam_n[:, None] - lam)[..., None], need.shape)  # lam_n - lam_j
+    reach[due] = gammainc(need[due], rest[due])
     p_ok[rows] = np.where(r[rows] > 0, gammainc(r[rows], lam_n), 1.0)
     low = _poisson_pmf(i, lam[..., None])
     num[rows] = (i * low * reach).sum(axis=-1) + b * gammainc(b, lam)

@@ -4,6 +4,9 @@ A round starts with b job positions held by scored referents (some of whom may
 have resigned) and interviews n candidates one by one.  Everything downstream
 is evaluated on absolute ranks over the combined pool of n + b scores, where
 rank 1 is the best score.
+
+It also holds the array twin of SeedSequence's state words
+(spawn_state_words), which montecarlo's trials and multiround's chains share.
 """
 
 from __future__ import annotations
@@ -129,6 +132,112 @@ def compute_quality(instance: Instance) -> float:
 
 
 MASK32 = 0xFFFFFFFF  # the low 32 bits of a word
+
+# SeedSequence's hash constants and pool size, as numpy publishes them
+# (numpy/random/bit_generator.pyx), after Melissa O'Neill's seed_seq_fe.
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
+POOL_SIZE = 4
+STATE_WORDS = 8  # PCG64 seeds from generate_state(4, uint64), 8 words of 32 bits
+
+
+def _int_words(x: int) -> list:
+    """One entropy element as SeedSequence coerces it: its little-endian
+    32-bit words, [0] for 0."""
+    words = [x & MASK32]
+    while x > MASK32:
+        x >>= 32
+        words.append(x & MASK32)
+    return words
+
+
+def entropy_words(entropy) -> list:
+    """The 32-bit words of a sequence of entropy elements, in the order
+    SeedSequence assembles them."""
+    return [word for x in entropy for word in _int_words(x)]
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant, as (before, after) each step."""
+    while True:
+        after = init * mult & MASK32
+        yield init, after
+        init = after
+
+
+def _state_words(columns: list) -> np.ndarray:
+    """(T, STATE_WORDS) uint32: row t is what SeedSequence's mix_entropy and
+    generate_state make of the assembled entropy whose words are
+    columns[k][t], at least POOL_SIZE of them, all in uint32 arithmetic."""
+    hash_a = _hash_constants(INIT_A, MULT_A)
+
+    def hashmix(value):
+        before, after = next(hash_a)
+        value = (value ^ before) * after
+        return value ^ (value >> XSHIFT)
+
+    def mix(x, y):
+        result = x * MIX_MULT_L - y * MIX_MULT_R
+        return result ^ (result >> XSHIFT)
+
+    pool = [hashmix(column) for column in columns[:POOL_SIZE]]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in columns[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(column))
+    words = np.empty((len(columns[0]), STATE_WORDS), dtype=np.uint32)
+    hash_b = _hash_constants(INIT_B, MULT_B)
+    for k in range(STATE_WORDS):
+        before, after = next(hash_b)
+        value = (pool[k % POOL_SIZE] ^ before) * after
+        words[:, k] = value ^ (value >> XSHIFT)
+    return words
+
+
+def spawn_state_words(columns: list, key) -> np.ndarray:
+    """(T, STATE_WORDS) uint32: row t is
+    SeedSequence(entropy_t, spawn_key=key).generate_state(STATE_WORDS), for
+    every row at once, where entropy_t's 32-bit words are columns[k][t] (a
+    uint32 array each) and key is an int child or a spawn-key tuple.  As
+    SeedSequence assembles it, a non-empty key follows the entropy padded
+    with zeros to POOL_SIZE words; an entropy shorter than that is mixed as
+    if zero-padded anyway, so an empty key needs no case of its own."""
+    key_words = entropy_words((key,) if isinstance(key, numbers.Integral) else key)
+    zeros = [0] * (POOL_SIZE - len(columns))
+
+    def constant(word):
+        return np.full(len(columns[0]), word, dtype=np.uint32)
+
+    return _state_words([*columns, *map(constant, zeros + key_words)])
+
+
+class StateWords(np.random.bit_generator.ISeedSequence):
+    """The seed of one PCG64: a row of spawn_state_words as the uint64 words
+    that generate_state(4, np.uint64) gives, all that PCG64 asks of its seed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for (4, np.uint64): the identity test spares it np.dtype's cost
+        if not (dtype is np.uint64 or np.dtype(dtype) == np.uint64) or n_words > len(self.state):
+            raise ContractError(f"holds {len(self.state)} uint64 words, "
+                                f"asked for {n_words} of {np.dtype(dtype)}")
+        return self.state[:n_words]
+
+
+def state_seeds(words: np.ndarray) -> list:
+    """One StateWords per row of a (T, STATE_WORDS) array of state words:
+    default_rng of seed t draws what default_rng of row t's SeedSequence
+    draws."""
+    # each uint64 word is two state words, low word first, as SeedSequence pairs them
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return [StateWords(state) for state in states]
 # a seed that continues its own stream; any other seed starts a fresh one
 _CONTINUING = (np.random.Generator, np.random.BitGenerator)
 
@@ -293,11 +402,20 @@ class RoundBatch:
         """(T, b + n) joint ranks, referents first, computed on first use and
         kept: each row is a permutation of 1..n+b, rank 1 the best score.  Ties
         (possible only in user-supplied rounds) break toward the earlier item:
-        referents before candidates, then arrival order."""
-        pool = np.concatenate([self.reference_scores, self.candidate_scores], axis=1)
-        order = np.argsort(-pool, axis=1, kind="stable")
-        ranks = np.empty(pool.shape, dtype=np.int64)
-        ranks[np.arange(len(pool))[:, None], order] = np.arange(1, pool.shape[1] + 1)
+        referents before candidates, then arrival order.
+
+        Every row is sorted by numpy's default (SIMD) argsort; a row whose
+        sorted scores hold two equal neighbours (0.0 and -0.0 among them) is
+        sorted again with a stable sort.  That is exact: a row with no tie
+        has one sorted order, which every sort finds."""
+        keys = -np.concatenate([self.reference_scores, self.candidate_scores], axis=1)
+        order = np.argsort(keys, axis=1)
+        ordered = np.sort(keys, axis=1)
+        tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+        ranks = np.empty(keys.shape, dtype=np.int64)
+        np.put_along_axis(ranks, order, np.arange(1, keys.shape[1] + 1), axis=1)
         return ranks
 
     def offline_optimum(self) -> np.ndarray:

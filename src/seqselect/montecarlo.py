@@ -26,30 +26,21 @@ import numpy as np
 
 from seqselect.analytics import resolve_cutoff, warn_degenerate
 from seqselect.core import (
-    MASK32,
-    ContractError,
     DomainError,
     check_quality,
     check_scan_size,
     check_setting,
+    entropy_words,
     learning_cutoff,
     sample_rounds,
     seed_entropy,
     similar_n,
+    spawn_state_words,
+    state_seeds,
 )
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
 CHUNK = 512  # trials per batch: a batch's memory is bounded whatever the trial count
-
-# SeedSequence's hash constants and pool size, as numpy publishes them
-# (numpy/random/bit_generator.pyx), after Melissa O'Neill's seed_seq_fe.
-INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-XSHIFT = 16
-POOL_SIZE = 4
-STATE_WORDS = 8  # PCG64 seeds from generate_state(4, uint64), 8 words of 32 bits
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -117,102 +108,30 @@ def trial_stream(cell_seed: Sequence[int], trial_index: int, child: int) -> np.r
     return np.random.SeedSequence([*cell_seed, trial_index], spawn_key=(child,))
 
 
-def _int_words(x: int) -> list:
-    """One entropy element as SeedSequence coerces it: its little-endian
-    32-bit words, [0] for 0."""
-    words = [x & MASK32]
-    while x > MASK32:
-        x >>= 32
-        words.append(x & MASK32)
-    return words
-
-
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant, as (before, after) each step."""
-    while True:
-        after = init * mult & MASK32
-        yield init, after
-        init = after
-
-
-def _state_words(columns: list) -> np.ndarray:
-    """(T, STATE_WORDS) uint32: row t is what SeedSequence's mix_entropy and
-    generate_state make of the assembled entropy whose words are
-    columns[k][t], at least POOL_SIZE of them, all in uint32 arithmetic."""
-    hash_a = _hash_constants(INIT_A, MULT_A)
-
-    def hashmix(value):
-        before, after = next(hash_a)
-        value = (value ^ before) * after
-        return value ^ (value >> XSHIFT)
-
-    def mix(x, y):
-        result = x * MIX_MULT_L - y * MIX_MULT_R
-        return result ^ (result >> XSHIFT)
-
-    pool = [hashmix(column) for column in columns[:POOL_SIZE]]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for column in columns[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(column))
-    words = np.empty((len(columns[0]), STATE_WORDS), dtype=np.uint32)
-    hash_b = _hash_constants(INIT_B, MULT_B)
-    for k in range(STATE_WORDS):
-        before, after = next(hash_b)
-        value = (pool[k % POOL_SIZE] ^ before) * after
-        words[:, k] = value ^ (value >> XSHIFT)
-    return words
-
-
-def stream_words(cell_seed: Sequence[int], start: int, stop: int, child: int) -> np.ndarray:
-    """(stop - start, STATE_WORDS) uint32: row k is
+def stream_words(cell_seed: Sequence[int], start: int, stop: int, child) -> np.ndarray:
+    """(stop - start, core.STATE_WORDS) uint32: row k is
     trial_stream(cell_seed, start + k, child).generate_state(STATE_WORDS),
-    for every trial of start..stop-1 at once.
+    for every trial of start..stop-1 at once.  child is an int or a
+    spawn-key tuple: a tuple key gives the words of
+    SeedSequence([*cell_seed, start + k], spawn_key=child).
 
     The entropy is assembled as SeedSequence assembles it: the words of each
     element of [*cell_seed, i], zeros up to the pool size, then the words of
-    the spawn key (child,).  Trial indices must lie below 2**32, so that each
-    is one word.
+    the spawn key (core.spawn_state_words).  Trial indices must lie below
+    2**32, so that each is one word.
     """
     if not 0 <= start <= stop <= 2**32:
         raise DomainError(f"trial indices must lie in [0, 2**32), got {start}..{stop}")
     index = np.arange(start, stop, dtype=np.uint32)
-    prefix = [word for x in cell_seed for word in _int_words(x)]
-    padding = [0] * (POOL_SIZE - len(prefix) - 1)
-
-    def constant(word):
-        return np.full(len(index), word, dtype=np.uint32)
-
-    columns = [*map(constant, prefix), index, *map(constant, padding + _int_words(child))]
-    return _state_words(columns)
-
-
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """The seed of one PCG64: a row of stream_words as the uint64 words that
-    generate_state(4, np.uint64) gives, all that PCG64 asks of its seed."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # PCG64 asks for (4, np.uint64): the identity test spares it np.dtype's cost
-        if not (dtype is np.uint64 or np.dtype(dtype) == np.uint64) or n_words > len(self.state):
-            raise ContractError(f"holds {len(self.state)} uint64 words, "
-                                f"asked for {n_words} of {np.dtype(dtype)}")
-        return self.state[:n_words]
+    prefix = [np.full(len(index), word, dtype=np.uint32) for word in entropy_words(cell_seed)]
+    return spawn_state_words([*prefix, index], child)
 
 
 def trial_streams(cell_seed: Sequence[int], start: int, stop: int, child: int) -> list:
     """The seeds of trials start..stop-1, built from stream_words: seed i
     seeds the PCG64 that trial_stream(cell_seed, i, child) seeds, so
     default_rng of it draws what default_rng(trial_stream(...)) draws."""
-    words = stream_words(cell_seed, start, stop, child)
-    # each uint64 word is two state words, low word first, as SeedSequence pairs them
-    states = words.astype("<u4").view("<u8").astype(np.uint64)
-    return [_StateWords(state) for state in states]
+    return state_seeds(stream_words(cell_seed, start, stop, child))
 
 
 def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, trials: int, start: int) -> np.ndarray:

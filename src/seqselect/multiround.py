@@ -18,12 +18,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from seqselect.core import (
+    STATE_WORDS,
     DomainError,
     RoundBatch,
     check_scan_size,
     check_setting,
+    entropy_words,
     seed_entropy,
     similar_n,
+    spawn_state_words,
+    state_seeds,
 )
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
@@ -81,7 +85,17 @@ def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, count: int, see
     policy runs it: row t of the (T, size) scores and (T, b) first staff, and
     per round index the (T, b) resignations, (T, n) sample positions and T
     RAND seeds, the arrays allocated before any seed is read.  A sample
-    position counts the size - b non-employed members in ascending order."""
+    position counts the size - b non-employed members in ascending order.
+
+    Chain t's streams are the children of SeedSequence(seed_entropy(seed))
+    that spawn(2) and their spawns give, named by spawn key: (0,) draws the
+    population, and round k's (1, k, 0), (1, k, 1) and (1, k, 2) its
+    resignations, its sample positions and its RAND seed.  Each stream's
+    state words are derived for every chain at once, one
+    core.spawn_state_words call per key for the chains whose entropies have
+    the same number of words, and each Generator is seeded by a row of them
+    (core.StateWords); the uniform and choice draws are numpy's own calls.
+    """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
@@ -91,19 +105,32 @@ def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, count: int, see
     scores = np.empty((count, pop.size))
     staff = np.empty((count, pop.b), dtype=np.int64)  # member indices
     per_round = [(np.empty((count, pop.b), dtype=bool),
-                  np.empty((count, pop.n), dtype=np.int64), []) for _ in range(rounds)]
-    for t, seed in enumerate(seeds):
-        pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
-        pop_rng = np.random.default_rng(pop_ss)
-        scores[t] = pop_rng.uniform(0.0, 1.0, size=pop.size)
-        staff[t] = pop_rng.choice(pop.size, size=pop.b, replace=False)
-        for (resigned, positions, rand_seeds), round_ss in zip(per_round, stream_ss.spawn(rounds)):
-            resig_ss, sample_ss, rand_ss = round_ss.spawn(3)
-            resigned[t] = np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res
-            # choice(eligible, n) is eligible[choice(size - b, n)] in every round
-            positions[t] = np.random.default_rng(sample_ss).choice(
+                  np.empty((count, pop.n), dtype=np.int64)) for _ in range(rounds)]
+    entropies = [entropy_words(seed_entropy(seed)) for seed in seeds]
+    by_length = {}
+    for t, words in enumerate(entropies):
+        by_length.setdefault(len(words), []).append(t)
+    groups = [(rows, list(np.array([entropies[t] for t in rows], dtype=np.uint32).T))
+              for rows in by_length.values()]
+
+    def stream_seeds(key) -> list:
+        words = np.empty((count, STATE_WORDS), dtype=np.uint32)
+        for rows, columns in groups:
+            words[rows] = spawn_state_words(columns, key)
+        return state_seeds(words)
+
+    for t, seed in enumerate(stream_seeds((0,))):
+        rng = np.random.default_rng(seed)
+        scores[t] = rng.uniform(0.0, 1.0, size=pop.size)
+        staff[t] = rng.choice(pop.size, size=pop.b, replace=False)
+    for k, (resigned, positions) in enumerate(per_round):
+        for t, seed in enumerate(stream_seeds((1, k, 0))):
+            resigned[t] = np.random.default_rng(seed).uniform(size=pop.b) < p_res
+        # choice(eligible, n) is eligible[choice(size - b, n)] in every round
+        for t, seed in enumerate(stream_seeds((1, k, 1))):
+            positions[t] = np.random.default_rng(seed).choice(
                 pop.size - pop.b, size=pop.n, replace=False)
-            rand_seeds.append(rand_ss)
+    per_round = [(*arrays, stream_seeds((1, k, 2))) for k, arrays in enumerate(per_round)]
     return scores, staff, per_round
 
 

@@ -125,21 +125,25 @@ def _run_batch(
     held, fill_from = b - r, n - r + 1  # a step j - hires >= fill_from must hire
     hires = np.zeros(len(batch), dtype=np.int64)
     failures = np.zeros(len(batch), dtype=np.int64)
-    hired = np.zeros((len(batch), n), dtype=bool)
+    in_place = held.copy()  # held - max(hires - r, 0), kept as hires grow
+    # step-major: step j reads and writes one contiguous row of each
+    scores = np.ascontiguousarray(batch.candidate_scores.T)
+    hired = np.zeros((n, len(batch)), dtype=bool)
     last = int(start.max(initial=0))  # past it, no round is still learning
     for j in range(int(start.min(initial=n)) + 1, n + 1):
-        s = batch.candidate_scores[:, j - 1]
-        tau = threshold_at(j, hires, held - np.maximum(hires - r, 0))
+        s = scores[j - 1]
+        tau = threshold_at(j, hires, in_place)
         forced = j - hires >= fill_from
         hire = (hires < b) & ((s > tau) | forced)
         if j <= last:
             hire &= j > start
         failures += hire & forced & (s < tau)  # a forced hire below the threshold
-        hired[:, j - 1] = hire
+        hired[j - 1] = hire
         hires += hire
+        in_place -= hire & (hires > r)
         if after_step is not None:
             after_step(j, hires)
-    in_place = held - np.maximum(hires - r, 0)
+    hired = np.ascontiguousarray(hired.T)
     kept = (batch.availability == 1) & (np.cumsum(batch.availability, axis=1) <= in_place[:, None])
     return np.column_stack([batch.regret(hired, kept), hires, failures]), hired, kept
 
@@ -202,23 +206,25 @@ def _cutoff_batch(batch: RoundBatch, cutoff: np.ndarray, zone: Optional[tuple]) 
     d_minus = np.zeros(len(batch), dtype=np.int64)
     mode = np.zeros(len(batch), dtype=np.int8)  # 0 in the band, 1 below, 2 above
     mu, width = zone
-    low, high = mu - width, mu + width  # the band's ends at each step
+    # the band's ends, step-major: row j - 1 holds step j's, one or one per round
+    low, high = (np.ascontiguousarray(x.T) for x in (mu - width, mu + width))
 
     def threshold_at(j, hires, in_place):
         tau = plain(hires, in_place)
-        out = np.flatnonzero((mode != 0) & (hires < b))
+        (out,) = ((mode != 0) & (hires < b)).nonzero()
         if out.size:
             seen = np.sort(pool[out, : b + j - 1], axis=1)  # the idx-th best at b + j - 1 - idx
             # position of the learning threshold among everything seen (1 = best)
             m = (seen >= y_b[out, None]).sum(axis=1)
             idx = np.where(mode[out] == 1, m + d_plus[out], m - d_minus[out])
-            tau[out] = seen[np.arange(out.size), b + j - 1 - np.clip(idx, 1, b + j - 1)]
+            idx = np.minimum(np.maximum(idx, 1), b + j - 1)
+            tau[out] = seen[np.arange(out.size), b + j - 1 - idx]
         return tau
 
     def after_step(j, hires):
         live = j > c_eff  # a round's band starts after its learning phase
-        below = live & (hires < low[:, j - 1])
-        above = live & ~below & (hires > high[:, j - 1])
+        below = live & (hires < low[j - 1])
+        above = live & ~below & (hires > high[j - 1])
         inside = ~below & ~above
         d_plus[:] = np.where(inside, 0, d_plus + below)
         d_minus[:] = np.where(inside, 0, d_minus + above)

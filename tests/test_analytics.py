@@ -10,6 +10,7 @@ import pytest
 from seqselect.analytics import (
     AnalyticParams,
     _poisson_pmf,
+    _recursion,
     _regret_scan,
     analyze_setting,
     cutoff_table,
@@ -19,11 +20,12 @@ from seqselect.analytics import (
     g_fn,
     gamma0,
     mu_hat_curve,
+    mu_hat_rows,
     optimal_cutoff,
     threshold_curve,
     translate_cutoff,
 )
-from seqselect.core import DomainError, Instance, generate_instance
+from seqselect.core import ContractError, DomainError, Instance, generate_instance
 from tests.scalar_engine import _learning_phase, run_cutoff
 
 
@@ -127,6 +129,12 @@ class TestGFn:
 
 
 class TestThresholdCurve:
+    def test_recursion_checks_its_intensity_once_per_pass(self):
+        # a nan quality makes every p_j nan; the pass ends in ContractError,
+        # as the recursion calls gammaincc directly, not g_fn
+        with pytest.raises(ContractError, match="intensity"):
+            _recursion(100, 5, 0, float("nan"), np.array([10, 20]))
+
     def test_gamma_at_full_cutoff(self):
         curve = threshold_curve(AnalyticParams(n=60, b=4, r=0, q=0.5, c=60))
         assert curve.gamma == pytest.approx(4.0)
@@ -271,6 +279,32 @@ class TestRegretScan:
         for (n, b, r), digest in self.PINS.items():
             vals = np.asarray(_regret_scan(n, b, r), dtype=np.float64)[: n - r + 1]
             assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (n, b, r)
+
+    # SHA-256 of the per-step rows the recursion's callers read, recorded
+    # before gammaincc was called on due entries only: mu_hat_rows at
+    # (100, 5) on 40 rows with r in 0..5, q in (0.55, 0.99) and c in 0..60,
+    # and threshold_curve's gamma_j, p, lam and g_b tuples in that order
+    ROW = np.arange(40)
+    MU_HAT_ROWS = (ROW % 6, 0.55 + 0.44 * ((7 * ROW) % 40 + 0.5) / 40, (13 * ROW) % 61)
+    MU_HAT_DIGEST = "c334c881a4ea2616230ec9a19e1028331d49141a9e300e84f04e89c8b19db3c8"
+    CURVE_PINS = {
+        (100, 5, 2, 39): "41351dbcc2ec08823bb64f6f3ed1112c614b8bbf76b7a450523c4e3ce1ad4113",
+        (31, 15, 0, 9): "1e96388c85daa34d3e6a39a26ba6f698b4175131fbfe1dcdae24887762e1f5cc",
+    }
+
+    def test_mu_hat_rows_pinned_bytes(self):
+        r, q, c = (x.tolist() for x in self.MU_HAT_ROWS)
+        rows = mu_hat_rows(100, 5, r, q, c)
+        assert rows.shape == (40, 100)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == self.MU_HAT_DIGEST
+
+    def test_threshold_curve_pinned_bytes(self):
+        for (n, b, r, c), digest in self.CURVE_PINS.items():
+            curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
+            h = hashlib.sha256()
+            for field in ("gamma_j", "p", "lam", "g_b"):
+                h.update(np.asarray(getattr(curve, field), dtype=np.float64).tobytes())
+            assert h.hexdigest() == digest, (n, b, r, c)
 
     def test_cutoffs_past_n_minus_r_play_as_n_minus_r(self):
         # the policy clamps the cutoff to n - r (_learning_phase), so analyze

@@ -5,14 +5,15 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqselect.multiround
-from seqselect.core import DomainError, RoundBatch
+from seqselect.core import DomainError, RoundBatch, seed_entropy
 from seqselect.multiround import (
     POLICY_NAMES,
     PopulationSpec,
+    _draw_chains,
     _members,
     compare_policies,
     make_policy_selector,
@@ -160,6 +161,51 @@ def test_a_sample_is_its_positions_among_the_eligible_members(seed, pool, chains
     assert np.array_equal(_members(positions, employed), np.array(samples).reshape(chains, n))
 
 
+def spawn_tree_draws(pop, rounds, p_res, seeds):
+    """The reference of _draw_chains: each chain's draws from its own
+    SeedSequence spawn tree, one chain and one round at a time, the RAND
+    seeds as the SeedSequences themselves."""
+    scores, staff, per_round = [], [], [([], [], []) for _ in range(rounds)]
+    for seed in seeds:
+        pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
+        pop_rng = np.random.default_rng(pop_ss)
+        scores.append(pop_rng.uniform(0.0, 1.0, size=pop.size))
+        staff.append(pop_rng.choice(pop.size, size=pop.b, replace=False))
+        for (resigned, positions, rand_seeds), round_ss in zip(per_round, stream_ss.spawn(rounds)):
+            resig_ss, sample_ss, rand_ss = round_ss.spawn(3)
+            resigned.append(np.random.default_rng(resig_ss).uniform(size=pop.b) < p_res)
+            positions.append(np.random.default_rng(sample_ss).choice(
+                pop.size - pop.b, size=pop.n, replace=False))
+            rand_seeds.append(rand_ss)
+    return np.array(scores), np.array(staff), per_round
+
+
+# int seeds of one and of several words, and sequences of unequal lengths
+CHAIN_SEEDS = st.lists(
+    st.one_of(st.integers(0, 2**70),
+              st.lists(st.integers(0, 2**40), min_size=1, max_size=6)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(CHAIN_SEEDS, st.integers(1, 3), st.floats(0.0, 1.0))
+@example([7, [7], [1, 2, 3], [2**40, 5], 2**33, [0, 0, 0, 0, 0]], 2, 0.5)
+def test_draw_step_is_the_spawn_tree(seeds, rounds, p_res):
+    # the state words derived as arrays seed what each chain's spawn tree
+    # seeds, so every draw and every RAND stream is the tree's
+    scores, staff, per_round = _draw_chains(SMALL, rounds, p_res, len(seeds), seeds)
+    ref_scores, ref_staff, ref_rounds = spawn_tree_draws(SMALL, rounds, p_res, seeds)
+    assert np.array_equal(scores, ref_scores) and np.array_equal(staff, ref_staff)
+    for (resigned, positions, rand_seeds), (ref_resigned, ref_positions, ref_rand) in zip(
+            per_round, ref_rounds, strict=True):
+        assert np.array_equal(resigned, ref_resigned)
+        assert np.array_equal(positions, ref_positions)
+        assert len(rand_seeds) == len(seeds)
+        for seed, ref in zip(rand_seeds, ref_rand):
+            draws, ref_draws = (np.random.default_rng(x).uniform(size=SMALL.n) for x in (seed, ref))
+            assert np.array_equal(draws, ref_draws)
+
+
 class TestSelectors:
     def test_tokens(self):
         for name in POLICY_NAMES:
@@ -259,11 +305,12 @@ class TestComparePolicies:
 
     def test_each_run_is_drawn_once_for_every_policy(self, monkeypatch):
         # the policies are paired by sharing one draw per run, not by each
-        # drawing the same numbers again from the same seed
+        # drawing the same numbers again from the same seed: the stream
+        # derivation is given each run's entropy once
         entropies = []
-        seed_sequence = np.random.SeedSequence
-        monkeypatch.setattr(np.random, "SeedSequence",
-                            lambda entropy: entropies.append(entropy) or seed_sequence(entropy))
+        words = seqselect.multiround.entropy_words
+        monkeypatch.setattr(seqselect.multiround, "entropy_words",
+                            lambda entropy: entropies.append(entropy) or words(entropy))
         compare_policies(SMALL, 3, 0.5, ("csm-star", "mean", "rand"), 4, 11)
         assert sorted(entropies) == [(11, i) for i in range(4)]
 

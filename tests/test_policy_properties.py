@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, reject, settings  # noqa: E402
+from hypothesis import example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from seqselect.analytics import optimal_cutoff, resolve_cutoff  # noqa: E402
@@ -253,6 +253,53 @@ def test_ranks_form_a_permutation(round_):
     ranks = inst.batch.ranks[0].tolist()
     assert sorted(ranks) == list(range(1, inst.n + inst.b + 1))
     assert ranks == _ranks(inst)
+
+
+# scores that tie often; 0.0 and -0.0 are equal, so they tie each other
+TIE_SCORES = [1.0, 0.5, 0.25, 0.0, -0.0, -0.5]
+
+
+@st.composite
+def rank_batches(draw):
+    """(T, b) referents and (T, n) candidates, each row with ties or none: a
+    tied row draws its candidates from TIE_SCORES and its own referents (a
+    candidate equal to a referent, repeated candidates, 0.0 next to -0.0),
+    a tie-free row draws its n + b scores distinct."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(b, 16))
+    refs, cands = [], []
+    for tied in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if tied:
+            ref = draw(st.lists(st.sampled_from(TIE_SCORES), min_size=b, max_size=b, unique=True))
+            cand = draw(st.lists(st.sampled_from(TIE_SCORES + ref), min_size=n, max_size=n))
+        else:
+            scores = draw(st.lists(st.floats(-1.0, 1.0), min_size=n + b, max_size=n + b,
+                                   unique=True))
+            ref, cand = scores[:b], scores[b:]
+        refs.append(sorted(ref, reverse=True))
+        cands.append(cand)
+    return np.array(refs), np.array(cands)
+
+
+def _reference_ranks(scores):
+    """Ranks 1.. of scores sorted by (-score, position), in plain Python."""
+    ranks = [0] * len(scores)
+    for rank, k in enumerate(sorted(range(len(scores)), key=lambda k: (-scores[k], k)), 1):
+        ranks[k] = rank
+    return ranks
+
+
+@SETTINGS
+@example((np.array([[0.5, 0.0], [0.9, 0.1]]),
+          np.array([[0.5, -0.0, 0.25, 0.25, 0.25, 1.0, 0.5], [0.3, 0.2, 0.8, -0.4, 0.0, 0.7, 0.6]])))
+@given(rank_batches())
+def test_ranks_are_the_reference_ranking(scores):
+    # RoundBatch.ranks against a ranking that shares no code with it, on
+    # batches that mix rows with and without ties
+    refs, cands = scores
+    batch = RoundBatch(refs, np.ones(refs.shape), cands)
+    for t in range(len(batch)):
+        assert batch.ranks[t].tolist() == _reference_ranks([*refs[t].tolist(), *cands[t].tolist()])
 
 
 @SETTINGS

@@ -40,6 +40,8 @@ ELEMENTS = st.one_of(
 # 1 to 6 elements: the entropy is shorter and longer than the pool of 4
 CELL_SEEDS = st.lists(ELEMENTS, min_size=1, max_size=6).map(tuple)
 CHILDREN = st.sampled_from([0, 1])
+# a child, or a spawn key of 0 to 4 elements of one and of several words
+KEYS = st.one_of(CHILDREN, st.lists(ELEMENTS, max_size=4).map(tuple))
 
 
 @st.composite
@@ -63,7 +65,7 @@ def three_call_law(rng, n, b, q, r):
 
 
 @SETTINGS
-@given(CELL_SEEDS, CHILDREN, index_ranges())
+@given(CELL_SEEDS, KEYS, index_ranges())
 def test_stream_words_are_seedsequence_words(cell_seed, child, bounds):
     start, stop = bounds
     if stop > 2**32:
@@ -71,7 +73,8 @@ def test_stream_words_are_seedsequence_words(cell_seed, child, bounds):
             stream_words(cell_seed, start, stop, child)
         return
     words = stream_words(cell_seed, start, stop, child)
-    expected = [np.random.SeedSequence([*cell_seed, i], spawn_key=(child,)).generate_state(8)
+    key = (child,) if isinstance(child, int) else child
+    expected = [np.random.SeedSequence([*cell_seed, i], spawn_key=key).generate_state(8)
                 for i in range(start, stop)]
     assert words.dtype == np.uint32 and words.shape == (stop - start, 8)
     assert words.tolist() == [row.tolist() for row in expected]
