@@ -29,7 +29,7 @@ from seqselect.core import (
     spawn_state_words,
     state_seeds,
 )
-from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
+from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_specs, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -57,7 +57,9 @@ class ChainRound:
     resignations) and quality() are read from it, the (T, n) sampled member
     indices, the (T,) cutoffs run (None when the round's variant runs no
     cutoff), the (T, n) hired and (T, b) kept decisions, and the (T, 3)
-    (regret, hires, failures) results."""
+    (regret, hires, failures) results.  It is one policy's block of the
+    round loop; compare_policies runs every policy's block of a round index
+    as one batch and keeps no ChainRound."""
 
     batch: RoundBatch
     sampled: np.ndarray
@@ -70,12 +72,26 @@ class ChainRound:
 def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], PolicySpec]:
     """Map one round index's (n, b, r, q), r and q one entry per chain, to
     the chains' PolicySpec for a policy token (policies.policy_spec)."""
-    if name not in POLICY_NAMES:
-        raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    variant, cutoff = _TOKENS[name]
+    select_blocks = _block_selector([name])
 
     def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> PolicySpec:
-        return policy_spec(variant, n, b, r, q, None if cutoff is None else cutoff(n))
+        return select_blocks(n, b, r, q)[0]
+
+    return select
+
+
+def _block_selector(names: Sequence[str]) -> Callable[[int, int, Sequence, Sequence], list]:
+    """Map one round index's (n, b, r, q), r and q one entry per row, to one
+    PolicySpec per equal block of rows, block p run by the policy token
+    names[p], with one policies.policy_specs call."""
+    for name in names:
+        if name not in POLICY_NAMES:
+            raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    tokens = [_TOKENS[name] for name in names]
+
+    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> list:
+        return policy_specs([(variant, None if cutoff is None else cutoff(n))
+                             for variant, cutoff in tokens], n, b, r, q)
 
     return select
 
@@ -142,30 +158,40 @@ def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _run_rounds(pop: PopulationSpec, select: Callable, scores, employed, per_round):
-    """run_chains's ChainRounds, on _draw_chains's draws, under one policy,
-    yielded one round index at a time."""
-    rows = np.arange(len(scores))[:, None]
+def _run_rounds(pop: PopulationSpec, select: Callable, blocks: int, scores, staff, per_round):
+    """The round loop on _draw_chains's draws, every policy in lock step:
+    row p T + t runs chain t under the p-th of the blocks PolicySpecs that
+    select(n, b, r, q) returns for a round index, r and q one entry per row.
+    A round index is one RoundBatch, one ranking and one run_policy_batch
+    call; the T chains' population scores are read by row, not copied per
+    block.  Yields (specs, batch, sampled, hired, kept, results) one round
+    index at a time."""
+    chain = np.arange(blocks * len(scores)) % len(scores)
+    rows = chain[:, None]
+    employed = staff[chain]
     for resigned, positions, rand_seeds in per_round:
         best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
         employed = np.take_along_axis(employed, best_first, axis=1)
-        sampled = _members(positions, employed)
-        batch = RoundBatch(scores[rows, employed], ~resigned, scores[rows, sampled])
-        spec = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
-        results, hired, kept = run_policy_batch(batch, spec, rand_seeds)
-        cutoffs = (np.broadcast_to(spec.cutoff, len(batch))
-                   if spec.variant in CUTOFF_VARIANTS else None)
-        yield ChainRound(batch, sampled, cutoffs, hired, kept, results)
+        sampled = _members(positions[chain], employed)
+        batch = RoundBatch(scores[rows, employed], ~resigned[chain], scores[rows, sampled])
+        specs = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
+        results, hired, kept = run_policy_batch(batch, specs, list(rand_seeds) * blocks)
+        yield specs, batch, sampled, hired, kept, results
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)
         employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(employed.shape)
+
+
+def _cutoffs(spec: PolicySpec, size: int) -> Optional[np.ndarray]:
+    """The cutoffs that spec runs on its size rounds, None for mean and rand."""
+    return np.broadcast_to(spec.cutoff, size) if spec.variant in CUTOFF_VARIANTS else None
 
 
 def run_chains(
     pop: PopulationSpec,
     rounds: int,
     p_res: float,
-    policy_selector: Callable[[int, int, Sequence, Sequence], list],
+    policy_selector: Callable[[int, int, Sequence, Sequence], PolicySpec],
     seeds: Sequence,
 ) -> list:
     """Run one multi-round chain per seed: a list of rounds ChainRounds,
@@ -175,10 +201,13 @@ def run_chains(
     Chain t draws from seeds[t] alone, so row t is the one row that
     run_chains(..., [seeds[t]]) runs.  Round k of every chain runs as one row
     of a RoundBatch, with its own r, quality, cutoff and band, and
-    policy_selector builds the round index's PolicySpec in one call.
+    policy_selector builds the round index's PolicySpec in one call: this is
+    compare_policies's round loop with one policy.
     """
     draws = _draw_chains(pop, rounds, p_res, len(seeds), seeds)
-    return list(_run_rounds(pop, policy_selector, *draws))
+    loop = _run_rounds(pop, lambda *setting: [policy_selector(*setting)], 1, *draws)
+    return [ChainRound(batch, sampled, _cutoffs(spec, len(batch)), hired, kept, results)
+            for (spec,), batch, sampled, hired, kept, results in loop]
 
 
 @dataclass(frozen=True)
@@ -206,15 +235,19 @@ def compare_policies(
 
     Run i draws its population, resignations and candidate samples once,
     from the seed [seed, i], and every policy runs on those draws: the
-    policies are paired for variance reduction.
+    policies are paired for variance reduction.  The policies run in lock
+    step: each round index is one RoundBatch of one block of runs rows per
+    policy, ranked once, with one policies.policy_specs call (one cutoff
+    resolve for every translating policy) and one run_policy_batch call.
+    Each policy's curve is the one it gives alone on the same draws.
     """
     if not policy_names:
         raise DomainError("policy list must be non-empty")
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     # every name is checked here, before any chain runs
-    selectors = {p: make_policy_selector(p) for p in policy_names}
-    if len(selectors) != len(policy_names):
+    select = _block_selector(policy_names)
+    if len(set(policy_names)) != len(policy_names):
         raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
     if any(_TOKENS[p][0] in CUTOFF_VARIANTS and _TOKENS[p][1] is None for p in policy_names):
         # a translated cutoff scans the similar setting of the round's
@@ -222,14 +255,19 @@ def compare_policies(
         check_scan_size(similar_n(pop.n, pop.b, 0.0))
     seed_entropy(seed)
     draws = _draw_chains(pop, rounds, p_res, runs, ([seed, i] for i in range(runs)))
+    # each policy's columns per round index, one entry per run, read as the
+    # round index runs, so no round index is held once its columns are read
+    columns = [[] for _ in policy_names]
+    for specs, batch, _, _, _, results in _run_rounds(pop, select, len(policy_names), *draws):
+        quality = batch.quality()
+        for p, spec in enumerate(specs):
+            block = slice(p * runs, (p + 1) * runs)
+            cutoff = _cutoffs(spec, runs)
+            columns[p].append((results[block].tolist(), quality[block].tolist(),
+                               [None] * runs if cutoff is None else cutoff.tolist()))
     out = {}
-    for p in policy_names:
-        # each round index's columns, one entry per run, read as the round
-        # index runs, so a policy does not hold all its ChainRounds at once
-        results, quality, cutoff = zip(*(
-            (cr.results.tolist(), cr.batch.quality().tolist(),
-             [None] * runs if cr.cutoffs is None else cr.cutoffs.tolist())
-            for cr in _run_rounds(pop, selectors[p], *draws)))
+    for p, column in zip(policy_names, columns):
+        results, quality, cutoff = zip(*column)
         rows = tuple((i, k + 1, *results[k][i], quality[k][i], cutoff[k][i])
                      for i, k in np.ndindex(runs, rounds))
         # a C-contiguous (runs, rounds) matrix: past 8 runs, std's sum over

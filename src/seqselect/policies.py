@@ -1,5 +1,8 @@
 """Online selection: the four policies over every round of a RoundBatch.
 
+Each policy is a rule made of arrays, one entry per round, and one round
+loop reads the rules, so one batch may run rounds of several policies.
+
 Every policy keeps the round contract: decisions are immediate and
 irrevocable, every position must be filled at the end, and once the number
 of hires covers the resignations each further hire fires the worst remaining
@@ -10,7 +13,7 @@ is below the step threshold counts as a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,67 +75,112 @@ class PolicySpec:
 
 def policy_spec(variant: str, n: int, b: int, r: Sequence, q: Sequence, c=None) -> PolicySpec:
     """The PolicySpec of variant for the rounds of the settings (n, b, r[t],
-    q[t]): a cutoff policy runs c in every round, or each round's translated
-    cutoff when c is None, one entry per round from one resolve_cutoff call
-    (which scans the similar settings not yet solved in one pass), and acsm
-    adds the default band around the model's mu_hat there, a row per round
-    from one mu_hat_rows call; mean and rand take no parameter, but a given
-    c must still lie in [0, n] for every variant."""
-    if c is not None:
-        learning_cutoff(n, 0, c)
-    if variant not in CUTOFF_VARIANTS:
-        return PolicySpec(variant)
-    if c is None:
-        cutoff = np.array([res.c_target for res in resolve_cutoff(n, b, r, q)], dtype=np.int64)
-    else:
-        cutoff = np.full(len(r), c, dtype=np.int64)
-    if variant == "csm":
-        return PolicySpec(variant, cutoff)
-    # the model needs 0 < q < 1; a chain's measured quality can sit on an end
-    mu = mu_hat_rows(n, b, r, np.clip(q, 1e-6, 1.0 - 1e-6), cutoff)
-    return PolicySpec(variant, cutoff, ZoneConfig.default(n, b, mu))
+    q[t]): policy_specs of the one policy (variant, c)."""
+    return policy_specs([(variant, c)], n, b, r, q)[0]
 
 
-# The round loop and the four policies run every round of a RoundBatch at
-# once.  A step is a handful of array operations whatever the number of
-# rounds, so one batch serves every round of a cell (montecarlo.run_cell) and
-# every chain of a policy at one round index (multiround.run_chains); rounds
-# of one batch may differ in r, cutoff and band.
+def policy_specs(policies: Sequence[tuple], n: int, b: int, r: Sequence, q: Sequence) -> list:
+    """One PolicySpec per (variant, c) of policies, for the rounds of the
+    settings (n, b, r[t], q[t]) split into equal blocks, block p run by
+    policies[p]: a cutoff policy runs c in every round of its block, or each
+    round's translated cutoff when c is None, and acsm adds the default band
+    around the model's mu_hat there, a row per round from one mu_hat_rows
+    call; mean and rand take no parameter, but a given c must still lie in
+    [0, n] for every variant.  The translated cutoffs of every block come
+    from one resolve_cutoff call, which scans the similar settings not yet
+    solved in one pass."""
+    if not policies or len(r) % len(policies):
+        raise DomainError(f"{len(policies)} policies cannot split {len(r)} rounds into equal blocks")
+    size = len(r) // len(policies)
+    blocks = [slice(p * size, (p + 1) * size) for p in range(len(policies))]
+    for _, c in policies:
+        if c is not None:
+            learning_cutoff(n, 0, c)
+    translated = [block for (variant, c), block in zip(policies, blocks)
+                  if variant in CUTOFF_VARIANTS and c is None]
+    if translated:
+        results = resolve_cutoff(n, b, [x for block in translated for x in r[block]],
+                                 [x for block in translated for x in q[block]])
+        resolved = iter(np.array([res.c_target for res in results],
+                                 dtype=np.int64).reshape(len(translated), size))
+    specs = []
+    for (variant, c), block in zip(policies, blocks):
+        cutoff, zone = 0, None
+        if variant in CUTOFF_VARIANTS:
+            cutoff = next(resolved) if c is None else np.full(size, c, dtype=np.int64)
+        if variant == "acsm":
+            # the model needs 0 < q < 1; a chain's measured quality can sit on an end
+            mu = mu_hat_rows(n, b, r[block], np.clip(q[block], 1e-6, 1.0 - 1e-6), cutoff)
+            zone = ZoneConfig.default(n, b, mu)
+        specs.append(PolicySpec(variant, cutoff, zone))
+    return specs
 
 
-def _run_batch(
-    batch: RoundBatch,
-    start,
-    threshold_at: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    after_step: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> tuple:
-    """Drive every round of batch from step start + 1 to n: (results, hired,
-    kept), results (T, 3) int64 rows of (regret, hires, failures), hired
-    (T, n) and kept (T, b) the boolean candidate and referent decisions.
+# The round loop runs every round of a RoundBatch at once.  A step is a
+# handful of array operations whatever the number of rounds, so one batch
+# serves every round of a cell (montecarlo.run_cell) and every chain of every
+# policy at one round index (multiround.compare_policies).  Each policy is a
+# rule made of arrays, one entry per round, so the rounds of one batch may
+# differ in r, cutoff, band and policy.
 
-    start is the learning phase, one for every round or an array of one per
-    round: a round decides nothing at its steps 1..start.
-    threshold_at(j, hires, in_place) returns the scores to beat at step j,
-    where in_place counts the available referents still in place, which are
-    the first in_place of the round's available referents, best first; each
-    hire past the first r fires the worst of them.  after_step(j, hires)
-    runs once the step-j decisions are made.  Every round takes part in
-    every step; a round still learning or whose positions are all filled
+
+def _run_batch(batch: RoundBatch, start, base, ladder, ladder_from, band) -> tuple:
+    """Drive every round of batch from step start + 1 to n under its rule:
+    (hired, kept, hires, failures), hired (T, n) and kept (T, b) the boolean
+    candidate and referent decisions, hires and failures (T,) counts.
+
+    Round t decides nothing at its steps 1..start[t], its learning phase.
+    At step j its threshold is base[j - 1, t] while it holds fewer than
+    ladder_from[t] hires, and ladder[t, in_place] from then on, where
+    in_place counts the available referents still in place, which are the
+    first in_place of the round's available referents, best first; each
+    hire past the first r fires the worst of them.  Every round takes part
+    in every step; a round still learning or whose positions are all filled
     decides nothing.
+
+    band is None, or the (low, high) ends of the acsm band, each (n, T) and
+    step-major, -inf and inf on the rounds that run none; a banded round's
+    base is y_b at every step.  After each step past its learning phase a
+    banded round compares its hire count to the band.  Inside, the rule
+    above holds; below, the next threshold is relaxed by D+ positions among
+    all the scores seen so far; above, tightened by D-.  The two counters
+    count consecutive out-of-band steps and reset on re-entry.  Forced
+    acceptances are unchanged.  Out of the band, a round's threshold is the
+    idx-th best of the b + j - 1 scores seen before step j, read from those
+    scores sorted; tied scores share one value, so which of them counts
+    first does not matter.
     """
     n, b, r = batch.n, batch.b, batch.r
-    start = np.asarray(start)
-    held, fill_from = b - r, n - r + 1  # a step j - hires >= fill_from must hire
+    fill_from = n - r + 1  # a step j - hires >= fill_from must hire
     hires = np.zeros(len(batch), dtype=np.int64)
     failures = np.zeros(len(batch), dtype=np.int64)
-    in_place = held.copy()  # held - max(hires - r, 0), kept as hires grow
+    # at[t] is the flat index of ladder[t, in_place[t]], where in_place =
+    # b - r - max(hires - r, 0), kept as hires grow: one flat read a step
+    rungs, first = ladder.ravel(), np.arange(0, ladder.size, b + 1)
+    at = first + b - r
     # step-major: step j reads and writes one contiguous row of each
     scores = np.ascontiguousarray(batch.candidate_scores.T)
     hired = np.zeros((n, len(batch)), dtype=bool)
+    if band is not None:
+        low, high = band
+        pool = np.concatenate([batch.reference_scores, batch.candidate_scores], axis=1)
+        d_plus = np.zeros(len(batch), dtype=np.int64)
+        d_minus = np.zeros(len(batch), dtype=np.int64)
+        mode = np.zeros(len(batch), dtype=np.int8)  # 0 in the band, 1 below, 2 above
     last = int(start.max(initial=0))  # past it, no round is still learning
     for j in range(int(start.min(initial=n)) + 1, n + 1):
         s = scores[j - 1]
-        tau = threshold_at(j, hires, in_place)
+        level = base[j - 1]
+        tau = np.where(hires < ladder_from, level, rungs[at])
+        if band is not None:
+            (out,) = ((mode != 0) & (hires < b)).nonzero()
+            if out.size:
+                seen = np.sort(pool[out, : b + j - 1], axis=1)  # the idx-th best at b + j - 1 - idx
+                # position of the learning threshold among everything seen (1 = best)
+                m = (seen >= level[out, None]).sum(axis=1)
+                idx = np.where(mode[out] == 1, m + d_plus[out], m - d_minus[out])
+                idx = np.minimum(np.maximum(idx, 1), b + j - 1)
+                tau[out] = seen[np.arange(out.size), b + j - 1 - idx]
         forced = j - hires >= fill_from
         hire = (hires < b) & ((s > tau) | forced)
         if j <= last:
@@ -140,12 +188,19 @@ def _run_batch(
         failures += hire & forced & (s < tau)  # a forced hire below the threshold
         hired[j - 1] = hire
         hires += hire
-        in_place -= hire & (hires > r)
-        if after_step is not None:
-            after_step(j, hires)
+        at -= hire & (hires > r)
+        if band is not None:
+            live = j > start  # a round's band starts after its learning phase
+            below = live & (hires < low[j - 1])
+            above = live & ~below & (hires > high[j - 1])
+            inside = ~below & ~above
+            d_plus[:] = np.where(inside, 0, d_plus + below)
+            d_minus[:] = np.where(inside, 0, d_minus + above)
+            mode[:] = np.where(below, 1, np.where(above, 2, 0))
     hired = np.ascontiguousarray(hired.T)
-    kept = (batch.availability == 1) & (np.cumsum(batch.availability, axis=1) <= in_place[:, None])
-    return np.column_stack([batch.regret(hired, kept), hires, failures]), hired, kept
+    in_place = (at - first)[:, None]
+    kept = (batch.availability == 1) & (np.cumsum(batch.availability, axis=1) <= in_place)
+    return hired, kept, hires, failures
 
 
 def _available_scores(batch: RoundBatch) -> np.ndarray:
@@ -157,122 +212,98 @@ def _available_scores(batch: RoundBatch) -> np.ndarray:
     return out
 
 
-def _cutoff_batch(batch: RoundBatch, cutoff: np.ndarray, zone: Optional[tuple]) -> tuple:
-    """The cutoff policy over every round of batch, with the feedback band
-    of zone when one is given.  cutoff holds one cutoff for every round or
-    one per round, and zone is None or (mu, width), each (1, n) or (T, n).
+def _cutoff_rule(batch: RoundBatch, rows: slice, cutoff: np.ndarray) -> tuple:
+    """The learning phase, y_b and ladder_from of the cutoff policy on rows
+    of batch, cutoff one for every round or one per round.
 
-    Plain rule: round t rejects its first min(c, n - r) candidates, its
-    learning phase (core.learning_cutoff).  Then, while hires have not yet
-    covered the resignations plus the learning-phase intruders (n_rej), the
-    threshold is y_b, the b-th best score seen during learning; afterwards it
-    is the worst remaining available referent, so no position is ever
-    refilled by a worse item.
-
-    Band: after each step past its learning phase a round compares its hire
-    count to mu[j] +- width[j].  Inside, the plain rule holds; below, the
-    next threshold is relaxed by D+ positions among all the scores seen so
-    far; above, tightened by D-.  The two counters count consecutive
-    out-of-band steps and reset on re-entry.  Forced acceptances are
-    unchanged.  Out of the band, a round's threshold is the idx-th best of
-    the b + j - 1 scores seen before step j, read from those scores sorted;
-    tied scores share one value, so which of them counts first does not
-    matter.
+    Round t rejects its first min(c, n - r) candidates, its learning phase
+    (core.learning_cutoff).  Then, while hires have not yet covered the
+    resignations plus the learning-phase intruders (n_rej), the threshold is
+    y_b, the b-th best score seen during learning; afterwards it is the
+    worst remaining available referent, so no position is ever refilled by
+    a worse item.
     """
-    n, b, r = batch.n, batch.b, batch.r
-    c_eff = learning_cutoff(n, r, cutoff)
-    rows = np.arange(len(batch))
+    b = batch.b
+    c_eff = learning_cutoff(batch.n, batch.r[rows], cutoff)
     # the referents and each round's learning-phase candidates; a candidate
     # past a round's learning phase counts as -inf
-    learning = np.concatenate(
-        [batch.reference_scores, batch.candidate_scores[:, : int(c_eff.max(initial=0))]], axis=1)
+    learning = np.concatenate([batch.reference_scores[rows],
+                               batch.candidate_scores[rows, : int(c_eff.max(initial=0))]], axis=1)
     early = learning[:, b:]
     early[np.arange(early.shape[1]) >= c_eff[:, None]] = -np.inf
     y_b = np.sort(learning, axis=1)[:, -b]
     n_rej = (early > y_b[:, None]).sum(axis=1)
-    # worst[:, k]: the worst of the first k available referents (none at k = 0)
-    worst = np.column_stack([np.full(len(batch), np.nan), _available_scores(batch)])
-
-    ladder_from = n_rej + r  # from this many hires on, the threshold is a referent's
-
-    def plain(hires, in_place):
-        return np.where(hires < ladder_from, y_b, worst[rows, in_place])
-
-    if zone is None:
-        return _run_batch(batch, c_eff, lambda j, hires, in_place: plain(hires, in_place))
-
-    pool = np.concatenate([batch.reference_scores, batch.candidate_scores], axis=1)
-    d_plus = np.zeros(len(batch), dtype=np.int64)
-    d_minus = np.zeros(len(batch), dtype=np.int64)
-    mode = np.zeros(len(batch), dtype=np.int8)  # 0 in the band, 1 below, 2 above
-    mu, width = zone
-    # the band's ends, step-major: row j - 1 holds step j's, one or one per round
-    low, high = (np.ascontiguousarray(x.T) for x in (mu - width, mu + width))
-
-    def threshold_at(j, hires, in_place):
-        tau = plain(hires, in_place)
-        (out,) = ((mode != 0) & (hires < b)).nonzero()
-        if out.size:
-            seen = np.sort(pool[out, : b + j - 1], axis=1)  # the idx-th best at b + j - 1 - idx
-            # position of the learning threshold among everything seen (1 = best)
-            m = (seen >= y_b[out, None]).sum(axis=1)
-            idx = np.where(mode[out] == 1, m + d_plus[out], m - d_minus[out])
-            idx = np.minimum(np.maximum(idx, 1), b + j - 1)
-            tau[out] = seen[np.arange(out.size), b + j - 1 - idx]
-        return tau
-
-    def after_step(j, hires):
-        live = j > c_eff  # a round's band starts after its learning phase
-        below = live & (hires < low[j - 1])
-        above = live & ~below & (hires > high[j - 1])
-        inside = ~below & ~above
-        d_plus[:] = np.where(inside, 0, d_plus + below)
-        d_minus[:] = np.where(inside, 0, d_minus + above)
-        mode[:] = np.where(below, 1, np.where(above, 2, 0))
-
-    return _run_batch(batch, c_eff, threshold_at, after_step)
+    return c_eff, y_b, n_rej + batch.r[rows]
 
 
-def _mean_batch(batch: RoundBatch) -> tuple:
-    """MEAN over every round of batch: accept a candidate iff the score beats
-    the mean of the available referents still in place (0.5 when none
-    remain); no learning phase."""
-    # means[:, k]: mean score of the first k available referents (0.5 at k = 0),
-    # summed left to right once per round
-    sums = np.cumsum(_available_scores(batch), axis=1)
-    means = np.column_stack([np.full(len(batch), 0.5), sums / np.arange(1, batch.b + 1)])
-    rows = np.arange(len(batch))
-    return _run_batch(batch, 0, lambda j, hires, in_place: means[rows, in_place])
+def _rules(batch: RoundBatch, spec, rand_seeds) -> tuple:
+    """The rules of run_policy_batch's policies for _run_batch: (start, base,
+    ladder, ladder_from, band), one entry per round of batch."""
+    specs = [spec] if isinstance(spec, PolicySpec) else list(spec)
+    n, b, count = batch.n, batch.b, len(batch)
+    if not specs or count % len(specs):
+        raise DomainError(f"{len(specs)} specs cannot split {count} rounds into equal blocks")
+    size = count // len(specs)
+    # MEAN's learning phase and ladder_from, and the cutoff policies' ladder
+    start, ladder_from = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    base = np.full((n, count), np.nan)
+    ladder = np.column_stack([np.full(count, np.nan), _available_scores(batch)])
+    band = None
+    if any(spec.variant == "acsm" for spec in specs):
+        band = np.full((2, n, count), np.inf)
+        band[0] = -np.inf
+    for p, spec in enumerate(specs):
+        rows = slice(p * size, (p + 1) * size)
+        if spec.variant == "mean":
+            # summed left to right once per round
+            ladder[rows, 1:] = np.cumsum(ladder[rows, 1:], axis=1) / np.arange(1, b + 1)
+            ladder[rows, 0] = 0.5
+        elif spec.variant == "rand":
+            if (rand_seeds is None or len(rand_seeds) != count
+                    or any(seed is None for seed in rand_seeds[rows])):
+                raise DomainError("the rand policy needs one seed per round")
+            base[:, rows] = np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+                                      for seed in rand_seeds[rows]], axis=1)
+            ladder_from[rows] = b + 1
+        else:
+            cutoff = np.asarray(spec.cutoff)
+            zone = np.atleast_2d(spec.zone.mu, spec.zone.width) if spec.variant == "acsm" else None
+            if cutoff.ndim > 1 or cutoff.size not in (1, size) or zone is not None and any(
+                    x.shape[-1] != n or len(x) not in (1, size) for x in zone):
+                raise DomainError("need one cutoff and band for every round or one per round, "
+                                  "each band n long")
+            start[rows], base[:, rows], ladder_from[rows] = _cutoff_rule(batch, rows, cutoff)
+            if zone is not None:
+                mu, width = zone
+                band[:, :, rows] = (mu - width).T, (mu + width).T
+    return start, base, ladder, ladder_from, band
 
 
-def _rand_batch(batch: RoundBatch, seeds) -> tuple:
-    """RAND over every round of batch: accept above a fresh Uniform(0,1)
-    threshold drawn at every step, round t drawing from seeds[t], a seed or
-    a Generator.  A missing seed or one seed too few or too many raises, so
-    no round takes OS entropy or another round's draws."""
-    if seeds is None or len(seeds) != len(batch) or any(seed is None for seed in seeds):
-        raise DomainError("the rand policy needs one seed per round")
-    draws = np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, size=batch.n)
-                      for seed in seeds])
-    return _run_batch(batch, 0, lambda j, hires, in_place: draws[:, j - 1])
+def run_policy_batch(batch: RoundBatch, spec, rand_seeds=None) -> tuple:
+    """Run spec's policy over every round of batch: (results, hired, kept),
+    results (T, 3) int64 rows of (regret, hires, failures), hired (T, n) and
+    kept (T, b) the boolean candidate and referent decisions.
 
+    spec is one PolicySpec, or a sequence of P of them for P equal blocks of
+    rows, block p of T / P rows from row p T / P on: one batch and one round
+    loop run every block, each round as its block's spec runs it alone.  A
+    spec's cutoff and its zone's rows are one for every round of its block
+    or one per round; any other count, or a band not n long, raises
+    DomainError.  rand_seeds holds one RAND seed per round, round t's at t,
+    read by the rounds that run rand.
 
-def run_policy_batch(batch: RoundBatch, spec: PolicySpec, rand_seeds=None) -> tuple:
-    """Run spec's policy over every round of batch: (results, hired, kept)
-    as _run_batch returns them.
-
-    The spec's cutoff and its zone's rows are one for every round or one per
-    round; any other count, or a band not n long, raises DomainError.
-    rand_seeds holds one RAND seed per round, round t's at t.
+    Each policy's rule (_run_batch): csm and acsm learn for their cutoff
+    (_cutoff_rule), their base is y_b and their ladder the worst available
+    referent still in place (none at k = 0); acsm adds the band of its zone.
+    MEAN learns for no step and its ladder, from the first hire on, is the
+    mean score of the available referents still in place (0.5 when none
+    remain).  RAND learns for no step and its base is a fresh Uniform(0, 1)
+    threshold at every step, round t drawing from rand_seeds[t], a seed or a
+    Generator; it never reaches its ladder.  A RAND round with no seed, or
+    one seed too few or too many, raises, so no round takes OS entropy or
+    another round's draws.
     """
-    if spec.variant == "mean":
-        return _mean_batch(batch)
-    if spec.variant == "rand":
-        return _rand_batch(batch, rand_seeds)
-    cutoff = np.asarray(spec.cutoff)
-    zone = np.atleast_2d(spec.zone.mu, spec.zone.width) if spec.variant == "acsm" else None
-    if cutoff.ndim > 1 or cutoff.size not in (1, len(batch)) or zone is not None and any(
-            x.shape[-1] != batch.n or len(x) not in (1, len(batch)) for x in zone):
-        raise DomainError("need one cutoff and band for every round or one per round, "
-                          "each band n long")
-    return _cutoff_batch(batch, cutoff, zone)
+    # the rules and the round loop's arrays are dropped before the regret
+    # ranks the batch, so the two are not held at once
+    hired, kept, hires, failures = _run_batch(batch, *_rules(batch, spec, rand_seeds))
+    return np.column_stack([batch.regret(hired, kept), hires, failures]), hired, kept

@@ -1,6 +1,7 @@
 """Multi-round driver tests: state evolution, pairing, policy selection."""
 
 import hashlib
+from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqselect.analytics
 import seqselect.multiround
 from seqselect.core import DomainError, RoundBatch, seed_entropy
 from seqselect.multiround import (
@@ -86,6 +88,19 @@ class TestRunChain:
             calls.clear()
             run_chains(SMALL, 4, 0.5, make_policy_selector(name), [8, 9, 10])
             assert calls == [3] * 4, name
+        # compare_policies runs every policy's chains of a round index as one
+        # batch of policies x runs rows: one ranking, whose quality selects
+        # every policy, then at most one cutoff scan pass for the rows of
+        # both translating policies
+        scan = seqselect.analytics._regret_scans
+        monkeypatch.setattr(seqselect.analytics, "_regret_scans",
+                            lambda settings: calls.append("scan") or scan(settings))
+        monkeypatch.setattr(seqselect.analytics, "_solved", OrderedDict())  # every setting cold
+        calls.clear()
+        compare_policies(SMALL, 4, 0.5, ("csm-star", "acsm-star", "mean", "rand"), 3, 5)
+        assert [call for call in calls if call != "scan"] == [12] * 4
+        assert calls[:2] == [12, "scan"]
+        assert all(before != "scan" for before, call in zip(calls, calls[1:]) if call == "scan")
 
     def test_rejects_bad_rounds_and_seeds(self):
         for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):
@@ -334,6 +349,21 @@ class TestComparePolicies:
                              cutoff))
         assert curve.per_run == tuple(rows)
         assert {row[6] is None for row in rows} == {name in ("mean", "rand")}
+
+    @pytest.mark.parametrize("runs", (1, 5))
+    @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
+    def test_each_policy_runs_as_it_runs_alone(self, p_res, runs):
+        # every policy of a call runs in one batch per round index and shares
+        # one cutoff resolve, so each policy's curve must be the one that it
+        # gives alone on the same draws
+        names = list(np.random.default_rng([runs, int(10 * p_res)]).permutation(POLICY_NAMES))
+        together = compare_policies(SMALL, 4, p_res, names, runs, 21)
+        for name in names:
+            alone = compare_policies(SMALL, 4, p_res, [name], runs, 21)[name]
+            curve = together[name]
+            assert curve.per_run == alone.per_run, name
+            assert curve.mean_regret == alone.mean_regret, name
+            assert (curve.ci95_low, curve.ci95_high) == (alone.ci95_low, alone.ci95_high), name
 
     def test_aggregate_of_a_c_contiguous_regret_matrix(self):
         # past 8 runs, numpy's sum over runs depends on the matrix layout: the

@@ -268,6 +268,32 @@ class TestAdjustedCutoff:
             assert got[:, 0].tolist() == [0] * len(seeds)
             assert np.array_equal(got[:, 1:], want), spec.variant
 
+    def test_blocks_of_one_batch_run_as_each_runs_alone(self):
+        # csm, acsm and mean run one batch; acsm's band is finite, and its
+        # rounds leave it above (mu = 0), below (mu = b) or stay in it
+        n, b, r, q = 20, 4, 1, 0.6
+        batch = sample_rounds(n, b, q, r, range(12))
+        flat, ramp = np.zeros(n), np.linspace(0.0, b, n)
+        zone = ZoneConfig(np.array([flat, flat + b, ramp, ramp]),
+                          np.array([flat, flat, flat + b, flat + 0.5]))
+        cutoffs = np.array([5, 5, 5, 3])
+        specs = [PolicySpec("csm", 5), PolicySpec("acsm", cutoffs, zone), PolicySpec("mean")]
+        got = run_policy_batch(batch, specs)
+
+        def block(rows):
+            return RoundBatch(batch.reference_scores[rows], batch.availability[rows],
+                              batch.candidate_scores[rows])
+
+        for p, spec in enumerate(specs):
+            rows = slice(4 * p, 4 * p + 4)
+            alone = run_policy_batch(block(rows), spec)
+            for whole, part in zip(got, alone):
+                assert np.array_equal(whole[rows], part), spec.variant
+        # the band moved some of acsm's rounds off the plain rule, not all
+        _, plain, _ = run_policy_batch(block(slice(4, 8)), PolicySpec("csm", cutoffs))
+        moved = (got[1][4:8] != plain).any(axis=1)
+        assert moved.any() and not moved.all()
+
     def test_mu_length_must_match(self):
         inst = generate_instance(10, 2, 0.5, 0, 1)
         spec = PolicySpec("acsm", cutoff=2, zone=ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))

@@ -226,6 +226,52 @@ def test_batch_engine_is_the_scalar_engine_on_mixed_rounds(mixed):
         assert kept[t].astype(int).tolist() == list(out.referent_decisions)
 
 
+@st.composite
+def policy_blocks(draw):
+    """Rounds of one size (n, b) in equal blocks and one PolicySpec per
+    block: every variant runs a block, in a drawn order, some twice.  The
+    rounds' r differ, some rounds are built from GRID scores and tie, and
+    each block's cutoff and band rows are as in mixed_rounds: acsm's band is
+    finite, and its rounds leave it above, below or in both directions."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(b, 8))
+    variants = draw(st.permutations(["csm", "acsm", "mean", "rand"]))
+    variants += draw(st.lists(st.sampled_from(["csm", "acsm", "mean", "rand"]), max_size=2))
+    size = draw(st.integers(1, 3))
+    rounds = []
+    for _ in range(len(variants) * size):
+        r = draw(st.integers(0, b))
+        if draw(st.booleans()):
+            rounds.append(_tied_round(draw, n, b, r))
+        else:
+            q = draw(st.floats(0.05, 0.95))
+            rounds.append(generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = []
+    for variant in variants:
+        rows = draw(st.sampled_from([(), (1,), (size,)]))
+        cutoff = rng.integers(0, n + 1, rows)
+        zone = _band(draw, rng, b, rows + (n,)) if variant == "acsm" else None
+        specs.append(PolicySpec(variant, int(cutoff) if rows == () else cutoff, zone))
+    return rounds, specs
+
+
+@SETTINGS
+@given(policy_blocks())
+def test_a_block_of_a_batch_runs_as_its_spec_runs_it_alone(blocks):
+    # one batch and one round loop run every block, so the rows of another
+    # policy must not change a block's results or decisions
+    rounds, specs = blocks
+    size = len(rounds) // len(specs)
+    seeds = range(len(rounds))
+    got = run_policy_batch(_stack(rounds), specs, seeds)
+    for p, spec in enumerate(specs):
+        rows = slice(p * size, (p + 1) * size)
+        alone = run_policy_batch(_stack(rounds[rows]), spec, seeds[rows])
+        for whole, part in zip(got, alone):
+            assert np.array_equal(whole[rows], part), (p, spec.variant)
+
+
 @SETTINGS
 @given(st.integers(1, 5), st.integers(2, 8), st.sampled_from(["cutoff", "rows", "n", "width"]),
        st.integers(0, 9))
