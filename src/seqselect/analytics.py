@@ -178,7 +178,12 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     )
 
 
-def _recursion(n, b, r, q, c, after_step=None):
+#: steps between two of the solver's retirement checks (_Retirement): each
+#: check makes a pass over every column, and 4 to 32 steps time alike
+_RETIRE_EVERY = 8
+
+
+def _recursion(n, b, r, q, c, after_step=None, retire=None):
     """The r < b recursion of threshold_curve, one column per setting
     (n, b, r, q, c): c is an array, and n, b, r and q are numbers or arrays
     of one entry per column.  The columns must be sorted by n - c, the
@@ -186,16 +191,25 @@ def _recursion(n, b, r, q, c, after_step=None):
 
     The loop counts s, the steps completed since the cutoff (step
     j = c + 1 + s).  A column runs while c + s < n, so the live columns are
-    a prefix, whose length at every step comes from one searchsorted before
-    the loop: each step works on views of that prefix, and its in-place +=
-    writes through to the full per-column arrays.  The two g factors are
-    g_fn's values under the step-index branch rule (_DueG), with gammaincc
-    called only on the entries whose value is read; the intensity is
-    checked once, after the loop, to have stayed >= 0 (ContractError
-    otherwise), where g_fn would check it at every call.
+    a prefix, whose length at every step comes from one searchsorted per
+    block of steps: each step works on views of that prefix, and its
+    in-place += writes through to the per-column table.  The two g factors
+    are g_fn's values under the step-index branch rule (_DueG), with
+    gammaincc called only on the entries whose value is read; the intensity
+    of every column is checked once, after the loop, to have stayed >= 0
+    (ContractError otherwise), where g_fn would check it at every call.
     after_step(s, gamma_j, p_j, lam_j, g_j(b)), when given, sees each step's
     values over the live prefix.  Returns (e_hires, candidate_term,
     referent_term), one entry per column.
+
+    retire, when given, is called every _RETIRE_EVERY steps with (cols,
+    total, running) over the working columns: their indices into c, each
+    one's candidate term so far plus, once it has run all its steps, its
+    referent term, and which still run.  It returns which of them to drop.
+    The columns that no longer run or are dropped then leave the working
+    prefix: a stable partition moves them behind the others, so the prefix
+    keeps its n - c order and the table keeps every column's values.  A
+    dropped column's return values are those of the steps it ran.
     """
     n, b, r = (np.broadcast_to(x, c.shape) for x in (n, b, r))
     left = n - c  # steps each column runs
@@ -204,32 +218,67 @@ def _recursion(n, b, r, q, c, after_step=None):
     gam = b * (b + n) / (b + c)
     delta = r + c * (gam - 1.0) / (n + b)
     ref_coef = expected_available_rank(1, q, n, b, r)
-    size = n + b
-    lam, hired, cand = (np.zeros(len(c)) for _ in range(3))
-    live = np.searchsorted(-left, -np.arange(left.max(initial=0)))  # columns with left > s
-    g_cap, g_delta = _DueG(b, live), _DueG(delta, live)
-    for s, k in enumerate(live.tolist()):
-        lam_s = lam[:k]
-        gjb, gjd = g_cap.at(s, lam_s), g_delta.at(s, lam_s)
-        gj = np.maximum(
-            gam[:k] * gjd + ref_coef[:k] * np.maximum(b[:k] - hired[:k], 0.0) * (1.0 - gjd), 1.0)
-        pj = (gj - 1.0) / size[:k]
-        cand[:k] += gjb * gj * (gj - 1.0) / 2.0
-        hired[:k] += pj * gjb  # sum of p_i g_i(b), i <= j
-        lam_s += pj
-        if after_step is not None:
-            after_step(s, gj, pj, lam_s, gjb)
+    # one row per quantity, one column per setting: the constants, then the
+    # state lam, hired and cand; cols holds each table column's index in c
+    table = np.array(np.broadcast_arrays(left, b, n + b, gam, delta, ref_coef, 0, 0, 0), float)
+    cols, width, start, end = np.arange(len(c)), len(c), 0, left.max(initial=0)
+    while start < end:
+        stop = end if retire is None else min(start + _RETIRE_EVERY, end)
+        left, b, size, gam, delta, ref_coef, lam, hired, cand = table[:, :width]
+        live = np.searchsorted(-left, -np.arange(start, stop))  # columns with left > s
+        g_cap, g_delta = _DueG(b, live, start), _DueG(delta, live, start)
+        for s, k in enumerate(live.tolist(), start):
+            lam_s = lam[:k]
+            gjb, gjd = g_cap.at(s, lam_s), g_delta.at(s, lam_s)
+            gj = np.maximum(
+                gam[:k] * gjd + ref_coef[:k] * np.maximum(b[:k] - hired[:k], 0.0) * (1.0 - gjd),
+                1.0)
+            pj = (gj - 1.0) / size[:k]
+            cand[:k] += gjb * gj * (gj - 1.0) / 2.0
+            hired[:k] += pj * gjb  # sum of p_i g_i(b), i <= j
+            lam_s += pj
+            if after_step is not None:
+                after_step(s, gj, pj, lam_s, gjb)
+        if stop < end:
+            width = _compact(table, cols, width, stop, retire)
+            end = int(table[0, :width].max(initial=stop))  # steps the longest left runs
+        start = stop
+    for row in table:  # every column back in its place
+        row[cols] = row.copy()
+    _, b, size, _, _, ref_coef, lam, hired, cand = table
     if not lam.min(initial=0.0) >= 0:  # nan fails too
         raise ContractError("the recursion's intensity went below 0")
+    e_hires, referent = _referent(b, ref_coef, hired)
+    return e_hires, cand / size, referent
+
+
+def _compact(table, cols, width, stop, retire) -> int:
+    """The check of _recursion after stop steps: moves the working columns
+    of table and cols (the first width) that have run all their steps, or
+    that retire drops, behind the others, in place and in order, and
+    returns how many still work."""
+    left, b, size, _, _, ref_coef, _, hired, cand = table[:, :width]
+    running = left > stop
+    total, done = cand / size, ~running
+    total[done] += _referent(b[done], ref_coef[done], hired[done])[1]
+    keep = running & ~retire(cols[:width], total, running)
+    moved = np.concatenate((np.flatnonzero(keep), np.flatnonzero(~keep)))
+    for row in (*table, cols):
+        row[:width] = row[:width][moved]
+    return int(keep.sum())
+
+
+def _referent(b, ref_coef, hired) -> tuple:
+    """(e_hires, referent_term) of recursion columns that ran every step."""
     e_hires = np.minimum(hired, b)  # the summed intensity can overshoot the cap
-    referent = ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires)
-    return e_hires, cand / (n + b), referent
+    return e_hires, ref_coef / 2.0 * (b - e_hires) * (b + 1 - e_hires)
 
 
 class _DueG:
     """g_fn(count, lam) of one column each under the recursion's branch
-    rule, over the live prefixes live[s] of its steps: 1 while count
-    exceeds the s steps completed since the cutoff, else g_fn's value.
+    rule, over the live prefixes live[s - start] of its steps from start
+    on: 1 while count exceeds the s steps completed since the cutoff, else
+    g_fn's value.
 
     count is constant per column, so gammaincc's count argument (1 standing
     in where count <= 0, the product with pos zeroing it) is built once, and
@@ -238,25 +287,25 @@ class _DueG:
     g_fn's to the bit, as gammaincc is elementwise; lam is not checked here
     (_recursion checks it once per pass)."""
 
-    def __init__(self, count, live):
+    def __init__(self, count, live, start):
         count = np.asarray(count)
         self.count = count
         self.pos = np.greater(count, 0)
-        self.arg = np.where(self.pos, count, 1)
-        self.ones = np.ones(len(count))
+        self.any_off = not self.pos.all()
+        self.arg = np.where(self.pos, count, 1) if self.any_off else count
+        self.start = start
         # the first s at which each column is due, and over each live prefix
         # its largest and smallest
         due = np.ceil(np.maximum(count, 0))
-        steps = np.arange(len(live))
+        steps = np.arange(start, start + len(live))
         self.all_due = np.maximum.accumulate(due)[live - 1] <= steps
         self.none_due = np.minimum.accumulate(due)[live - 1] > steps
-        self.any_off = not self.pos.all()
 
     def at(self, s: int, lam: np.ndarray) -> np.ndarray:
         k = lam.size
-        if self.none_due[s]:
-            return self.ones[:k]
-        if self.all_due[s]:
+        if self.none_due[s - self.start]:
+            return np.ones(k)
+        if self.all_due[s - self.start]:
             g = gammaincc(self.arg[:k], lam)
             return g * self.pos[:k] if self.any_off else g
         due = self.count[:k] <= s
@@ -348,19 +397,35 @@ def _regret_scans(settings) -> list:
     setting is one _full_resignation expression.  Every setting is checked,
     and its n held to core.MAX_SCAN_N, before any scan starts.
     """
+    return _scan_pass(settings, retiring=False)
+
+
+def _scan_pass(settings, retiring: bool) -> list:
+    """_regret_scans, or with retiring the scans as the solver reads them:
+    at r < b a column that provably is neither the setting's argmin nor
+    the column max(argmin - CUTOFF_CORRECTION, 0) leaves the pass early and
+    reads inf (_Retirement); every other value is the full scan's, bit for
+    bit."""
     for n, b, r in settings:
         check_setting(n, b, r)
         check_scan_size(n)
-    n, b, r = np.array([s for s in settings if s[2] < s[1]], dtype=np.int64).reshape(-1, 3).T
+    slow = [s for s in settings if s[2] < s[1]]
+    n, b, r = np.array(slow, dtype=np.int64).reshape(-1, 3).T
     phases = n - r + 1
     starts = np.cumsum(phases) - phases  # each setting's first column
-    n, b, r = (np.repeat(x, phases) for x in (n, b, r))
-    c = np.arange(n.size) - np.repeat(starts, phases)
+    setting = np.repeat(np.arange(len(slow)), phases)
+    n, b, r = (x[setting] for x in (n, b, r))
+    c = np.arange(n.size) - starts[setting]
     order = np.argsort(c - n, kind="stable")  # n - c descending
     totals = np.empty(c.size)
     if c.size:  # no pass without an r < b setting
-        _, cand, ref = _recursion(n[order], b[order], r[order], 0.5, c[order])
+        n, b, r, c, setting = (x[order] for x in (n, b, r, c, setting))
+        offline = np.array([expected_offline(*s, 0.5) for s in slow])
+        retire = _Retirement(setting, c, n - r, offline, order) if retiring else None
+        _, cand, ref = _recursion(n, b, r, 0.5, c, None, retire)
         totals[order] = cand + ref
+        if retiring:
+            totals[order[retire.retired]] = np.inf
     partial = iter(np.split(totals, starts[1:]))
     scans = []
     for n, b, r in settings:
@@ -374,6 +439,55 @@ def _regret_scans(settings) -> list:
     return scans
 
 
+class _Retirement:
+    """The solver's rule for leaving columns out of one _scan_pass, the
+    retire hook of _recursion.  Its arrays follow the pass's column order.
+
+    After s steps a column's regret is at least its candidate term so far
+    minus the offline optimum: every later step adds a term >= 0 to the
+    candidate sum, the referent term is >= 0, and IEEE rounding is
+    monotone, so the bound holds in floating point too.  A column is out
+    once that bound is strictly above the least regret of a finished column
+    of its setting: those have the larger cutoffs, and the argmin takes
+    ties toward the smaller.  A finished column is out when its regret is.
+    A column is retired once it is out and so is the column
+    CUTOFF_CORRECTION above it, and for column 0 every column up to
+    CUTOFF_CORRECTION, where they exist: optimal_cutoff reads the regret at
+    max(argmin - CUTOFF_CORRECTION, 0).  A nan is never above, so it
+    retires nothing.
+    """
+
+    def __init__(self, setting, c, last, offline, order):
+        # setting, c and last (the setting's largest cutoff) per column;
+        # offline per setting; order[i] is column i's place in settings
+        # order, where a setting's cutoffs are consecutive
+        i = np.arange(c.size)
+        at = np.empty_like(order)
+        at[order] = i  # each place's column
+        self.setting, self.offline = setting, offline
+        # the columns that must be out before a column may be retired: the
+        # one CUTOFF_CORRECTION above it, and for column 0 every one up to
+        # that; where there is none, the column itself
+        self.guards = []
+        for k in range(1, CUTOFF_CORRECTION + 1):
+            guarded = ((c == 0) | (k == CUTOFF_CORRECTION)) & (c + k <= last)
+            self.guards.append(np.where(guarded, at[np.minimum(order + k, c.size - 1)], i))
+        self.floor = np.full(c.size, -np.inf)  # bound on each regret, the regret once finished
+        self.best = np.full(len(offline), np.inf)  # least regret of each setting's finished columns
+        self.retired = np.zeros(c.size, dtype=bool)
+
+    def __call__(self, cols, total, running):
+        self.floor[cols] = total - self.offline[self.setting[cols]]
+        done = cols[~running]
+        np.minimum.at(self.best, self.setting[done], self.floor[done])
+        out = self.floor > self.best[self.setting]
+        drop = running & out[cols]
+        for guard in self.guards:
+            drop &= out[guard[cols]]
+        self.retired[cols[drop]] = True
+        return drop
+
+
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _SOLVED_MAX = 100_000
 _solved = OrderedDict()  # (n, b, r) -> optimal_cutoff's result, least recently used first
@@ -383,13 +497,14 @@ _lookups = Counter()
 def _optimal_cutoffs(settings) -> list:
     """optimal_cutoff of each (n, b, r) of settings, from one cache.
 
-    The settings not yet solved are scanned together, in one _regret_scans
-    pass; the cache keeps the _SOLVED_MAX settings used last.  A lookup is a
-    hit when its setting was solved before, earlier in the same call too, as
-    one functools.lru_cache call per setting would count it.
+    The settings not yet solved are scanned together, in one _scan_pass
+    that retires the columns that cannot be the answer; the cache keeps the
+    _SOLVED_MAX settings used last.  A lookup is a hit when its setting was
+    solved before, earlier in the same call too, as one functools.lru_cache
+    call per setting would count it.
     """
     cold = [s for s in dict.fromkeys(settings) if s not in _solved]
-    for (n, b, r), vals in zip(cold, _regret_scans(cold)):
+    for (n, b, r), vals in zip(cold, _scan_pass(cold, retiring=True)):
         raw = int(np.argmin(vals))
         c_star = raw if r == b else max(raw - CUTOFF_CORRECTION, 0)
         _solved[n, b, r] = c_star, float(vals[c_star])
@@ -406,11 +521,17 @@ def _optimal_cutoffs(settings) -> list:
 def optimal_cutoff(n: int, b: int, r: int) -> tuple:
     """Optimal learning-phase length at medium quality and its expected regret.
 
-    Scans c in {0..n} exhaustively (ties toward smaller c).  For r < b the
-    recursion's argmin is moved down by CUTOFF_CORRECTION; the r = b argmin is
-    used as is.  Other qualities go through resolve_cutoff.  Results are
-    cached, for resolve_cutoff and cutoff_table too; cache_info() reads the
-    cache as functools.lru_cache's does.
+    The argmin of the regret over c in {0..n} (ties toward smaller c).  For
+    r < b the recursion's argmin is moved down by CUTOFF_CORRECTION; the
+    r = b argmin is used as is.  At r < b the scan stops advancing a cutoff
+    once it provably is neither the argmin nor the cutoff the correction
+    reads (_Retirement): its candidate term so far, minus the offline
+    optimum, is already strictly above the regret of a longer-learning
+    cutoff that has finished.  That bound is exact in floating point, as
+    every later term is >= 0 and rounding is monotone, so the result is the
+    full scan's to the bit.  Other qualities go through resolve_cutoff.
+    Results are cached, for resolve_cutoff and cutoff_table too;
+    cache_info() reads the cache as functools.lru_cache's does.
     """
     return _optimal_cutoffs([(n, b, r)])[0]
 

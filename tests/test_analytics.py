@@ -12,6 +12,7 @@ from seqselect.analytics import (
     _poisson_pmf,
     _recursion,
     _regret_scan,
+    _regret_scans,
     analyze_setting,
     cutoff_table,
     expected_available_rank,
@@ -330,12 +331,13 @@ class TestRegretScan:
         assert (_regret_scan(n, b, r) >= 0).all()
 
     def test_nonnegative_over_small_settings(self):
-        # every n <= 59, b <= 20 and r <= b but the two settings above
-        for n in range(1, 60):
-            for b in range(1, min(n, 20) + 1):
-                for r in range(b + 1):
-                    if (n, b, r) not in ((1, 1, 1), (2, 2, 2)):
-                        assert (_regret_scan(n, b, r) >= 0).all(), (n, b, r)
+        # every n <= 59, b <= 20 and r <= b but the two settings above, in
+        # one pass
+        found = [(n, b, r) for n in range(1, 60) for b in range(1, min(n, 20) + 1)
+                 for r in range(b + 1) if (n, b, r) not in ((1, 1, 1), (2, 2, 2))]
+        assert len(found) == 10_718
+        for setting, scan in zip(found, _regret_scans(found)):
+            assert (scan >= 0).all(), setting
 
 
 class TestOneColumnBytes:

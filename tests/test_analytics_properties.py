@@ -1,6 +1,8 @@
 """Property tests of the hard bounds of the analytic curves over small settings."""
 
 from collections import Counter, OrderedDict
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from seqselect.analytics import (  # noqa: E402
 )
 from seqselect.core import DomainError  # noqa: E402
 from seqselect.policies import policy_spec  # noqa: E402
+from tests import analytic_reference  # noqa: E402
 
 TOL = 1e-12
 
@@ -127,6 +130,68 @@ def test_many_settings_scan_is_each_settings_scan(found):
     assert len(scans) == len(found)
     for setting, scan in zip(found, scans):
         assert scan.tobytes() == _regret_scan(*setting).tobytes(), setting
+
+
+# settings whose raw argmin, before CUTOFF_CORRECTION, is 0, 1 or 2: the
+# solver then reads column 0
+RAW_ARGMIN = {
+    0: [(3, 2, 1), (12, 8, 0), (46, 30, 0), (40, 30, 1)],
+    1: [(5, 2, 0), (6, 3, 2), (33, 30, 29), (30, 30, 6)],
+    2: [(9, 6, 3), (10, 1, 0), (32, 30, 5), (35, 30, 29)],
+}
+
+
+@lru_cache(maxsize=None)
+def reference_scan(n, b, r):
+    return np.array(analytic_reference.scan(n, b, r))
+
+
+def test_pinned_settings_have_their_argmins():
+    for raw, found in RAW_ARGMIN.items():
+        for n, b, r in found:
+            assert r < b and np.argmin(reference_scan(n, b, r)) == raw, (n, b, r)
+
+
+@st.composite
+def solver_settings(draw):
+    """Mixed (n, b, r) lists for the solver: settings with r < b or r = b,
+    the pinned argmin cases, some repeated, in no order."""
+    def setting(b):
+        return st.tuples(st.integers(b, 48), st.just(b),
+                         st.one_of(st.just(b), st.integers(0, b - 1)))
+
+    pinned = st.sampled_from([s for found in RAW_ARGMIN.values() for s in found])
+    found = draw(st.lists(st.one_of(st.integers(1, 12).flatmap(setting), pinned),
+                          min_size=1, max_size=6))
+    found += draw(st.lists(st.sampled_from(found), max_size=2))
+    return draw(st.permutations(found))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(solver_settings())
+def test_scans_are_the_reference(found):
+    # every r < b learning phase's regret is the plain-float reference's
+    for (n, b, r), scan in zip(found, _regret_scans(found)):
+        if r < b:
+            assert scan[: n - r + 1].tobytes() == reference_scan(n, b, r).tobytes(), (n, b, r)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(solver_settings())
+def test_solver_is_the_reference(found):
+    # the solver retires columns early, yet returns the full scan's cutoff
+    # and regret: at r < b the reference's, at r = b the closed form's
+    with mock.patch.object(analytics, "_solved", OrderedDict()), \
+            mock.patch.object(analytics, "_lookups", Counter()):
+        solved = analytics._optimal_cutoffs(found)
+    for (n, b, r), (c_star, value) in zip(found, solved):
+        if r < b:
+            scan = reference_scan(n, b, r)
+            want = max(int(np.argmin(scan)) - analytics.CUTOFF_CORRECTION, 0)
+        else:
+            scan = _regret_scan(n, b, r)
+            want = int(np.argmin(scan))
+        assert (c_star, np.float64(value).tobytes()) == (want, scan[want].tobytes()), (n, b, r)
 
 
 def test_a_round_index_scans_its_cold_settings_in_one_pass(monkeypatch):

@@ -92,9 +92,9 @@ class TestRunChain:
         # batch of policies x runs rows: one ranking, whose quality selects
         # every policy, then at most one cutoff scan pass for the rows of
         # both translating policies
-        scan = seqselect.analytics._regret_scans
-        monkeypatch.setattr(seqselect.analytics, "_regret_scans",
-                            lambda settings: calls.append("scan") or scan(settings))
+        scan = seqselect.analytics._scan_pass
+        monkeypatch.setattr(seqselect.analytics, "_scan_pass",
+                            lambda *args, **kw: calls.append("scan") or scan(*args, **kw))
         monkeypatch.setattr(seqselect.analytics, "_solved", OrderedDict())  # every setting cold
         calls.clear()
         compare_policies(SMALL, 4, 0.5, ("csm-star", "acsm-star", "mean", "rand"), 3, 5)
