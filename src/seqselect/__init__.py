@@ -2,7 +2,6 @@
 
 from seqselect.core import (
     Instance,
-    compute_quality,
     generate_instance,
 )
 from seqselect.policies import (
@@ -15,7 +14,6 @@ from seqselect.analytics import (
     AnalyticCurve,
     expected_max_hires,
     expected_offline,
-    g_fn,
     gamma0,
     mu_hat_curve,
     optimal_cutoff,

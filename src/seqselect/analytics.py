@@ -64,20 +64,6 @@ def expected_offline(n: int, b: int, r: int, q: float) -> float:
     return b * (b + 1) / 2.0 + r * b * b * (g0 + r) / (2.0 * g0 * g0)
 
 
-def g_fn(count, lam):
-    """P(Poisson(lam) < count), extended to real count, elementwise.
-
-    Equals the Poisson CDF sum e^-lam * sum_{i<count} lam^i / i! at integer
-    count; the regularized upper incomplete gamma function provides the smooth
-    extension in between.  Gives 0 where count <= 0 (gammaincc(0, 0) is nan).
-    """
-    if not np.asarray(lam).min(initial=0.0) >= 0:  # nan fails too
-        raise DomainError("lam must be nonnegative")
-    # count 1 stands in elsewhere; the product zeroes it
-    pos = np.greater(count, 0)
-    return gammaincc(np.where(pos, count, 1), lam) * pos
-
-
 def _poisson_pmf(k, lam):
     """P(Poisson(lam) = k) by scipy.stats.poisson's own expression, elementwise."""
     return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
@@ -137,11 +123,14 @@ def threshold_curve(params: AnalyticParams) -> AnalyticCurve:
     For j = c'+1..n, with c' the learning phase that c runs, the threshold
     mixes the learning-phase rank gamma = b(b+n)/(b+c') (while fewer than
     Delta = r + E[n_rej] candidates are in) with the available-referent rank
-    ladder; p_j = (gamma_j - 1)/(n+b) and the g factors come from g_fn with
-    the step-index branch rule (value 1 while the count argument exceeds the
-    number of completed selection steps).  At r = b the policy never
-    switches, and _full_resignation replaces the recursion.  This is the
-    one-column call of the functions _regret_scan runs over every cutoff.
+    ladder; p_j = (gamma_j - 1)/(n+b).  A g factor is g(count) =
+    P(Poisson(lam) < count), lam the intensity through step j - 1 and count
+    b or Delta, extended to real count by the regularized upper incomplete
+    gamma function gammaincc(count, lam), and 0 where count <= 0; the
+    step-index branch rule makes it 1 while count exceeds the number of
+    completed selection steps.  At r = b the policy never switches, and
+    _full_resignation replaces the recursion.  This is the one-column call
+    of the functions _regret_scans runs over every cutoff.
     """
     n, b, r, q = params.n, params.b, params.r, params.q
     c = learning_cutoff(n, r, params.c)
@@ -194,10 +183,10 @@ def _recursion(n, b, r, q, c, after_step=None, retire=None):
     a prefix, whose length at every step comes from one searchsorted per
     block of steps: each step works on views of that prefix, and its
     in-place += writes through to the per-column table.  The two g factors
-    are g_fn's values under the step-index branch rule (_DueG), with
-    gammaincc called only on the entries whose value is read; the intensity
-    of every column is checked once, after the loop, to have stayed >= 0
-    (ContractError otherwise), where g_fn would check it at every call.
+    are threshold_curve's g(b) and g(Delta) under the step-index branch rule
+    (_DueG), with gammaincc called only on the entries whose value is read;
+    the intensity of every column is checked once, after the loop, to have
+    stayed >= 0 (ContractError otherwise).
     after_step(s, gamma_j, p_j, lam_j, g_j(b)), when given, sees each step's
     values over the live prefix.  Returns (e_hires, candidate_term,
     referent_term), one entry per column.
@@ -275,17 +264,18 @@ def _referent(b, ref_coef, hired) -> tuple:
 
 
 class _DueG:
-    """g_fn(count, lam) of one column each under the recursion's branch
-    rule, over the live prefixes live[s - start] of its steps from start
-    on: 1 while count exceeds the s steps completed since the cutoff, else
-    g_fn's value.
+    """The g factor P(Poisson(lam) < count) of one column each
+    (threshold_curve) under the recursion's branch rule, over the live
+    prefixes live[s - start] of its steps from start on: 1 while count
+    exceeds the s steps completed since the cutoff, else gammaincc(count,
+    lam), or 0 where count <= 0.
 
     count is constant per column, so gammaincc's count argument (1 standing
     in where count <= 0, the product with pos zeroing it) is built once, and
     at each step gammaincc runs only on the live entries that are due
-    (count <= s): none, all of them, or those of a mask.  Each value is
-    g_fn's to the bit, as gammaincc is elementwise; lam is not checked here
-    (_recursion checks it once per pass)."""
+    (count <= s): none, all of them, or those of a mask.  gammaincc is
+    elementwise, so each value is the one a call on that entry alone gives;
+    lam is not checked here (_recursion checks it once per pass)."""
 
     def __init__(self, count, live, start):
         count = np.asarray(count)
@@ -383,15 +373,10 @@ def expected_max_hires(curve: AnalyticCurve) -> float:
     return float((np.maximum(ks, r) * pmf).sum() + max(b, r) * (1.0 - pmf.sum()))
 
 
-def _regret_scan(n: int, b: int, r: int) -> np.ndarray:
-    """Expected regret over every cutoff c in [0, n] at medium quality: the
-    one-setting call of _regret_scans."""
-    return _regret_scans([(n, b, r)])[0]
-
-
 def _regret_scans(settings) -> list:
-    """_regret_scan of each (n, b, r) of settings, in one array pass over
-    the learning phases c in [0, n - r] that their cutoffs run
+    """Expected regret at medium quality over every cutoff c in [0, n], an
+    array for each (n, b, r) of settings, in one array pass over the
+    learning phases c in [0, n - r] that their cutoffs run
     (core.learning_cutoff).  Every r < b setting's learning phases are
     columns of one _recursion, sorted by the steps they run; each r = b
     setting is one _full_resignation expression.  Every setting is checked,

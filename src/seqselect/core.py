@@ -128,11 +128,6 @@ class Instance:
         return values
 
 
-def compute_quality(instance: Instance) -> float:
-    """Normalized average rank of the reference set (RoundBatch.quality)."""
-    return float(instance.batch.quality()[0])
-
-
 MASK32 = 0xFFFFFFFF  # the low 32 bits of a word
 
 # SeedSequence's hash constants and pool size, as numpy publishes them

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from seqselect.core import (
     spawn_state_words,
     state_seeds,
 )
-from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_specs, run_policy_batch
+from seqselect.policies import CUTOFF_VARIANTS, policy_specs, run_policy_batch
 
 # token -> (variant, cutoff rule at n); no rule runs the translated cutoff
 _TOKENS = {"csm-star": ("csm", None), "csm-e": ("csm", lambda n: math.floor(n / math.e)),
@@ -52,48 +52,44 @@ class PopulationSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChainRound:
-    """One round index of every chain of a run_chains call, one row per
-    chain: the round's RoundBatch, whose r, availability (the chains'
-    resignations) and quality() are read from it, the (T, n) sampled member
-    indices, the (T,) cutoffs run (None when the round's variant runs no
-    cutoff), the (T, n) hired and (T, b) kept decisions, and the (T, 3)
-    (regret, hires, failures) results.  It is one policy's block of the
-    round loop; compare_policies runs every policy's block of a round index
-    as one batch and keeps no ChainRound."""
+    """One round index of every chain of every policy of a run_chains call,
+    row p T + t chain t under the p-th policy: the round's RoundBatch, whose
+    r, availability (the chains' resignations) and quality() are read from
+    it, the (P T, n) sampled member indices, the cutoffs run, one entry per
+    policy (its (T,) cutoffs, or None when its variant runs no cutoff), the
+    (P T, n) hired and (P T, b) kept decisions, and the (P T, 3) (regret,
+    hires, failures) results."""
 
     batch: RoundBatch
     sampled: np.ndarray
-    cutoffs: Optional[np.ndarray]
+    cutoffs: tuple
     hired: np.ndarray
     kept: np.ndarray
     results: np.ndarray
 
 
-def make_policy_selector(name: str) -> Callable[[int, int, Sequence, Sequence], PolicySpec]:
-    """Map one round index's (n, b, r, q), r and q one entry per chain, to
-    the chains' PolicySpec for a policy token (policies.policy_spec)."""
-    select_blocks = _block_selector([name])
-
-    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> PolicySpec:
-        return select_blocks(n, b, r, q)[0]
-
-    return select
-
-
-def _block_selector(names: Sequence[str]) -> Callable[[int, int, Sequence, Sequence], list]:
-    """Map one round index's (n, b, r, q), r and q one entry per row, to one
-    PolicySpec per equal block of rows, block p run by the policy token
-    names[p], with one policies.policy_specs call."""
+def _check_policies(pop: PopulationSpec, names: Sequence[str]) -> None:
+    """Reject an empty, unknown or repeated list of policy tokens, and, when
+    one translates its cutoff, a population whose scans cannot fit."""
+    if not names:
+        raise DomainError("policy list must be non-empty")
     for name in names:
         if name not in POLICY_NAMES:
             raise DomainError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    tokens = [_TOKENS[name] for name in names]
+    if len(set(names)) != len(names):
+        raise DomainError(f"policy names must not repeat, got {tuple(names)}")
+    if any(_TOKENS[name][0] in CUTOFF_VARIANTS and _TOKENS[name][1] is None for name in names):
+        # a translated cutoff scans the similar setting of the round's
+        # quality, which can lie near 0: the largest is checked up front
+        check_scan_size(similar_n(pop.n, pop.b, 0.0))
 
-    def select(n: int, b: int, r: Sequence[int], q: Sequence[float]) -> list:
-        return policy_specs([(variant, None if cutoff is None else cutoff(n))
-                             for variant, cutoff in tokens], n, b, r, q)
 
-    return select
+def _policy_specs(names: Sequence[str], n: int, b: int, r: Sequence, q: Sequence) -> list:
+    """One PolicySpec per equal block of the rounds (n, b, r[t], q[t]),
+    block p run by the policy token names[p], from one policies.policy_specs
+    call."""
+    return policy_specs([(variant, None if rule is None else rule(n))
+                         for variant, rule in map(_TOKENS.get, names)], n, b, r, q)
 
 
 def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, count: int, seeds) -> tuple:
@@ -158,15 +154,13 @@ def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _run_rounds(pop: PopulationSpec, select: Callable, blocks: int, scores, staff, per_round):
+def _chain_rounds(pop: PopulationSpec, names: Sequence[str], scores, staff, per_round):
     """The round loop on _draw_chains's draws, every policy in lock step:
-    row p T + t runs chain t under the p-th of the blocks PolicySpecs that
-    select(n, b, r, q) returns for a round index, r and q one entry per row.
-    A round index is one RoundBatch, one ranking and one run_policy_batch
-    call; the T chains' population scores are read by row, not copied per
-    block.  Yields (specs, batch, sampled, hired, kept, results) one round
-    index at a time."""
-    chain = np.arange(blocks * len(scores)) % len(scores)
+    row p T + t runs chain t under the policy token names[p].  A round index
+    is one RoundBatch, one ranking, one _policy_specs call and one
+    run_policy_batch call; the T chains' population scores are read by row,
+    not copied per policy.  Yields one ChainRound per round index."""
+    chain = np.arange(len(names) * len(scores)) % len(scores)
     rows = chain[:, None]
     employed = staff[chain]
     for resigned, positions, rand_seeds in per_round:
@@ -174,40 +168,31 @@ def _run_rounds(pop: PopulationSpec, select: Callable, blocks: int, scores, staf
         employed = np.take_along_axis(employed, best_first, axis=1)
         sampled = _members(positions[chain], employed)
         batch = RoundBatch(scores[rows, employed], ~resigned[chain], scores[rows, sampled])
-        specs = select(pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
-        results, hired, kept = run_policy_batch(batch, specs, list(rand_seeds) * blocks)
-        yield specs, batch, sampled, hired, kept, results
+        specs = _policy_specs(names, pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
+        results, hired, kept = run_policy_batch(batch, specs, list(rand_seeds) * len(names))
+        cutoffs = tuple(spec.cutoff if spec.variant in CUTOFF_VARIANTS else None for spec in specs)
+        yield ChainRound(batch, sampled, cutoffs, hired, kept, results)
         # the kept referents, best first, then the hires in arrival order
         chosen = np.concatenate((kept, hired), axis=1)
         employed = np.concatenate((employed, sampled), axis=1)[chosen].reshape(employed.shape)
 
 
-def _cutoffs(spec: PolicySpec, size: int) -> Optional[np.ndarray]:
-    """The cutoffs that spec runs on its size rounds, None for mean and rand."""
-    return np.broadcast_to(spec.cutoff, size) if spec.variant in CUTOFF_VARIANTS else None
-
-
-def run_chains(
-    pop: PopulationSpec,
-    rounds: int,
-    p_res: float,
-    policy_selector: Callable[[int, int, Sequence, Sequence], PolicySpec],
-    seeds: Sequence,
-) -> list:
-    """Run one multi-round chain per seed: a list of rounds ChainRounds,
-    the k-th holding round k of every chain, row t that of seeds[t].
+def run_chains(pop: PopulationSpec, rounds: int, p_res: float, names: Sequence[str],
+               seeds: Sequence) -> list:
+    """Run one multi-round chain per seed under each policy token of names:
+    a list of rounds ChainRounds, the k-th holding round k of every chain,
+    row p T + t that of seeds[t] under names[p].
 
     A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
-    Chain t draws from seeds[t] alone, so row t is the one row that
-    run_chains(..., [seeds[t]]) runs.  Round k of every chain runs as one row
-    of a RoundBatch, with its own r, quality, cutoff and band, and
-    policy_selector builds the round index's PolicySpec in one call: this is
-    compare_policies's round loop with one policy.
+    Chain t draws from seeds[t] alone, whatever policy runs it, so every
+    policy runs on the same draws, and row p T + t is the one row that
+    run_chains(..., [names[p]], [seeds[t]]) runs.  Round k of every chain
+    runs as one row of a RoundBatch, with its own r, quality, cutoff and
+    band.  The names are checked before anything is drawn.
     """
+    _check_policies(pop, names)
     draws = _draw_chains(pop, rounds, p_res, len(seeds), seeds)
-    loop = _run_rounds(pop, lambda *setting: [policy_selector(*setting)], 1, *draws)
-    return [ChainRound(batch, sampled, _cutoffs(spec, len(batch)), hired, kept, results)
-            for (spec,), batch, sampled, hired, kept, results in loop]
+    return list(_chain_rounds(pop, names, *draws))
 
 
 @dataclass(frozen=True)
@@ -231,39 +216,27 @@ def compare_policies(
     runs: int,
     seed: int,
 ) -> dict:
-    """Paired multi-round comparison.
+    """Paired multi-round comparison: the rounds of run_chains on the seeds
+    [seed, i], i < runs, aggregated policy by policy.
 
     Run i draws its population, resignations and candidate samples once,
-    from the seed [seed, i], and every policy runs on those draws: the
-    policies are paired for variance reduction.  The policies run in lock
-    step: each round index is one RoundBatch of one block of runs rows per
-    policy, ranked once, with one policies.policy_specs call (one cutoff
-    resolve for every translating policy) and one run_policy_batch call.
-    Each policy's curve is the one it gives alone on the same draws.
+    and every policy runs on those draws: the policies are paired for
+    variance reduction.  Each policy's curve is the one it gives alone on
+    the same draws.  One round index is held at a time.
     """
-    if not policy_names:
-        raise DomainError("policy list must be non-empty")
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
-    # every name is checked here, before any chain runs
-    select = _block_selector(policy_names)
-    if len(set(policy_names)) != len(policy_names):
-        raise DomainError(f"policy names must not repeat, got {tuple(policy_names)}")
-    if any(_TOKENS[p][0] in CUTOFF_VARIANTS and _TOKENS[p][1] is None for p in policy_names):
-        # a translated cutoff scans the similar setting of the round's
-        # quality, which can lie near 0: the largest is checked before any chain
-        check_scan_size(similar_n(pop.n, pop.b, 0.0))
+    _check_policies(pop, policy_names)
     seed_entropy(seed)
     draws = _draw_chains(pop, rounds, p_res, runs, ([seed, i] for i in range(runs)))
     # each policy's columns per round index, one entry per run, read as the
-    # round index runs, so no round index is held once its columns are read
+    # round index runs
     columns = [[] for _ in policy_names]
-    for specs, batch, _, _, _, results in _run_rounds(pop, select, len(policy_names), *draws):
-        quality = batch.quality()
-        for p, spec in enumerate(specs):
+    for cr in _chain_rounds(pop, policy_names, *draws):
+        quality = cr.batch.quality()
+        for p, cutoff in enumerate(cr.cutoffs):
             block = slice(p * runs, (p + 1) * runs)
-            cutoff = _cutoffs(spec, runs)
-            columns[p].append((results[block].tolist(), quality[block].tolist(),
+            columns[p].append((cr.results[block].tolist(), quality[block].tolist(),
                                [None] * runs if cutoff is None else cutoff.tolist()))
     out = {}
     for p, column in zip(policy_names, columns):

@@ -11,14 +11,12 @@ from seqselect.analytics import (
     AnalyticParams,
     _poisson_pmf,
     _recursion,
-    _regret_scan,
     _regret_scans,
     analyze_setting,
     cutoff_table,
     expected_available_rank,
     expected_max_hires,
     expected_offline,
-    g_fn,
     gamma0,
     mu_hat_curve,
     mu_hat_rows,
@@ -27,6 +25,7 @@ from seqselect.analytics import (
     translate_cutoff,
 )
 from seqselect.core import ContractError, DomainError, Instance, generate_instance
+from tests import analytic_reference
 from tests.scalar_engine import _learning_phase, run_cutoff
 
 
@@ -101,38 +100,38 @@ class TestExpectedOffline:
 
 
 class TestGFn:
+    # the reference's g past the branch rule's steps: P(Poisson(lam) < count)
+    @staticmethod
+    def g(count, lam):
+        return analytic_reference.g(count, 100, lam)
+
     def test_poisson_zero_mass(self):
-        assert g_fn(1, 0.0) == 1.0
-        assert g_fn(5, 0.0) == 1.0
+        assert self.g(1, 0.0) == 1.0
+        assert self.g(5, 0.0) == 1.0
 
     def test_single_term(self):
-        assert g_fn(1, 2.0) == pytest.approx(math.exp(-2.0))
+        assert self.g(1, 2.0) == pytest.approx(math.exp(-2.0))
 
     def test_series_value(self):
-        assert g_fn(3, 2.0) == pytest.approx(5 * math.exp(-2.0))
+        assert self.g(3, 2.0) == pytest.approx(5 * math.exp(-2.0))
 
     def test_nonpositive_count(self):
-        assert g_fn(0, 1.0) == 0.0
-        assert g_fn(-2.5, 1.0) == 0.0
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(DomainError):
-            g_fn(1, -0.1)
+        assert self.g(0, 1.0) == 0.0
+        assert self.g(-2.5, 1.0) == 0.0
 
     def test_monotonicity(self):
         lams = np.linspace(0, 6, 25)
-        vals = [g_fn(3.0, l) for l in lams]
+        vals = [self.g(3.0, l) for l in lams]
         assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
         counts = np.linspace(0.5, 8, 25)
-        vals = [g_fn(x, 2.0) for x in counts]
+        vals = [self.g(x, 2.0) for x in counts]
         assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
 
 class TestThresholdCurve:
     def test_recursion_checks_its_intensity_once_per_pass(self):
-        # a nan quality makes every p_j nan; the pass ends in ContractError,
-        # as the recursion calls gammaincc directly, not g_fn
+        # a nan quality makes every p_j nan; the pass ends in ContractError
         with pytest.raises(ContractError, match="intensity"):
             _recursion(100, 5, 0, float("nan"), np.array([10, 20]))
 
@@ -232,7 +231,7 @@ class TestOptimalCutoff:
         assert optimal_cutoff(48, 5, 5)[0] == 14
 
     def test_scale_invariance_of_argmin(self):
-        vals = np.array(_regret_scan(40, 4, 1))
+        vals = np.array(_regret_scans([(40, 4, 1)])[0])
         assert np.argmin(vals) == np.argmin(2.7 * vals)
 
     def test_memoized_and_deterministic(self):
@@ -240,7 +239,7 @@ class TestOptimalCutoff:
 
 
 class TestRegretScan:
-    # SHA-256 of the float64 bytes of _regret_scan(n, b, r)[: n - r + 1],
+    # SHA-256 of the float64 bytes of _regret_scans([(n, b, r)])[0][: n - r + 1],
     # recorded from the per-cutoff scan before the array pass replaced it: the
     # 24 settings of the analytic-table benchmark, two anchors, (100, 5, 2)
     # and (1000, 50, 0).  Columns c > n - r are left out, since the policy
@@ -278,7 +277,7 @@ class TestRegretScan:
 
     def test_pinned_bytes(self):
         for (n, b, r), digest in self.PINS.items():
-            vals = np.asarray(_regret_scan(n, b, r), dtype=np.float64)[: n - r + 1]
+            vals = np.asarray(_regret_scans([(n, b, r)])[0], dtype=np.float64)[: n - r + 1]
             assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (n, b, r)
 
     # SHA-256 of the per-step rows the recursion's callers read, recorded
@@ -314,7 +313,7 @@ class TestRegretScan:
         assert e18 == e19 == e20 == pytest.approx(69.929330, abs=1e-6)
         curves = [threshold_curve(AnalyticParams(n=20, b=5, r=2, q=0.5, c=c)) for c in (18, 20)]
         assert curves[0].lam == curves[1].lam and curves[0].gamma == curves[1].gamma
-        scan = _regret_scan(20, 5, 2)
+        scan = _regret_scans([(20, 5, 2)])[0]
         assert scan[18] == scan[19] == scan[20]
 
     # Expected regret is a mean of regrets >= 0, so no scan value may go below 0.
@@ -328,7 +327,7 @@ class TestRegretScan:
         pytest.param(1, 1, 1, marks=BELOW_ZERO), pytest.param(2, 2, 2, marks=BELOW_ZERO),
     ])
     def test_nonnegative_at_n_equal_b_equal_r(self, n, b, r):
-        assert (_regret_scan(n, b, r) >= 0).all()
+        assert (_regret_scans([(n, b, r)])[0] >= 0).all()
 
     def test_nonnegative_over_small_settings(self):
         # every n <= 59, b <= 20 and r <= b but the two settings above, in
@@ -430,8 +429,8 @@ class TestMuHat:
         mu = mu_hat_curve(params)
         curve = threshold_curve(params)
         lam_n = curve.lam_n
-        g1 = g_fn(4, lam_n) if 4 <= 50 - 10 else 1.0
-        g2 = g_fn(5, lam_n) if 5 <= 50 - 10 else 1.0
+        g1 = analytic_reference.g(4, 50 - 10, lam_n)
+        g2 = analytic_reference.g(5, 50 - 10, lam_n)
         assert mu[-1] == pytest.approx(lam_n * g1 + 5 * (1 - g2))
 
     def test_cutoff_past_n_minus_r_runs_as_n_minus_r(self):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from seqselect import analytics  # noqa: E402
 from seqselect.analytics import (  # noqa: E402
     AnalyticParams,
-    _regret_scan,
     _regret_scans,
-    g_fn,
     mu_hat_curve,
     mu_hat_rows,
     optimal_cutoff,
@@ -101,7 +99,7 @@ def test_scan_is_the_curve_at_every_cutoff(setting):
     # the scan and the one-column call are one model, bit for bit, in both
     # regimes (r = b is drawn about half the time)
     n, b, r = setting
-    scan = _regret_scan(n, b, r)
+    scan = _regret_scans([(n, b, r)])[0]
     assert scan.shape == (n + 1,)
     for c in range(n + 1):
         curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
@@ -129,7 +127,7 @@ def test_many_settings_scan_is_each_settings_scan(found):
     scans = _regret_scans(found)
     assert len(scans) == len(found)
     for setting, scan in zip(found, scans):
-        assert scan.tobytes() == _regret_scan(*setting).tobytes(), setting
+        assert scan.tobytes() == _regret_scans([setting])[0].tobytes(), setting
 
 
 # settings whose raw argmin, before CUTOFF_CORRECTION, is 0, 1 or 2: the
@@ -189,9 +187,26 @@ def test_solver_is_the_reference(found):
             scan = reference_scan(n, b, r)
             want = max(int(np.argmin(scan)) - analytics.CUTOFF_CORRECTION, 0)
         else:
-            scan = _regret_scan(n, b, r)
+            scan = _regret_scans([(n, b, r)])[0]
             want = int(np.argmin(scan))
         assert (c_star, np.float64(value).tobytes()) == (want, scan[want].tobytes()), (n, b, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 25).flatmap(lambda b: st.tuples(
+           st.integers(b, 119), st.just(b), st.integers(0, b - 1))),
+       st.floats(0.01, 0.99, exclude_min=True, exclude_max=True), st.data())
+def test_threshold_curve_steps_are_the_reference(setting, q, data):
+    # at r < b, every step's gamma_j, p_j, lam_j and g_j(b) of the engine's
+    # one-column pass is the plain-float reference's, at any quality
+    n, b, r = setting
+    c = data.draw(st.integers(0, n), label="c")
+    curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=q, c=c))
+    ran = min(c, n - r)  # the learning phase that c runs
+    steps, _, _ = analytic_reference.column(n, b, r, ran, q)
+    zeros = [(0.0,) * 4] * (ran + 1)
+    for got, want in zip((curve.gamma_j, curve.p, curve.lam, curve.g_b), zip(*zeros, *steps)):
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (n, b, r, q, c)
 
 
 def test_a_round_index_scans_its_cold_settings_in_one_pass(monkeypatch):
@@ -223,40 +238,3 @@ def test_solver_rejects_settings_outside_the_domain(n, b, r):
     assume(r > b or b < 1 or b > n)
     with pytest.raises(DomainError):
         optimal_cutoff(n, b, r)
-
-
-COUNTS = st.one_of(
-    st.integers(-3, 60),
-    st.floats(-3.0, 60.0, allow_nan=False),
-    st.sampled_from([0, 0.0, -0.0, 1, 1.0, float("nan")]),
-)
-LAMS = st.one_of(st.floats(0.0, 80.0, allow_nan=False), st.just(0.0))
-
-
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(COUNTS, LAMS, st.booleans())
-def test_g_fn_one_value_is_the_one_element_array(count, lam, numpy_lam):
-    # one value and the one-element array give the same bits
-    one = g_fn(count, np.float64(lam) if numpy_lam else lam)
-    arr = g_fn(np.array([count]), np.array([lam]))
-    assert arr.shape == (1,)
-    assert _bits(one) == _bits(arr[0])
-    if count <= 0:
-        assert one == 0.0
-    elif count > 0 and lam == 0.0:
-        assert one == 1.0
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(COUNTS, st.one_of(st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
-                        st.just(float("nan"))))
-def test_g_fn_rejects_negative_lam_in_both_shapes(count, lam):
-    # a nan lam is not >= 0 either
-    with pytest.raises(DomainError):
-        g_fn(count, lam)
-    with pytest.raises(DomainError):
-        g_fn(np.array([count]), np.array([lam]))

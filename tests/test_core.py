@@ -13,7 +13,6 @@ from seqselect.core import (
     Instance,
     RoundBatch,
     check_setting,
-    compute_quality,
     generate_instance,
     learning_cutoff,
     sample_rounds,
@@ -68,15 +67,15 @@ class TestQuality:
         cands = [0.56 + i * 1e-4 for i in range(50)] + [0.54 - i * 1e-4 for i in range(50)]
         inst = make_instance(refs, [1] * 5, cands)
         assert np.mean(inst.batch.ranks[0, :5]) == 53
-        assert compute_quality(inst) == pytest.approx(0.5)
+        assert inst.batch.quality()[0] == pytest.approx(0.5)
 
     def test_top_ranks_give_q_one(self):
         inst = make_instance([0.99, 0.98], [1, 1], [0.5, 0.4, 0.3])
-        assert compute_quality(inst) == pytest.approx(1.0)
+        assert inst.batch.quality()[0] == pytest.approx(1.0)
 
     def test_bottom_ranks_give_q_zero(self):
         inst = make_instance([0.02, 0.01], [1, 1], [0.5, 0.4, 0.3])
-        assert compute_quality(inst) == pytest.approx(0.0)
+        assert inst.batch.quality()[0] == pytest.approx(0.0)
 
 
 class TestGenerateInstance:
@@ -102,7 +101,7 @@ class TestGenerateInstance:
         for q, (n, b) in [(0.5, (100, 5)), (2 / 3, (100, 5)), (0.75, (100, 50)), (0.8, (100, 5))]:
             qs = np.empty(trials)
             for t in range(trials):
-                qs[t] = compute_quality(generate_instance(n, b, q, 0, rng))
+                qs[t] = generate_instance(n, b, q, 0, rng).batch.quality()[0]
             se = qs.std(ddof=1) / math.sqrt(trials)
             assert abs(qs.mean() - q) < 3 * se + 1e-4, (q, n, b, qs.mean(), se)
 
@@ -295,7 +294,7 @@ class TestRoundBatch:
         batch = RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
                              for name in ("reference_scores", "availability", "candidate_scores")))
         assert batch.r.tolist() == [2, 0, 4]
-        assert batch.quality().tolist() == [compute_quality(inst) for inst in rounds]
+        assert batch.quality().tolist() == [inst.batch.quality()[0] for inst in rounds]
 
     # r: the resignations the availability marks, which RoundBatch derives
     @pytest.mark.parametrize("r, refs, avail, cands, message", [

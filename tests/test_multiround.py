@@ -17,8 +17,8 @@ from seqselect.multiround import (
     PopulationSpec,
     _draw_chains,
     _members,
+    _policy_specs,
     compare_policies,
-    make_policy_selector,
     run_chains,
 )
 
@@ -29,15 +29,17 @@ SMALL = PopulationSpec(size=60, n=20, b=3)
 def _row(cr, t):
     """Row t of every field of a ChainRound, as Python values."""
     batch = cr.batch
+    chains = len(batch) // len(cr.cutoffs)
+    cutoff = cr.cutoffs[t // chains]
     return (batch.reference_scores[t].tolist(), batch.availability[t].tolist(),
             batch.candidate_scores[t].tolist(), cr.sampled[t].tolist(),
-            None if cr.cutoffs is None else cr.cutoffs[t].item(), cr.hired[t].tolist(),
+            None if cutoff is None else cutoff[t % chains].item(), cr.hired[t].tolist(),
             cr.kept[t].tolist(), cr.results[t].tolist())
 
 
 class TestRunChain:
     def test_round_structure(self):
-        chain = run_chains(SMALL, 5, 0.4, make_policy_selector("csm-star"), [123])
+        chain = run_chains(SMALL, 5, 0.4, ["csm-star"], [123])
         assert len(chain) == 5
         for cr in chain:
             assert cr.sampled.shape == (1, SMALL.n)
@@ -47,15 +49,15 @@ class TestRunChain:
             assert 0.0 <= cr.batch.quality()[0] <= 1.0
 
     def test_determinism(self):
-        a = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])
-        b = run_chains(SMALL, 4, 0.5, make_policy_selector("csm-star"), [9])
+        a = run_chains(SMALL, 4, 0.5, ["csm-star"], [9])
+        b = run_chains(SMALL, 4, 0.5, ["csm-star"], [9])
         assert [_row(cr, 0) for cr in a] == [_row(cr, 0) for cr in b]
 
     def test_sampled_disjoint_from_employed(self):
         # at p_res = 1 every referent resigns, so the staff of round k + 1 is
         # exactly the hires of round k, and none of them may be sampled again
         for name in ("mean", "csm-star", "acsm-star", "rand"):
-            chain = run_chains(SMALL, 5, 1.0, make_policy_selector(name), range(5))
+            chain = run_chains(SMALL, 5, 1.0, [name], range(5))
             for k, (prev, cr) in enumerate(zip(chain, chain[1:]), 1):
                 for seed in range(5):
                     hires = set(prev.sampled[seed][prev.hired[seed]].tolist())
@@ -63,14 +65,13 @@ class TestRunChain:
                     assert hires.isdisjoint(cr.sampled[seed].tolist()), (name, seed, k)
 
     def test_full_resignation_every_round(self):
-        for cr in run_chains(SMALL, 3, 1.0, make_policy_selector("csm-star"), [77]):
+        for cr in run_chains(SMALL, 3, 1.0, ["csm-star"], [77]):
             assert (~cr.batch.availability).sum() == SMALL.b
             assert cr.results[0, 1] == SMALL.b
 
     def test_no_resignation_regret_trend(self):
         # with a stable staff the selection should improve over rounds
-        chain = run_chains(PopulationSpec(200, 40, 4), 8, 0.0,
-                           make_policy_selector("csm-star"), range(40))
+        chain = run_chains(PopulationSpec(200, 40, 4), 8, 0.0, ["csm-star"], range(40))
         assert np.mean(chain[-1].results[:, 0]) < np.mean(chain[0].results[:, 0])
 
     def test_ranks_each_round_once(self, monkeypatch):
@@ -82,11 +83,11 @@ class TestRunChain:
         monkeypatch.setattr(RoundBatch, "ranks", counted)
         for name in POLICY_NAMES:
             calls.clear()
-            run_chains(SMALL, 4, 0.5, make_policy_selector(name), [8])
+            run_chains(SMALL, 4, 0.5, [name], [8])
             assert calls == [1] * 4, name
             # chains in one call share one ranking per round index
             calls.clear()
-            run_chains(SMALL, 4, 0.5, make_policy_selector(name), [8, 9, 10])
+            run_chains(SMALL, 4, 0.5, [name], [8, 9, 10])
             assert calls == [3] * 4, name
         # compare_policies runs every policy's chains of a round index as one
         # batch of policies x runs rows: one ranking, whose quality selects
@@ -105,13 +106,13 @@ class TestRunChain:
     def test_rejects_bad_rounds_and_seeds(self):
         for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):
             with pytest.raises(DomainError):
-                run_chains(SMALL, rounds, 0.5, make_policy_selector("csm-0"), [seed])
+                run_chains(SMALL, rounds, 0.5, ["csm-0"], [seed])
         with pytest.raises(DomainError, match="at least one seed"):
-            run_chains(SMALL, 2, 0.5, make_policy_selector("csm-0"), [])
+            run_chains(SMALL, 2, 0.5, ["csm-0"], [])
 
     def test_p_res_domain(self):
         with pytest.raises(DomainError):
-            run_chains(SMALL, 2, 1.5, make_policy_selector("csm-0"), [1])
+            run_chains(SMALL, 2, 1.5, ["csm-0"], [1])
 
     @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
     @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -119,36 +120,59 @@ class TestRunChain:
         # chain t runs in one batch with the others, so it must be the chain
         # its seed runs alone: this is the pairing compare_policies relies on
         seeds = [3, [4, 1], 0, 17, [4, 2]]
-        select = make_policy_selector(name)
-        together = run_chains(SMALL, 4, p_res, select, seeds)
+        together = run_chains(SMALL, 4, p_res, [name], seeds)
         for t, seed in enumerate(seeds):
-            alone = run_chains(SMALL, 4, p_res, select, [seed])
+            alone = run_chains(SMALL, 4, p_res, [name], [seed])
             assert [_row(cr, t) for cr in together] == [_row(cr, 0) for cr in alone], seed
 
-    def test_selector_runs_once_per_round_index(self):
-        # one call builds the specs of every chain at a round index
+    @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
+    def test_a_policy_block_is_the_policy_alone(self, p_res):
+        # every policy runs in one batch per round index, so row p T + t must
+        # be row t of the chains that names[p] runs alone on the same seeds
+        seeds = [3, [4, 1], 0, 17, [4, 2]]
+        names = list(np.random.default_rng([7, int(10 * p_res)]).permutation(POLICY_NAMES))
+        together = run_chains(SMALL, 3, p_res, names, seeds)
+        assert all(len(cr.cutoffs) == len(names) for cr in together)
+        for p, name in enumerate(names):
+            alone = run_chains(SMALL, 3, p_res, [name], seeds)
+            for t in range(len(seeds)):
+                assert ([_row(cr, p * len(seeds) + t) for cr in together]
+                        == [_row(cr, t) for cr in alone]), (name, t)
+
+    def test_names_are_checked_before_any_draw(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(seqselect.multiround, "_draw_chains", lambda *a: chains.append(a))
+        for names, match in (([], "non-empty"), (["csm-0", "bogus"], "unknown"),
+                             (["rand", "csm-0", "rand"], "repeat")):
+            with pytest.raises(DomainError, match=match):
+                run_chains(SMALL, 2, 0.5, names, [1])
+        # the similar setting of a quality near 0 at n = 3,000 has n = 6,003
+        for names in (["mean", "csm-star"], ["acsm-star"]):
+            with pytest.raises(DomainError, match="cutoff scan"):
+                run_chains(PopulationSpec(4000, 3000, 5), 1, 0.5, names, [1])
+        assert chains == []
+
+    def test_policy_specs_runs_once_per_round_index(self, monkeypatch):
+        # one call builds the specs of every chain of every policy at a
+        # round index
         calls = []
-        select = make_policy_selector("acsm-star")
+        specs = seqselect.multiround.policy_specs
 
-        def counting(n, b, r, q):
-            calls.append((len(r), len(q)))
-            return select(n, b, r, q)
+        def counting(policies, n, b, r, q):
+            calls.append((len(policies), len(r), len(q)))
+            return specs(policies, n, b, r, q)
 
-        run_chains(SMALL, 4, 0.5, counting, [1, 2, 3])
-        assert calls == [(3, 3)] * 4
-
-    def test_selector_spec_holds_one_cutoff_per_chain(self):
-        # a spec of one cutoff runs it on every chain; two for three chains
-        # would leave a chain without one
-        select = make_policy_selector("csm-0")
-        with pytest.raises(DomainError, match="one per round"):
-            run_chains(SMALL, 2, 0.5, lambda n, b, r, q: select(n, b, r[:2], q[:2]), [1, 2, 3])
-        (cr,) = run_chains(SMALL, 1, 0.5, lambda n, b, r, q: select(n, b, r[:1], q[:1]), [1, 2, 3])
-        assert cr.cutoffs.tolist() == [0, 0, 0]
+        monkeypatch.setattr(seqselect.multiround, "policy_specs", counting)
+        run_chains(SMALL, 4, 0.5, ["acsm-star"], [1, 2, 3])
+        assert calls == [(1, 3, 3)] * 4
+        calls.clear()
+        run_chains(SMALL, 4, 0.5, ["acsm-star", "mean", "csm-star"], [1, 2, 3])
+        assert calls == [(3, 9, 9)] * 4
 
     def test_single_round_is_one_selection(self):
-        (cr,) = run_chains(SMALL, 1, 0.0, make_policy_selector("csm-e"), [5])
-        assert cr.cutoffs.tolist() == [int(20 / np.e)]
+        (cr,) = run_chains(SMALL, 1, 0.0, ["csm-e"], [5])
+        (cutoffs,) = cr.cutoffs
+        assert cutoffs.tolist() == [int(20 / np.e)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -222,24 +246,29 @@ def test_draw_step_is_the_spawn_tree(seeds, rounds, p_res):
 
 
 class TestSelectors:
+    # a policy token's spec for the rounds of one block (multiround._policy_specs)
+    @staticmethod
+    def spec(name, n, b, r, q):
+        (spec,) = _policy_specs([name], n, b, r, q)
+        return spec
+
     def test_tokens(self):
         for name in POLICY_NAMES:
-            spec = make_policy_selector(name)(20, 3, [1], [0.6])
+            spec = self.spec(name, 20, 3, [1], [0.6])
             assert spec.variant in ("csm", "acsm", "mean", "rand")
 
     def test_unknown_token(self):
         with pytest.raises(DomainError):
-            make_policy_selector("bogus")
+            run_chains(SMALL, 1, 0.5, ["bogus"], [1])
 
     def test_star_handles_extreme_quality(self):
-        sel = make_policy_selector("csm-star")
-        assert sel(20, 3, [0], [1.0]).cutoff.tolist() == [0]
-        assert sel(20, 3, [0], [0.999]).cutoff.tolist() == [0]
-        (low,) = sel(20, 3, [0], [1e-12]).cutoff
+        assert self.spec("csm-star", 20, 3, [0], [1.0]).cutoff.tolist() == [0]
+        assert self.spec("csm-star", 20, 3, [0], [0.999]).cutoff.tolist() == [0]
+        (low,) = self.spec("csm-star", 20, 3, [0], [1e-12]).cutoff
         assert 0 <= low <= 20
 
     def test_acsm_star_builds_zone(self):
-        spec = make_policy_selector("acsm-star")(30, 3, [1], [0.55])
+        spec = self.spec("acsm-star", 30, 3, [1], [0.55])
         assert spec.variant == "acsm" and spec.zone is not None
         assert spec.zone.mu.shape == (1, 30)
 
@@ -286,7 +315,7 @@ def test_selectors_are_pinned(setting):
             "rand": ("rand", 0),
         }
         for name in POLICY_NAMES:
-            spec = make_policy_selector(name)(n, b, [r], [q])
+            (spec,) = _policy_specs([name], n, b, [r], [q])
             assert (spec.variant, spec.cutoff) == expected[name], (name, q)
             assert (spec.zone is None) == (name != "acsm-star"), (name, q)
             if spec.zone is not None:
@@ -339,12 +368,12 @@ class TestComparePolicies:
         # runs the seed [seed, i]
         runs, rounds, seed = 4, 3, 11
         (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, seed).values()
-        chain = run_chains(SMALL, rounds, 0.5, make_policy_selector(name),
-                           [[seed, i] for i in range(runs)])
+        chain = run_chains(SMALL, rounds, 0.5, [name], [[seed, i] for i in range(runs)])
         rows = []
         for i in range(runs):
             for k, cr in enumerate(chain, 1):
-                cutoff = None if cr.cutoffs is None else int(cr.cutoffs[i])
+                (cutoffs,) = cr.cutoffs
+                cutoff = None if cutoffs is None else int(cutoffs[i])
                 rows.append((i, k, *map(int, cr.results[i]), float(cr.batch.quality()[i]),
                              cutoff))
         assert curve.per_run == tuple(rows)

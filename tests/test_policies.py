@@ -14,7 +14,7 @@ from seqselect.core import (
     sample_rounds,
 )
 from seqselect.montecarlo import ExperimentSpec
-from seqselect.multiround import PopulationSpec, run_chains
+from seqselect.multiround import POLICY_NAMES, PopulationSpec, _policy_specs, run_chains
 from seqselect.policies import (
     CUTOFF_VARIANTS,
     VARIANTS,
@@ -417,10 +417,13 @@ class TestPolicySpecDispatch:
             call = lambda: ExperimentSpec(n=10, b_values=(2,), c_values=(0, 3), q=0.5,
                                           r_values=(0,), policy=variant)
             assert accepts(call, DomainError) == cutoff, variant
-            select = lambda n, b, r, q: policy_spec(variant, n, b, r, q, c=3)
-            (cr,) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, select, [4])
-            cutoffs = None if cr.cutoffs is None else cr.cutoffs.tolist()
-            assert cutoffs == ([3] if cutoff else None), variant
+        (cr,) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, POLICY_NAMES, [4])
+        specs = _policy_specs(POLICY_NAMES, 10, 2, cr.batch.r.tolist(), cr.batch.quality().tolist())
+        assert {spec.variant for spec in specs} == set(VARIANTS)
+        for spec, cutoffs in zip(specs, cr.cutoffs, strict=True):
+            cutoffs = None if cutoffs is None else cutoffs.tolist()
+            cutoff = spec.variant in CUTOFF_VARIANTS
+            assert cutoffs == (spec.cutoff.tolist() if cutoff else None), spec.variant
 
     def test_variants(self):
         inst = generate_instance(10, 2, 0.5, 0, 3)

@@ -27,7 +27,7 @@ from seqselect.core import (  # noqa: E402
     sample_rounds,
 )
 from seqselect.montecarlo import trial_stream  # noqa: E402
-from seqselect.multiround import make_policy_selector  # noqa: E402
+from seqselect.multiround import _policy_specs  # noqa: E402
 from seqselect.policies import (  # noqa: E402
     PolicySpec,
     ZoneConfig,
@@ -390,7 +390,11 @@ def test_a_batch_of_rounds_gives_the_one_round_specs(name, setting):
     # policies.policy_spec builds one spec for every round, acsm's bands
     # from one mu_hat_rows call; row t must be the spec of round t alone
     n, b, r, q = setting
-    select = make_policy_selector(name)
+
+    def select(n, b, r, q):
+        (spec,) = _policy_specs([name], n, b, r, q)
+        return spec
+
     alone = []
     for rt, qt in zip(r, q):
         try:
