@@ -1,9 +1,6 @@
 """Warm-start sequential selection: policies, analytics, and Monte Carlo tooling."""
 
-from seqselect.core import (
-    Instance,
-    generate_instance,
-)
+from seqselect.core import sample_rounds
 from seqselect.policies import (
     PolicySpec,
     ZoneConfig,

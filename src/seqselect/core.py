@@ -275,7 +275,7 @@ def _floyd_resigned(words: np.ndarray, b: int, r: int):
 def _draw_round(seeds, n: int, b: int, q: float, r: int):
     """The rounds that seeds draw, one row each, as arrays: (T, b)
     reference_scores, (T, b) availability and (T, n) candidate_scores.  The
-    one home of the sampling law that generate_instance documents.
+    one home of the sampling law that sample_rounds documents.
 
     Every row draws what uniform(0, 1, n), uniform(lo, hi, b) and
     choice(b, r, replace=False) on default_rng(seed) draw, in that order:
@@ -334,23 +334,6 @@ def _draw_round(seeds, n: int, b: int, q: float, r: int):
     if (bits[:, -1] < 0).any():
         raise DomainError(f"q={q} leaves too few doubles above 0 to draw {b} distinct referents")
     return bits.view(np.float64), avail, np.ascontiguousarray(draws[:, :n])
-
-
-def generate_instance(n: int, b: int, q: float, r: int, seed) -> Instance:
-    """Sample a round with target reference quality q.
-
-    Candidates are i.i.d. Uniform(0,1).  Referents are i.i.d. Uniform on
-    (max(0, 2q-1), min(1, 2q)), sorted descending, which yields quality q in
-    expectation, bar the ulps that part tied referents; exactly r of the b
-    positions are marked resigned, uniformly at random.  The round is what
-    uniform(0, 1, n), uniform(lo, hi, b) and choice(b, r, replace=False) on
-    default_rng(seed) draw (_draw_round).  A Generator or BitGenerator seed
-    draws from where its stream stands and is left where those calls leave it.
-    """
-    check_quality(q)
-    check_setting(n, b, r)
-    refs, avail, cands = _draw_round([seed], n, b, q, r)
-    return Instance(refs[0], avail[0], cands[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,11 +429,18 @@ class RoundBatch:
 
 
 def sample_rounds(n: int, b: int, q: float, r: int, seeds) -> RoundBatch:
-    """One round per seed, stacked: row t holds the round that
-    generate_instance(n, b, q, r, seeds[t]) draws.  A Generator or
-    BitGenerator seed draws its round from where its stream stands; when
+    """One round per seed, stacked, with target reference quality q.
+
+    Candidates are i.i.d. Uniform(0,1).  Referents are i.i.d. Uniform on
+    (max(0, 2q-1), min(1, 2q)), sorted descending, which yields quality q in
+    expectation, bar the ulps that part tied referents; exactly r of the b
+    positions are marked resigned, uniformly at random.  Row t is what
+    uniform(0, 1, n), uniform(lo, hi, b) and choice(b, r, replace=False) on
+    default_rng(seeds[t]) draw (_draw_round).  A Generator or BitGenerator
+    seed draws from where its stream stands and is left where those calls
+    leave it, so [rng] * T stacks the rounds of T calls on [rng].  When
     there are enough other seeds, their resigned positions are drawn
-    together, from the raw words that choice would read (_draw_round)."""
+    together, from the raw words that choice would read."""
     check_quality(q)
     check_setting(n, b, r)
     seeds = list(seeds)

@@ -210,7 +210,7 @@ def regret_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
         for c in spec.c_values:
             st = run_cell(
                 spec.n, b, c, spec.q, r, spec.policy, spec.trials,
-                (spec.master_seed, b, c), workers=workers,
+                (*seed_entropy(spec.master_seed), b, c), workers=workers,
             )
             cells[(b, c)] = st
             if st.mean_regret < best_val:

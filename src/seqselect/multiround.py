@@ -217,7 +217,7 @@ def compare_policies(
     seed: int,
 ) -> dict:
     """Paired multi-round comparison: the rounds of run_chains on the seeds
-    [seed, i], i < runs, aggregated policy by policy.
+    [*seed_entropy(seed), i], i < runs, aggregated policy by policy.
 
     Run i draws its population, resignations and candidate samples once,
     and every policy runs on those draws: the policies are paired for
@@ -227,8 +227,8 @@ def compare_policies(
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     _check_policies(pop, policy_names)
-    seed_entropy(seed)
-    draws = _draw_chains(pop, rounds, p_res, runs, ([seed, i] for i in range(runs)))
+    entropy = seed_entropy(seed)
+    draws = _draw_chains(pop, rounds, p_res, runs, ([*entropy, i] for i in range(runs)))
     # each policy's columns per round index, one entry per run, read as the
     # round index runs
     columns = [[] for _ in policy_names]

@@ -7,6 +7,8 @@ Python over an Instance's tuples, with the threshold of every step kept
 one decision for decision (tests/test_policy_properties.py) and run
 hand-checked examples and invariants against this one.  A round is scored
 by its one-row RoundBatch (Instance.batch), as the batch engine scores it.
+A drawn round comes from core.sample_rounds: row_instance makes a row of
+its batch an Instance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from seqselect.core import DomainError, Instance, learning_cutoff
+from seqselect.core import DomainError, Instance, RoundBatch, learning_cutoff
 from seqselect.policies import PolicySpec, ZoneConfig
 
 
@@ -39,6 +41,11 @@ class SelectionOutcome:
     failures: int
     regret: int
     threshold_trace: tuple = field(default=())
+
+
+def row_instance(batch: RoundBatch, t: int = 0) -> Instance:
+    """Row t of a batch of rounds as one Instance."""
+    return Instance(batch.reference_scores[t], batch.availability[t], batch.candidate_scores[t])
 
 
 def is_failure(j: int, hires_before: int, n: int, r: int, score: float,

@@ -21,7 +21,7 @@ from seqselect.analytics import (
     optimal_cutoff,
     translate_cutoff,
 )
-from seqselect.core import generate_instance, sample_rounds
+from seqselect.core import sample_rounds
 from seqselect.montecarlo import run_cell
 from seqselect.multiround import PopulationSpec, compare_policies
 from seqselect.policies import PolicySpec, ZoneConfig, run_policy_batch
@@ -152,19 +152,19 @@ def test_criterion_6_offline_oracle():
         b = int(rng.integers(1, 5))
         n = int(rng.integers(b, 10 - b + 1))
         r = int(rng.integers(0, b + 1))
-        inst = generate_instance(n, b, 0.5, r, rng)
-        ranks = inst.batch.ranks[0].tolist()
-        pool = [rk for rk, a in zip(ranks[:b], inst.availability) if a] + ranks[b:]
-        brute = min(sum(s) for s in itertools.combinations(pool, inst.b))
-        if inst.batch.offline_optimum()[0] != brute:
+        batch = sample_rounds(n, b, 0.5, r, [rng])
+        ranks = batch.ranks[0].tolist()
+        pool = [rk for rk, a in zip(ranks[:b], batch.availability[0]) if a] + ranks[b:]
+        brute = min(sum(s) for s in itertools.combinations(pool, batch.b))
+        if batch.offline_optimum()[0] != brute:
             brute_ok = False
             break
     lines = [f"brute-force equivalence={'ok' if brute_ok else 'MISS'}"]
     ok = brute_ok
     for b, r in [(5, 0), (5, 5), (20, 10)]:
-        vals = np.empty(100_000)
-        for t in range(len(vals)):
-            vals[t] = generate_instance(100, b, 0.5, r, rng).batch.offline_optimum()[0]
+        # the rounds of 100,000 one-seed calls on rng, 1,000 at a time
+        vals = np.concatenate([sample_rounds(100, b, 0.5, r, [rng] * 1000).offline_optimum()
+                               for _ in range(100)]).astype(float)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         diff = abs(vals.mean() - expected_offline(100, b, r, 0.5))
         good = diff <= 3 * se + 1e-9
@@ -189,11 +189,11 @@ def test_criterion_7_invariant_suite():
         n = int(rng.integers(b, 26))
         r = int(rng.integers(0, b + 1))
         c = int(rng.integers(0, n + 1))
-        inst = generate_instance(n, b, 0.5, r, rng)
-        if sorted(inst.batch.ranks[0].tolist()) != list(range(1, n + b + 1)):
+        batch = sample_rounds(n, b, 0.5, r, [rng])
+        if sorted(batch.ranks[0].tolist()) != list(range(1, n + b + 1)):
             ok, fail_note = False, f"permutation broken at case {i}"
             break
-        results, hired, kept = run_policy_batch(inst.batch, PolicySpec("csm", cutoff=c))
+        results, hired, kept = run_policy_batch(batch, PolicySpec("csm", cutoff=c))
         if hired.sum() + kept.sum() != b:
             ok, fail_note = False, f"fill constraint broken at case {i}"
             break
@@ -201,7 +201,7 @@ def test_criterion_7_invariant_suite():
             ok, fail_note = False, f"negative regret at case {i}"
             break
         zone = ZoneConfig.infinite(n)
-        _, adj_hired, adj_kept = run_policy_batch(inst.batch, PolicySpec("acsm", c, zone))
+        _, adj_hired, adj_kept = run_policy_batch(batch, PolicySpec("acsm", c, zone))
         if not (np.array_equal(adj_hired, hired) and np.array_equal(adj_kept, kept)):
             ok, fail_note = False, f"adjusted/plain divergence at case {i}"
             break
@@ -226,7 +226,7 @@ def test_criterion_8_mu_hat_validation():
     kept = {j: [] for j in probes}
     total, chunk = 100_000, 1000
     for _ in range(total // chunk):
-        # the rounds that generate_instance draws from rng, chunk after chunk
+        # the rounds of 100,000 one-seed calls on rng, 1,000 at a time
         batch = sample_rounds(n, b, 0.5, r, [rng] * chunk)
         results, hired, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=c))
         cum = np.cumsum(hired[results[:, 2] == 0], axis=1)  # failure-free rounds

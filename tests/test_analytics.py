@@ -24,7 +24,8 @@ from seqselect.analytics import (
     threshold_curve,
     translate_cutoff,
 )
-from seqselect.core import ContractError, DomainError, Instance, generate_instance
+from seqselect.core import ContractError, DomainError, Instance, sample_rounds
+from seqselect.policies import PolicySpec, run_policy_batch
 from tests import analytic_reference
 from tests.scalar_engine import _learning_phase, run_cutoff
 
@@ -92,9 +93,8 @@ class TestExpectedOffline:
     def test_against_simulated_oracle(self):
         rng = np.random.default_rng(12)
         for b, r in [(5, 0), (5, 5), (20, 10)]:
-            vals = np.empty(20000)
-            for t in range(len(vals)):
-                vals[t] = generate_instance(100, b, 0.5, r, rng).batch.offline_optimum()[0]
+            # the rounds of 20,000 one-seed calls on rng, stacked
+            vals = sample_rounds(100, b, 0.5, r, [rng] * 20000).offline_optimum().astype(float)
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - expected_offline(100, b, r, 0.5)) < 3 * se + 1e-9
 
@@ -147,13 +147,9 @@ class TestThresholdCurve:
         # E[rank of the b-th best of refset plus c candidates] ~ gamma
         rng = np.random.default_rng(3)
         n, b, c = 100, 5, 38
-        vals = np.empty(4000)
-        for t in range(len(vals)):
-            inst = generate_instance(n, b, 0.5, 0, rng)
-            pool = sorted(inst.reference_scores + inst.candidate_scores[:c], reverse=True)
-            all_scores = inst.reference_scores + inst.candidate_scores
-            ranks = dict(zip(all_scores, inst.batch.ranks[0].tolist()))
-            vals[t] = ranks[pool[b - 1]]
+        ranks = sample_rounds(n, b, 0.5, 0, [rng] * 4000).ranks
+        # the joint rank of the b-th best of the referents and first c candidates
+        vals = np.partition(ranks[:, : b + c], b - 1, axis=1)[:, b - 1]
         assert abs(vals.mean() - 525 / 43) < 0.6  # approximation, loose guard
 
     def test_curve_shape_invariants(self):
@@ -212,9 +208,10 @@ class TestExpectedMaxHires:
         c = optimal_cutoff(n, b, r)[0]
         curve = threshold_curve(AnalyticParams(n=n, b=b, r=r, q=0.5, c=c))
         rng = np.random.default_rng(10)
-        hires = np.empty(100_000)
-        for t in range(len(hires)):
-            hires[t] = run_cutoff(generate_instance(n, b, 0.5, r, rng), c).hires
+        # the rounds of 100,000 one-seed calls on rng, 1,000 at a time
+        batches = (sample_rounds(n, b, 0.5, r, [rng] * 1000) for _ in range(100))
+        hires = np.concatenate([run_policy_batch(batch, PolicySpec("csm", cutoff=c))[0][:, 1]
+                                for batch in batches]).astype(float)
         se = hires.std(ddof=1) / math.sqrt(len(hires))
         assert abs(hires.mean() - expected_max_hires(curve)) < 3 * se
 
@@ -454,13 +451,13 @@ class TestMuHat:
         rng = np.random.default_rng(20)
         probes = [c + 1, 50, 100]
         kept = {j: [] for j in probes}
-        for _ in range(100_000):
-            out = run_cutoff(generate_instance(n, b, 0.5, r, rng), c)
-            if out.failures:
-                continue
-            cum = np.cumsum(out.candidate_decisions)
+        for _ in range(100):
+            # the rounds of 100,000 one-seed calls on rng, 1,000 at a time
+            batch = sample_rounds(n, b, 0.5, r, [rng] * 1000)
+            results, hired, _ = run_policy_batch(batch, PolicySpec("csm", cutoff=c))
+            cum = np.cumsum(hired[results[:, 2] == 0], axis=1)  # failure-free rounds
             for j in probes:
-                kept[j].append(cum[j - 1])
+                kept[j].extend(cum[:, j - 1].tolist())
         for j in probes:
             arr = np.asarray(kept[j], dtype=float)
             se = arr.std(ddof=1) / math.sqrt(len(arr))

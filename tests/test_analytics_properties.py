@@ -209,6 +209,39 @@ def test_threshold_curve_steps_are_the_reference(setting, q, data):
         assert np.array(got).tobytes() == np.array(want).tobytes(), (n, b, r, q, c)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixed_rows())
+def test_mu_hat_rows_intensities_are_the_reference(setting):
+    # the r < b rows share one pass, whatever their r, q and c; every step's
+    # intensity lam_j that mu_hat_rows reads is the plain-float reference's
+    n, b, rows = setting
+    passes, seen = [], []
+    recursion = analytics._recursion
+
+    def spy(n_, b_, r, q, c, after_step, *rest):
+        def both(s, gj, pj, lam_s, gjb):
+            seen.append((s, lam_s.copy()))
+            after_step(s, gj, pj, lam_s, gjb)
+
+        passes.append(list(zip(c.tolist(), r.tolist(), q.tolist())))
+        return recursion(n_, b_, r, q, c, both, *rest)
+
+    with mock.patch.object(analytics, "_recursion", spy):
+        try:
+            mu_hat_rows(n, b, *zip(*rows))
+        except DomainError:  # raised after the pass: a row's event is impossible
+            pass
+    # the learning phase that c runs, the rows in ascending order of it
+    columns = sorted(((min(c, n - r), r, q) for r, q, c in rows if r < b), key=lambda x: x[0])
+    assert passes == [columns]
+    lams = [[lam for _, _, lam, _ in analytic_reference.column(n, b, r, c, q)[0]]
+            for c, r, q in columns]
+    assert [s for s, _ in seen] == list(range(max((n - c for c, _, _ in columns), default=0)))
+    for s, got in seen:
+        want = [lam[s] for lam in lams if s < len(lam)]
+        assert got.tobytes() == np.array(want).tobytes(), (n, b, s)
+
+
 def test_a_round_index_scans_its_cold_settings_in_one_pass(monkeypatch):
     monkeypatch.setattr(analytics, "_solved", OrderedDict())
     monkeypatch.setattr(analytics, "_lookups", Counter())

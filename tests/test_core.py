@@ -13,13 +13,13 @@ from seqselect.core import (
     Instance,
     RoundBatch,
     check_setting,
-    generate_instance,
     learning_cutoff,
     sample_rounds,
     seed_entropy,
 )
 from seqselect.montecarlo import ExperimentSpec, run_cell
 from seqselect.policies import PolicySpec, run_policy_batch
+from tests.scalar_engine import row_instance
 
 
 def make_instance(refs, avail, cands):
@@ -50,8 +50,8 @@ class TestRankContext:
         for _ in range(200):
             n = int(rng.integers(1, 12))
             b = int(rng.integers(1, n + 1))
-            inst = generate_instance(n, b, 0.5, int(rng.integers(0, b + 1)), rng)
-            assert sorted(inst.batch.ranks[0].tolist()) == list(range(1, n + b + 1))
+            ranks = sample_rounds(n, b, 0.5, int(rng.integers(0, b + 1)), [rng]).ranks
+            assert sorted(ranks[0].tolist()) == list(range(1, n + b + 1))
         batch = sample_rounds(7, 3, 0.5, 1, range(50))
         assert (np.sort(batch.ranks, axis=1) == np.arange(1, 11)).all()
 
@@ -79,44 +79,44 @@ class TestQuality:
 
 
 class TestGenerateInstance:
+    """The sampling law of sample_rounds, one seed at a time and stacked."""
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            generate_instance(10, 3, 1.2, 0, 0)
+            sample_rounds(10, 3, 1.2, 0, [0])
         with pytest.raises(DomainError):
-            generate_instance(10, 3, 0.5, 4, 0)
+            sample_rounds(10, 3, 0.5, 4, [0])
         with pytest.raises(DomainError):
-            generate_instance(2, 3, 0.5, 0, 0)
+            sample_rounds(2, 3, 0.5, 0, [0])
 
     def test_structure(self):
-        inst = generate_instance(20, 4, 0.6, 2, 123)
-        assert inst.n == 20 and inst.b == 4 and inst.r == 2
-        assert all(x > y for x, y in zip(inst.reference_scores, inst.reference_scores[1:]))
+        batch = sample_rounds(20, 4, 0.6, 2, [123])
+        assert (len(batch), batch.n, batch.b, batch.r.tolist()) == (1, 20, 4, [2])
+        refs = batch.reference_scores[0].tolist()
+        assert all(x > y for x, y in zip(refs, refs[1:]))
         lo, hi = max(0.0, 2 * 0.6 - 1), min(1.0, 2 * 0.6)
-        assert all(lo <= s <= hi for s in inst.reference_scores)
+        assert all(lo <= s <= hi for s in refs)
 
     def test_quality_inversion(self):
         # mean computed quality within 3 standard errors of the target q
         rng = np.random.default_rng(11)
         trials = 10_000
         for q, (n, b) in [(0.5, (100, 5)), (2 / 3, (100, 5)), (0.75, (100, 50)), (0.8, (100, 5))]:
-            qs = np.empty(trials)
-            for t in range(trials):
-                qs[t] = generate_instance(n, b, q, 0, rng).batch.quality()[0]
+            # the rounds of trials one-seed calls on rng, stacked
+            qs = sample_rounds(n, b, q, 0, [rng] * trials).quality()
             se = qs.std(ddof=1) / math.sqrt(trials)
             assert abs(qs.mean() - q) < 3 * se + 1e-4, (q, n, b, qs.mean(), se)
 
     def test_quality_extreme_interval(self):
         # q close to 1: referents concentrate near 1 and outrank the candidates
-        inst = generate_instance(50, 3, 0.999, 0, 5)
-        assert all(s > 0.99 for s in inst.reference_scores)
+        refs = sample_rounds(50, 3, 0.999, 0, [5]).reference_scores
+        assert (refs > 0.99).all()
 
     def test_worst_referent_rank_matches_order_statistic(self):
         # E[worst referent rank] = b(n+b+1)/(b+1) at q = 1/2
         rng = np.random.default_rng(3)
         trials = 20_000
-        worst = np.empty(trials)
-        for t in range(trials):
-            worst[t] = generate_instance(100, 5, 0.5, 0, rng).batch.ranks[0, :5].max()
+        worst = sample_rounds(100, 5, 0.5, 0, [rng] * trials).ranks[:, :5].max(axis=1)
         assert abs(worst.mean() - 5 * 106 / 6) < 1.0
 
 
@@ -135,11 +135,11 @@ class TestOfflineOptimum:
             b = int(rng.integers(1, 5))
             n = int(rng.integers(b, 10 - b + 1))
             r = int(rng.integers(0, b + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
-            ranks = inst.batch.ranks[0].tolist()
-            pool = [rk for rk, a in zip(ranks[:b], inst.availability) if a] + ranks[b:]
-            brute = min(sum(s) for s in itertools.combinations(pool, inst.b))
-            assert inst.batch.offline_optimum()[0] == brute
+            batch = sample_rounds(n, b, 0.5, r, [rng])
+            ranks = batch.ranks[0].tolist()
+            pool = [rk for rk, a in zip(ranks[:b], batch.availability[0]) if a] + ranks[b:]
+            brute = min(sum(s) for s in itertools.combinations(pool, batch.b))
+            assert batch.offline_optimum()[0] == brute
 
 
 class TestRealizedRegret:
@@ -170,7 +170,7 @@ class TestRealizedRegret:
             b = int(rng.integers(1, 4))
             n = int(rng.integers(b, 9))
             r = int(rng.integers(0, b + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
+            inst = row_instance(sample_rounds(n, b, 0.5, r, [rng]))
             keep = [int(a) for a in inst.availability]
             while sum(keep) > b - r:  # should not happen; keep defensive
                 keep[keep.index(1)] = 0
@@ -181,8 +181,9 @@ class TestRealizedRegret:
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            inst = generate_instance(8, 3, 0.5, 1, rng)
+        batch = sample_rounds(8, 3, 0.5, 1, [rng] * 100)
+        for t in range(len(batch)):
+            inst = row_instance(batch, t)
             keep = list(inst.availability)
             drop = [i for i, a in enumerate(keep) if a][0]
             keep[drop] = 0
@@ -219,10 +220,10 @@ class TestLearningCutoff:
         assert learning_cutoff(10, 0, 10) == 10
 
     def test_one_message_in_every_layer(self):
-        inst = generate_instance(10, 3, 0.5, 1, 0)
+        batch = sample_rounds(10, 3, 0.5, 1, [0])
         calls = [
             lambda: learning_cutoff(10, 1, 11),
-            lambda: run_policy_batch(inst.batch, PolicySpec("csm", cutoff=11)),
+            lambda: run_policy_batch(batch, PolicySpec("csm", cutoff=11)),
             lambda: AnalyticParams(n=10, b=3, r=1, q=0.5, c=11),
             lambda: analyze_setting(10, 3, 1, 0.5, c=11),
             lambda: ExperimentSpec(n=10, b_values=(3,), c_values=(0, 11), q=0.5, r_values=(1,)),
@@ -239,7 +240,7 @@ class TestCheckSetting:
             lambda: check_setting(10, 2, 3),
             lambda: Instance((), (), (0.1, 0.2, 0.3)),
             lambda: Instance((0.9, 0.5, 0.1), (1, 1, 1), (0.2, 0.3)),
-            lambda: generate_instance(10, 2, 0.5, 3, 0),
+            lambda: sample_rounds(10, 2, 0.5, 3, [0]),
             lambda: sample_rounds(10, 0, 0.5, 0, [1, 2]),
             lambda: AnalyticParams(n=10, b=2, r=3, q=0.5, c=0),
             lambda: translate_cutoff(10, 2, 0.7, 3),
@@ -257,13 +258,13 @@ class TestRoundBatch:
     def test_rows_are_the_generated_instances(self):
         batch = sample_rounds(9, 4, 0.7, 2, self.SEEDS)
         assert (batch.n, batch.b, batch.r.tolist()) == (9, 4, [2] * len(self.SEEDS))
+        # four fresh seeds draw the resigned positions by Floyd's raw-word
+        # loop, and one seed by numpy's own choice
         for t, seed in enumerate(self.SEEDS):
-            inst = generate_instance(9, 4, 0.7, 2, seed)
-            assert tuple(batch.reference_scores[t].tolist()) == inst.reference_scores
-            assert tuple(batch.availability[t].tolist()) == inst.availability
-            assert tuple(batch.candidate_scores[t].tolist()) == inst.candidate_scores
-            assert batch.ranks[t].tolist() == inst.batch.ranks[0].tolist()
-            assert batch.offline_optimum()[t] == inst.batch.offline_optimum()[0]
+            one = sample_rounds(9, 4, 0.7, 2, [seed])
+            for name in ("reference_scores", "availability", "candidate_scores", "ranks"):
+                assert getattr(batch, name)[t].tolist() == getattr(one, name)[0].tolist(), name
+            assert batch.offline_optimum()[t] == one.offline_optimum()[0]
 
     def test_ranks_break_ties_as_one_round(self):
         inst = make_instance([0.5, 0.3], [1, 1], [0.5, 0.3, 0.5])
@@ -290,11 +291,11 @@ class TestRoundBatch:
             batch.regret(hired, np.ones((2, 2), dtype=bool))
 
     def test_r_is_derived_per_row(self):
-        rounds = [generate_instance(9, 4, 0.7, r, seed) for r, seed in ((2, 3), (0, 11), (4, 12))]
-        batch = RoundBatch(*(np.array([getattr(inst, name) for inst in rounds])
+        rounds = [sample_rounds(9, 4, 0.7, r, [seed]) for r, seed in ((2, 3), (0, 11), (4, 12))]
+        batch = RoundBatch(*(np.concatenate([getattr(one, name) for one in rounds])
                              for name in ("reference_scores", "availability", "candidate_scores")))
         assert batch.r.tolist() == [2, 0, 4]
-        assert batch.quality().tolist() == [inst.batch.quality()[0] for inst in rounds]
+        assert batch.quality().tolist() == [one.quality()[0] for one in rounds]
 
     # r: the resignations the availability marks, which RoundBatch derives
     @pytest.mark.parametrize("r, refs, avail, cands, message", [
@@ -334,7 +335,7 @@ class TestInstanceBoundary:
             assert all(type(a) is int for a in inst.availability)
 
     def test_generated_instance_holds_python_numbers(self):
-        inst = generate_instance(10, 3, 0.5, 1, 4)
+        inst = row_instance(sample_rounds(10, 3, 0.5, 1, [4]))
         assert all(type(s) is float for s in inst.reference_scores + inst.candidate_scores)
         assert all(type(a) is int for a in inst.availability)
 

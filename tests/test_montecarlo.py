@@ -7,7 +7,7 @@ import pytest
 
 from seqselect import montecarlo
 from seqselect.analytics import translate_cutoff
-from seqselect.core import DomainError, RoundBatch, generate_instance
+from seqselect.core import DomainError, RoundBatch, sample_rounds
 from seqselect.montecarlo import (
     CHUNK,
     CellStats,
@@ -18,7 +18,7 @@ from seqselect.montecarlo import (
     trial_stream,
 )
 from seqselect.policies import VARIANTS, policy_spec
-from tests.scalar_engine import run_cutoff, run_policy
+from tests.scalar_engine import row_instance, run_cutoff, run_policy
 
 
 def per_trial_cell(n, b, c, q, r, policy, trials, seed):
@@ -28,7 +28,8 @@ def per_trial_cell(n, b, c, q, r, policy, trials, seed):
     rows = []
     for i in range(trials):
         inst_ss, policy_ss = trial_stream((seed,), i, 0), trial_stream((seed,), i, 1)
-        out = run_policy(generate_instance(n, b, q, r, inst_ss), spec, rand_seed=policy_ss)
+        inst = row_instance(sample_rounds(n, b, q, r, [inst_ss]))
+        out = run_policy(inst, spec, rand_seed=policy_ss)
         rows.append((out.regret, out.hires, out.failures))
     data = np.array(rows)
     regrets = data[:, 0].astype(float)
@@ -50,7 +51,7 @@ class TestRunCell:
     def test_single_trial_composes_with_direct_run(self):
         stats = run_cell(25, 3, 6, 0.5, 1, "csm", 1, 7)
         inst_ss = trial_stream((7,), 0, 0)
-        direct = run_cutoff(generate_instance(25, 3, 0.5, 1, inst_ss), 6)
+        direct = run_cutoff(row_instance(sample_rounds(25, 3, 0.5, 1, [inst_ss])), 6)
         assert stats.mean_regret == direct.regret
         assert stats.mean_hires == direct.hires
         assert stats.failure_rate == direct.failures
@@ -119,7 +120,7 @@ class TestRunCell:
         zero_hits = 0
         for i in range(300):
             inst_ss = trial_stream((11,), i, 0)
-            if run_cutoff(generate_instance(20, 2, 0.5, 0, inst_ss), 5).regret == 0:
+            if run_cutoff(row_instance(sample_rounds(20, 2, 0.5, 0, [inst_ss])), 5).regret == 0:
                 zero_hits += 1
         assert zero_hits > 0
         assert st.mean_regret == pytest.approx(st.mean_regret)
@@ -199,6 +200,17 @@ class TestHeatmap:
         for b, r in ((2, 1), (4, 3)):
             for c in (0, 6):
                 assert result.cells[(b, c)] == run_cell(12, b, c, 0.5, r, "csm", 10, (2, b, c))
+
+    def test_a_sequence_master_seed_leads_each_cell_seed(self):
+        # a master seed that is a sequence seeds cell (b, c) with (*seed, b, c)
+        spec = ExperimentSpec(
+            n=12, b_values=(2, 4), c_values=(0, 6), q=0.5, r_values=(1, 3), trials=10,
+            master_seed=(1, 2),
+        )
+        result = regret_heatmap(spec)
+        for b, r in ((2, 1), (4, 3)):
+            for c in (0, 6):
+                assert result.cells[(b, c)] == run_cell(12, b, c, 0.5, r, "csm", 10, (1, 2, b, c))
 
     def test_analytic_path_is_one_resolver_call_with_translates_warnings(self, monkeypatch):
         # at q = 0.8, n = 12: b = 2 has the similar n_s = 4, b = 5 the

@@ -37,6 +37,17 @@ def _row(cr, t):
             cr.kept[t].tolist(), cr.results[t].tolist())
 
 
+def _per_run(chain, runs):
+    """compare_policies' per_run rows of one policy's run_chains rounds."""
+    rows = []
+    for i in range(runs):
+        for k, cr in enumerate(chain, 1):
+            (cutoffs,) = cr.cutoffs
+            cutoff = None if cutoffs is None else int(cutoffs[i])
+            rows.append((i, k, *map(int, cr.results[i]), float(cr.batch.quality()[i]), cutoff))
+    return tuple(rows)
+
+
 class TestRunChain:
     def test_round_structure(self):
         chain = run_chains(SMALL, 5, 0.4, ["csm-star"], [123])
@@ -369,15 +380,17 @@ class TestComparePolicies:
         runs, rounds, seed = 4, 3, 11
         (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, seed).values()
         chain = run_chains(SMALL, rounds, 0.5, [name], [[seed, i] for i in range(runs)])
-        rows = []
-        for i in range(runs):
-            for k, cr in enumerate(chain, 1):
-                (cutoffs,) = cr.cutoffs
-                cutoff = None if cutoffs is None else int(cutoffs[i])
-                rows.append((i, k, *map(int, cr.results[i]), float(cr.batch.quality()[i]),
-                             cutoff))
-        assert curve.per_run == tuple(rows)
+        rows = _per_run(chain, runs)
+        assert curve.per_run == rows
         assert {row[6] is None for row in rows} == {name in ("mean", "rand")}
+
+    @pytest.mark.parametrize("name", ("csm-star", "rand"))
+    def test_a_sequence_seed_leads_each_run_seed(self, name):
+        # a seed that is a sequence runs run i on the seed [*seed, i]
+        runs, rounds = 3, 2
+        (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, (1, 2)).values()
+        chain = run_chains(SMALL, rounds, 0.5, [name], [[1, 2, i] for i in range(runs)])
+        assert curve.per_run == _per_run(chain, runs)
 
     @pytest.mark.parametrize("runs", (1, 5))
     @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))

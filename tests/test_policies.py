@@ -9,7 +9,6 @@ from seqselect.cli import build_parser
 from seqselect.core import (
     DomainError,
     RoundBatch,
-    generate_instance,
     learning_cutoff,
     sample_rounds,
 )
@@ -30,6 +29,7 @@ from tests.scalar_engine import (
     run_mean_baseline,
     run_policy,
     run_rand_baseline,
+    row_instance,
     spec_row,
 )
 from tests.test_core import make_instance
@@ -53,14 +53,14 @@ class TestCutoffHandTraces:
         assert out.hires == 1
 
     def test_cutoff_n_with_no_resignations(self):
-        inst = generate_instance(8, 3, 0.5, 0, 21)
+        inst = row_instance(sample_rounds(8, 3, 0.5, 0, [21]))
         out = run_cutoff(inst, 8)
         assert out.candidate_decisions == (0,) * 8
         assert out.referent_decisions == inst.availability
         assert out.hires == 0
 
     def test_cutoff_n_with_resignations_forces_last_r(self):
-        inst = generate_instance(8, 3, 0.5, 2, 22)
+        inst = row_instance(sample_rounds(8, 3, 0.5, 2, [22]))
         out = run_cutoff(inst, 8)
         assert sum(out.candidate_decisions) == 2
         assert out.candidate_decisions[-2:] == (1, 1) or sum(out.candidate_decisions[-2:]) + sum(
@@ -94,7 +94,8 @@ class TestCutoffHandTraces:
 class TestThresholdTrace:
     def test_no_entry_during_learning(self):
         # n - min(c, n - r) = 10 - 4 steps after the learning phase
-        assert len(run_cutoff(generate_instance(10, 2, 0.5, 1, 3), 4).threshold_trace) == 6
+        inst = row_instance(sample_rounds(10, 2, 0.5, 1, [3]))
+        assert len(run_cutoff(inst, 4).threshold_trace) == 6
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_entry_per_step_after_learning(self, variant):
@@ -104,7 +105,7 @@ class TestThresholdTrace:
             n = int(rng.integers(b, 15))
             r = int(rng.integers(0, b + 1))
             c = int(rng.integers(0, n + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
+            inst = row_instance(sample_rounds(n, b, 0.5, r, [rng]))
             zone = ZoneConfig.default(n, b, [min(b, 0.1 * j) for j in range(1, n + 1)])
             spec = PolicySpec(variant, cutoff=c, zone=zone if variant == "acsm" else None)
             out = run_policy(inst, spec, rand_seed=int(rng.integers(0, 2**31)))
@@ -135,7 +136,7 @@ class TestInvariants:
             n = int(rng.integers(b, 25))
             r = int(rng.integers(0, b + 1))
             c = int(rng.integers(0, n + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
+            inst = row_instance(sample_rounds(n, b, 0.5, r, [rng]))
             if variant == "acsm":
                 zone = ZoneConfig.default(n, b, [min(b, 0.1 * j) for j in range(1, n + 1)])
                 out = run_adjusted_cutoff(inst, c, zone)
@@ -162,13 +163,13 @@ class TestInvariants:
             b = int(rng.integers(1, 5))
             n = int(rng.integers(b, 20))
             c = int(rng.integers(0, n + 1))
-            out = run_cutoff(generate_instance(n, b, 0.5, 0, rng), c)
+            out = run_cutoff(row_instance(sample_rounds(n, b, 0.5, 0, [rng])), c)
             assert out.failures == 0
 
     def test_decisions_depend_only_on_prefix(self):
         # irrevocability: permuting unseen candidates cannot change earlier decisions
         rng = np.random.default_rng(31)
-        inst = generate_instance(12, 3, 0.5, 1, rng)
+        inst = row_instance(sample_rounds(12, 3, 0.5, 1, [rng]))
         out = run_cutoff(inst, 4)
         swapped = list(inst.candidate_scores)
         swapped[9], swapped[11] = swapped[11], swapped[9]
@@ -185,7 +186,7 @@ class TestAdjustedCutoff:
             n = int(rng.integers(b, 30))
             r = int(rng.integers(0, b + 1))
             c = int(rng.integers(0, n + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
+            inst = row_instance(sample_rounds(n, b, 0.5, r, [rng]))
             plain = run_cutoff(inst, c)
             adj = run_adjusted_cutoff(inst, c, ZoneConfig.infinite(n))
             assert adj.candidate_decisions == plain.candidate_decisions
@@ -196,9 +197,10 @@ class TestAdjustedCutoff:
     def test_zero_zone_matches_until_first_acceptance(self):
         # mu = 0, width = 0: in-band exactly while no candidate has been accepted
         rng = np.random.default_rng(23)
-        for _ in range(100):
-            n, b, r = 20, 3, 1
-            inst = generate_instance(n, b, 0.5, r, rng)
+        n, b, r = 20, 3, 1
+        batch = sample_rounds(n, b, 0.5, r, [rng] * 100)
+        for t in range(len(batch)):
+            inst = row_instance(batch, t)
             c = 5
             zone = ZoneConfig(mu=(0.0,) * n, width=(0.0,) * n)
             plain = run_cutoff(inst, c)
@@ -243,7 +245,7 @@ class TestAdjustedCutoff:
             seeds = rng.integers(0, 2**32, 20).tolist()
             got, _, _ = run_policy_batch(sample_rounds(n, b, q, r, seeds), spec)
             for row, seed in zip(got.tolist(), seeds):
-                out = run_policy(generate_instance(n, b, q, r, seed), spec)
+                out = run_policy(row_instance(sample_rounds(n, b, q, r, [seed])), spec)
                 assert row == [out.regret, out.hires, out.failures]
 
     def test_batch_decisions_read_no_joint_ranks(self, monkeypatch):
@@ -295,10 +297,10 @@ class TestAdjustedCutoff:
         assert moved.any() and not moved.all()
 
     def test_mu_length_must_match(self):
-        inst = generate_instance(10, 2, 0.5, 0, 1)
+        batch = sample_rounds(10, 2, 0.5, 0, [1])
         spec = PolicySpec("acsm", cutoff=2, zone=ZoneConfig(mu=(0.0,) * 5, width=(0.0,) * 5))
         with pytest.raises(DomainError, match="each band n long"):
-            run_policy_batch(inst.batch, spec)
+            run_policy_batch(batch, spec)
 
     def test_one_cutoff_for_every_round_or_one_per_round(self):
         batch = sample_rounds(10, 2, 0.5, 1, [1, 2, 3])
@@ -350,7 +352,7 @@ class TestBaselines:
             b = int(rng.integers(1, 5))
             n = int(rng.integers(b, 20))
             r = int(rng.integers(0, b + 1))
-            inst = generate_instance(n, b, 0.5, r, rng)
+            inst = row_instance(sample_rounds(n, b, 0.5, r, [rng]))
             out = run_mean_baseline(inst)
             fired = [
                 s for s, a, k in zip(
@@ -374,7 +376,7 @@ class TestBaselines:
                 )
 
     def test_rand_is_reproducible(self):
-        inst = generate_instance(15, 3, 0.5, 1, 9)
+        inst = row_instance(sample_rounds(15, 3, 0.5, 1, [9]))
         a = run_rand_baseline(inst, 1234)
         b = run_rand_baseline(inst, 1234)
         assert a == b
@@ -383,7 +385,7 @@ class TestBaselines:
 
     def test_rand_needs_a_seed(self):
         # without one, each run would draw fresh OS entropy
-        inst = generate_instance(15, 3, 0.5, 1, 9)
+        inst = row_instance(sample_rounds(15, 3, 0.5, 1, [9]))
         with pytest.raises(DomainError, match="seed"):
             run_policy(inst, PolicySpec("rand"))
         batch = sample_rounds(15, 3, 0.5, 1, [1, 2, 3])
@@ -426,7 +428,7 @@ class TestPolicySpecDispatch:
             assert cutoffs == (spec.cutoff.tolist() if cutoff else None), spec.variant
 
     def test_variants(self):
-        inst = generate_instance(10, 2, 0.5, 0, 3)
+        inst = row_instance(sample_rounds(10, 2, 0.5, 0, [3]))
         assert run_policy(inst, PolicySpec("csm", cutoff=3)) == run_cutoff(inst, 3)
         assert run_policy(inst, PolicySpec("mean")) == run_mean_baseline(inst)
         zone = ZoneConfig.infinite(10)
@@ -459,8 +461,9 @@ class TestAdjustedReducesFailures:
         zone = spec_row(policy_spec("acsm", n, b, [r], [q], c), 0).zone
         rng = np.random.default_rng(2718)
         plain_f = adj_f = 0
-        for _ in range(800):
-            inst = generate_instance(n, b, q, r, rng)
+        batch = sample_rounds(n, b, q, r, [rng] * 800)
+        for t in range(len(batch)):
+            inst = row_instance(batch, t)
             plain_f += run_cutoff(inst, c).failures
             adj_f += run_adjusted_cutoff(inst, c, zone).failures
         assert adj_f < plain_f

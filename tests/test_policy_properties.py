@@ -23,7 +23,6 @@ from seqselect.core import (  # noqa: E402
     DomainError,
     Instance,
     RoundBatch,
-    generate_instance,
     sample_rounds,
 )
 from seqselect.montecarlo import trial_stream  # noqa: E402
@@ -38,6 +37,7 @@ from tests.scalar_engine import (  # noqa: E402
     run_adjusted_cutoff,
     run_cutoff,
     run_policy,
+    row_instance,
     spec_row,
 )
 
@@ -51,7 +51,7 @@ def small_rounds(draw):
     r = draw(st.integers(0, b))
     c = draw(st.integers(0, n))
     q = draw(st.floats(0.05, 0.95))
-    inst = generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1)))
+    inst = row_instance(sample_rounds(n, b, q, r, [draw(st.integers(0, 2**32 - 1))]))
     return inst, c
 
 
@@ -123,7 +123,7 @@ def test_batch_engine_is_the_scalar_engine(setting, trials, seed, data):
     got, _, _ = run_policy_batch(batch, spec, streams[1])
     optima = batch.offline_optimum()
     for i in range(trials):
-        inst = generate_instance(n, b, q, r, trial_stream((seed,), i, 0))
+        inst = row_instance(sample_rounds(n, b, q, r, [trial_stream((seed,), i, 0)]))
         out = run_policy(inst, spec, rand_seed=trial_stream((seed,), i, 1))
         assert got[i].tolist() == [out.regret, out.hires, out.failures]
         assert got[i, 0] == brute_force_regret(inst, out)
@@ -187,7 +187,7 @@ def _band(draw, rng, b, shape):
 
 @st.composite
 def mixed_rounds(draw):
-    """Rounds of one size (n, b) whose r differ, drawn by generate_instance
+    """Rounds of one size (n, b) whose r differ, drawn by sample_rounds
     or built from GRID scores, and one PolicySpec for all of them.  Its
     cutoff is one plain int, or an array of one entry for every round or one
     per round, and its band rows likewise: (n,), (1, n) or (T, n)."""
@@ -201,7 +201,8 @@ def mixed_rounds(draw):
             rounds.append(_tied_round(draw, n, b, r))
         else:
             q = draw(st.floats(0.05, 0.95))
-            rounds.append(generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1))))
+            seed = draw(st.integers(0, 2**32 - 1))
+            rounds.append(row_instance(sample_rounds(n, b, q, r, [seed])))
     rows = draw(st.sampled_from([(), (1,), (len(rounds),)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cutoff = rng.integers(0, n + 1, rows)
@@ -245,7 +246,8 @@ def policy_blocks(draw):
             rounds.append(_tied_round(draw, n, b, r))
         else:
             q = draw(st.floats(0.05, 0.95))
-            rounds.append(generate_instance(n, b, q, r, draw(st.integers(0, 2**32 - 1))))
+            seed = draw(st.integers(0, 2**32 - 1))
+            rounds.append(row_instance(sample_rounds(n, b, q, r, [seed])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     specs = []
     for variant in variants:

@@ -25,7 +25,6 @@ from seqselect.core import (  # noqa: E402
     DomainError,
     _floyd_resigned,
     _floyd_word_count,
-    generate_instance,
     sample_rounds,
 )
 from seqselect.montecarlo import stream_words, trial_stream, trial_streams  # noqa: E402
@@ -105,20 +104,27 @@ def test_generators_draw_as_the_reference_streams(cell_seed, child, bounds, b_r,
 def test_rounds_follow_numpys_three_call_law(nbr, q, seeds):
     n, b, r = nbr
     # one Generator shared by consecutive rounds, as the acceptance criteria
-    # draw them: each round leaves the stream where the three calls leave it
+    # draw them: each round leaves the stream where the three calls leave it,
+    # so the one-seed calls on it are the rows of one call on it twice over
     shared, reference = np.random.default_rng(seeds[0]), np.random.default_rng(seeds[0])
-    for _ in range(2):
-        inst = generate_instance(n, b, q, r, shared)
+    stacked = sample_rounds(n, b, q, r, [np.random.default_rng(seeds[0])] * 2)
+    for t in range(2):
+        one = sample_rounds(n, b, q, r, [shared])
         refs, avail, cands = three_call_law(reference, n, b, q, r)
-        assert list(inst.reference_scores) == refs
-        assert list(inst.availability) == avail
-        assert list(inst.candidate_scores) == cands
+        for rows, k in ((one, 0), (stacked, t)):
+            assert rows.reference_scores[k].tolist() == refs
+            assert rows.availability[k].tolist() == avail
+            assert rows.candidate_scores[k].tolist() == cands
+    # fresh seeds: one seed draws its resigned positions by numpy's own
+    # choice, three or more by Floyd's raw-word loop
     batch = sample_rounds(n, b, q, r, seeds)
     for t, seed in enumerate(seeds):
         refs, avail, cands = three_call_law(np.random.default_rng(seed), n, b, q, r)
-        assert batch.reference_scores[t].tolist() == refs
-        assert batch.availability[t].tolist() == avail
-        assert batch.candidate_scores[t].tolist() == cands
+        one = sample_rounds(n, b, q, r, [seed])
+        for rows, k in ((batch, t), (one, 0)):
+            assert rows.reference_scores[k].tolist() == refs
+            assert rows.availability[k].tolist() == avail
+            assert rows.candidate_scores[k].tolist() == cands
 
 
 def grid_settings():
@@ -197,10 +203,10 @@ def test_tied_referents_move_just_below_their_better_neighbour(n, b, q, r, count
         if ties:
             tied_rows.append(t)
     assert tied_rows  # the law ties somewhere in these draws
-    for t in tied_rows:
-        inst = generate_instance(n, b, q, r, t)
-        assert list(inst.reference_scores) == batch.reference_scores[t].tolist()
-        assert list(inst.availability) == batch.availability[t].tolist()
+    for t in tied_rows:  # a one-seed call moves its ties as the many-seed call does
+        one = sample_rounds(n, b, q, r, [t])
+        assert one.reference_scores[0].tolist() == batch.reference_scores[t].tolist()
+        assert one.availability[0].tolist() == batch.availability[t].tolist()
 
 
 def test_referents_that_would_fall_below_zero_raise():
