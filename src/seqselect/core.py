@@ -5,8 +5,8 @@ have resigned) and interviews n candidates one by one.  Everything downstream
 is evaluated on absolute ranks over the combined pool of n + b scores, where
 rank 1 is the best score.
 
-It also holds the array twin of SeedSequence's state words
-(spawn_state_words), which montecarlo's trials and multiround's chains share.
+It also holds the array twin of SeedSequence and the one stream layout that
+montecarlo's trials and multiround's chains share (stream_seeds).
 """
 
 from __future__ import annotations
@@ -140,20 +140,17 @@ POOL_SIZE = 4
 STATE_WORDS = 8  # PCG64 seeds from generate_state(4, uint64), 8 words of 32 bits
 
 
-def _int_words(x: int) -> list:
-    """One entropy element as SeedSequence coerces it: its little-endian
-    32-bit words, [0] for 0."""
-    words = [x & MASK32]
-    while x > MASK32:
-        x >>= 32
-        words.append(x & MASK32)
-    return words
-
-
 def entropy_words(entropy) -> list:
     """The 32-bit words of a sequence of entropy elements, in the order
-    SeedSequence assembles them."""
-    return [word for x in entropy for word in _int_words(x)]
+    SeedSequence assembles them: each element's little-endian words, [0]
+    for 0."""
+    words = []
+    for x in entropy:
+        words.append(x & MASK32)
+        while x > MASK32:
+            x >>= 32
+            words.append(x & MASK32)
+    return words
 
 
 def _hash_constants(init: int, mult: int):
@@ -196,26 +193,9 @@ def _state_words(columns: list) -> np.ndarray:
     return words
 
 
-def spawn_state_words(columns: list, key) -> np.ndarray:
-    """(T, STATE_WORDS) uint32: row t is
-    SeedSequence(entropy_t, spawn_key=key).generate_state(STATE_WORDS), for
-    every row at once, where entropy_t's 32-bit words are columns[k][t] (a
-    uint32 array each) and key is an int child or a spawn-key tuple.  As
-    SeedSequence assembles it, a non-empty key follows the entropy padded
-    with zeros to POOL_SIZE words; an entropy shorter than that is mixed as
-    if zero-padded anyway, so an empty key needs no case of its own."""
-    key_words = entropy_words((key,) if isinstance(key, numbers.Integral) else key)
-    zeros = [0] * (POOL_SIZE - len(columns))
-
-    def constant(word):
-        return np.full(len(columns[0]), word, dtype=np.uint32)
-
-    return _state_words([*columns, *map(constant, zeros + key_words)])
-
-
 class StateWords(np.random.bit_generator.ISeedSequence):
-    """The seed of one PCG64: a row of spawn_state_words as the uint64 words
-    that generate_state(4, np.uint64) gives, all that PCG64 asks of its seed."""
+    """The seed of one PCG64: a row of _state_words as the uint64 words that
+    generate_state(4, np.uint64) gives, all that PCG64 asks of its seed."""
 
     def __init__(self, state: np.ndarray):
         self.state = state
@@ -228,13 +208,32 @@ class StateWords(np.random.bit_generator.ISeedSequence):
         return self.state[:n_words]
 
 
-def state_seeds(words: np.ndarray) -> list:
-    """One StateWords per row of a (T, STATE_WORDS) array of state words:
-    default_rng of seed t draws what default_rng of row t's SeedSequence
-    draws."""
+def stream_seeds(seed, start: int, stop: int, key) -> list:
+    """The seeds of rows start..stop-1 of the stream layout: row i seeds the
+    PCG64 that SeedSequence([*seed_entropy(seed), i], spawn_key=key) seeds,
+    so default_rng of it draws what default_rng of that SeedSequence draws.
+    key is an int child or a spawn-key tuple; rows must lie below 2**32, so
+    that each index is one word.
+
+    Every row's entropy is assembled as SeedSequence assembles it, one uint32
+    column per word: the seed's words, the row index, zeros up to POOL_SIZE
+    words (an empty key mixes as if padded anyway), then the key's words."""
+    if not 0 <= start <= stop <= 2**32:
+        raise DomainError(f"stream indices must lie in [0, 2**32), got {start}..{stop}")
+    index = np.arange(start, stop, dtype=np.uint32)
+    prefix = entropy_words(seed_entropy(seed))
+    zeros = [0] * (POOL_SIZE - len(prefix) - 1)
+    key_words = entropy_words((key,) if isinstance(key, numbers.Integral) else key)
+
+    def constant(word):
+        return np.full(len(index), word, dtype=np.uint32)
+
+    words = _state_words([*map(constant, prefix), index, *map(constant, zeros + key_words)])
     # each uint64 word is two state words, low word first, as SeedSequence pairs them
     states = words.astype("<u4").view("<u8").astype(np.uint64)
     return [StateWords(state) for state in states]
+
+
 # a seed that continues its own stream; any other seed starts a fresh one
 _CONTINUING = (np.random.Generator, np.random.BitGenerator)
 

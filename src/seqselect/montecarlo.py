@@ -3,13 +3,12 @@
 Every trial draws from a documented substream derivation: the two children
 of SeedSequence([*cell_seed, trial_index]), one for instance sampling and one
 for policy randomness, each built directly from its spawn key (trial_stream).
-A batch derives the state words of all its streams at once as arrays
-(stream_words), equal to the words SeedSequence generates, and hands each
-trial its row as a PCG64 seed (trial_streams), not a Generator:
-sample_rounds draws the resigned positions of a batch's fresh seeds
-together, from the raw words that choice would read.  A cell's trials run
-through the batch engine in batches of CHUNK, and aggregation reduces
-per-trial integer results in trial-index order, so results are
+A batch derives the seeds of all its trials' streams at once, one
+core.stream_seeds call per child, and hands each trial a PCG64 seed, not a
+Generator: sample_rounds draws the resigned positions of a batch's fresh
+seeds together, from the raw words that choice would read.  A cell's
+trials run through the batch engine in batches of CHUNK, and aggregation
+reduces per-trial integer results in trial-index order, so results are
 bit-identical for any worker count.
 """
 
@@ -30,13 +29,11 @@ from seqselect.core import (
     check_quality,
     check_scan_size,
     check_setting,
-    entropy_words,
     learning_cutoff,
     sample_rounds,
     seed_entropy,
     similar_n,
-    spawn_state_words,
-    state_seeds,
+    stream_seeds,
 )
 from seqselect.policies import CUTOFF_VARIANTS, PolicySpec, policy_spec, run_policy_batch
 
@@ -103,43 +100,18 @@ def clamp_workers(workers: int, cpus: Optional[int]) -> int:
 def trial_stream(cell_seed: Sequence[int], trial_index: int, child: int) -> np.random.SeedSequence:
     """SeedSequence([*cell_seed, trial_index]).spawn(2)[child] (0 samples
     the instance, 1 drives the policy), built directly from its spawn key,
-    which skips the parent's own mix.  The documented reference: a batch of
-    trials derives the same streams' state words at once with stream_words."""
+    which skips the parent's own mix.  The documented one-SeedSequence
+    reference: a batch of trials derives the same streams' seeds at once
+    with core.stream_seeds(cell_seed, start, stop, child)."""
     return np.random.SeedSequence([*cell_seed, trial_index], spawn_key=(child,))
-
-
-def stream_words(cell_seed: Sequence[int], start: int, stop: int, child) -> np.ndarray:
-    """(stop - start, core.STATE_WORDS) uint32: row k is
-    trial_stream(cell_seed, start + k, child).generate_state(STATE_WORDS),
-    for every trial of start..stop-1 at once.  child is an int or a
-    spawn-key tuple: a tuple key gives the words of
-    SeedSequence([*cell_seed, start + k], spawn_key=child).
-
-    The entropy is assembled as SeedSequence assembles it: the words of each
-    element of [*cell_seed, i], zeros up to the pool size, then the words of
-    the spawn key (core.spawn_state_words).  Trial indices must lie below
-    2**32, so that each is one word.
-    """
-    if not 0 <= start <= stop <= 2**32:
-        raise DomainError(f"trial indices must lie in [0, 2**32), got {start}..{stop}")
-    index = np.arange(start, stop, dtype=np.uint32)
-    prefix = [np.full(len(index), word, dtype=np.uint32) for word in entropy_words(cell_seed)]
-    return spawn_state_words([*prefix, index], child)
-
-
-def trial_streams(cell_seed: Sequence[int], start: int, stop: int, child: int) -> list:
-    """The seeds of trials start..stop-1, built from stream_words: seed i
-    seeds the PCG64 that trial_stream(cell_seed, i, child) seeds, so
-    default_rng of it draws what default_rng(trial_stream(...)) draws."""
-    return state_seeds(stream_words(cell_seed, start, stop, child))
 
 
 def _run_chunk(n, b, q, r, spec: PolicySpec, cell_seed, trials: int, start: int) -> np.ndarray:
     """(regret, hires, failures) of the trials from start to the next batch's
     start or the last trial, one row each, run as one batch."""
     stop = min(start + CHUNK, trials)
-    batch = sample_rounds(n, b, q, r, trial_streams(cell_seed, start, stop, 0))
-    rand_seeds = trial_streams(cell_seed, start, stop, 1) if spec.variant == "rand" else None
+    batch = sample_rounds(n, b, q, r, stream_seeds(cell_seed, start, stop, 0))
+    rand_seeds = stream_seeds(cell_seed, start, stop, 1) if spec.variant == "rand" else None
     return run_policy_batch(batch, spec, rand_seeds)[0]
 
 

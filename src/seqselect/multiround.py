@@ -7,6 +7,11 @@ candidates are sampled uniformly without replacement from the non-employed
 members, the reference quality is computed by an oracle ranking the round's
 referents against the sample, and the chosen policy runs the round.  Resigned
 members rejoin the candidate pool for future rounds.
+
+A seed and a run count name the runs: run i draws from the spawn tree of
+SeedSequence([*seed_entropy(seed), i]), each key's seeds for every run from
+one core.stream_seeds call, as montecarlo's trials draw theirs.  run_chains
+returns the rounds that compare_policies aggregates.
 """
 
 from __future__ import annotations
@@ -18,16 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from seqselect.core import (
-    STATE_WORDS,
     DomainError,
     RoundBatch,
     check_scan_size,
     check_setting,
-    entropy_words,
     seed_entropy,
     similar_n,
-    spawn_state_words,
-    state_seeds,
+    stream_seeds,
 )
 from seqselect.policies import CUTOFF_VARIANTS, policy_specs, run_policy_batch
 
@@ -92,58 +94,41 @@ def _policy_specs(names: Sequence[str], n: int, b: int, r: Sequence, q: Sequence
                          for variant, rule in map(_TOKENS.get, names)], n, b, r, q)
 
 
-def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, count: int, seeds) -> tuple:
-    """What chain t draws from the t-th of the count seeds alone, whatever
-    policy runs it: row t of the (T, size) scores and (T, b) first staff, and
-    per round index the (T, b) resignations, (T, n) sample positions and T
-    RAND seeds, the arrays allocated before any seed is read.  A sample
-    position counts the size - b non-employed members in ascending order.
+def _draw_chains(pop: PopulationSpec, rounds: int, p_res: float, seed, runs: int) -> tuple:
+    """What run i draws, whatever policy runs it: row i of the (runs, size)
+    scores and (runs, b) first staff, and the (rounds, runs, b)
+    resignations and (rounds, runs, n) sample positions, the arrays
+    allocated before any seed is read, so rounds that cannot fit fail at
+    once.  A sample position counts the size - b non-employed members in
+    ascending order.
 
-    Chain t's streams are the children of SeedSequence(seed_entropy(seed))
+    Run i's streams are the children of SeedSequence([*seed_entropy(seed), i])
     that spawn(2) and their spawns give, named by spawn key: (0,) draws the
-    population, and round k's (1, k, 0), (1, k, 1) and (1, k, 2) its
-    resignations, its sample positions and its RAND seed.  Each stream's
-    state words are derived for every chain at once, one
-    core.spawn_state_words call per key for the chains whose entropies have
-    the same number of words, and each Generator is seeded by a row of them
-    (core.StateWords); the uniform and choice draws are numpy's own calls.
+    population, and round k's (1, k, 0) and (1, k, 1) its resignations and
+    its sample positions; (1, k, 2), its RAND seed, is derived by the round
+    loop.  Each key's seeds come from one core.stream_seeds call for every
+    run; the uniform and choice draws are numpy's own calls.
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= p_res <= 1.0):
         raise DomainError("p_res must lie in [0, 1]")
-    if count < 1:
-        raise DomainError("run_chains needs at least one seed")
-    scores = np.empty((count, pop.size))
-    staff = np.empty((count, pop.b), dtype=np.int64)  # member indices
-    per_round = [(np.empty((count, pop.b), dtype=bool),
-                  np.empty((count, pop.n), dtype=np.int64)) for _ in range(rounds)]
-    entropies = [entropy_words(seed_entropy(seed)) for seed in seeds]
-    by_length = {}
-    for t, words in enumerate(entropies):
-        by_length.setdefault(len(words), []).append(t)
-    groups = [(rows, list(np.array([entropies[t] for t in rows], dtype=np.uint32).T))
-              for rows in by_length.values()]
-
-    def stream_seeds(key) -> list:
-        words = np.empty((count, STATE_WORDS), dtype=np.uint32)
-        for rows, columns in groups:
-            words[rows] = spawn_state_words(columns, key)
-        return state_seeds(words)
-
-    for t, seed in enumerate(stream_seeds((0,))):
-        rng = np.random.default_rng(seed)
-        scores[t] = rng.uniform(0.0, 1.0, size=pop.size)
-        staff[t] = rng.choice(pop.size, size=pop.b, replace=False)
-    for k, (resigned, positions) in enumerate(per_round):
-        for t, seed in enumerate(stream_seeds((1, k, 0))):
-            resigned[t] = np.random.default_rng(seed).uniform(size=pop.b) < p_res
+    scores = np.empty((runs, pop.size))
+    staff = np.empty((runs, pop.b), dtype=np.int64)  # member indices
+    resigned = np.empty((rounds, runs, pop.b), dtype=bool)
+    positions = np.empty((rounds, runs, pop.n), dtype=np.int64)
+    for i, stream in enumerate(stream_seeds(seed, 0, runs, (0,))):
+        rng = np.random.default_rng(stream)
+        scores[i] = rng.uniform(0.0, 1.0, size=pop.size)
+        staff[i] = rng.choice(pop.size, size=pop.b, replace=False)
+    for k in range(rounds):
+        for i, stream in enumerate(stream_seeds(seed, 0, runs, (1, k, 0))):
+            resigned[k, i] = np.random.default_rng(stream).uniform(size=pop.b) < p_res
         # choice(eligible, n) is eligible[choice(size - b, n)] in every round
-        for t, seed in enumerate(stream_seeds((1, k, 1))):
-            positions[t] = np.random.default_rng(seed).choice(
+        for i, stream in enumerate(stream_seeds(seed, 0, runs, (1, k, 1))):
+            positions[k, i] = np.random.default_rng(stream).choice(
                 pop.size - pop.b, size=pop.n, replace=False)
-    per_round = [(*arrays, stream_seeds((1, k, 2))) for k, arrays in enumerate(per_round)]
-    return scores, staff, per_round
+    return scores, staff, resigned, positions
 
 
 def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
@@ -154,22 +139,32 @@ def _members(positions: np.ndarray, employed: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _chain_rounds(pop: PopulationSpec, names: Sequence[str], scores, staff, per_round):
-    """The round loop on _draw_chains's draws, every policy in lock step:
-    row p T + t runs chain t under the policy token names[p].  A round index
-    is one RoundBatch, one ranking, one _policy_specs call and one
-    run_policy_batch call; the T chains' population scores are read by row,
-    not copied per policy.  Yields one ChainRound per round index."""
-    chain = np.arange(len(names) * len(scores)) % len(scores)
+def _chains(pop: PopulationSpec, rounds: int, p_res: float, names: Sequence[str], seed,
+            runs: int):
+    """The prologue and the round loop that run_chains and compare_policies
+    share: runs and names are checked before anything is drawn, then every
+    run is drawn once (_draw_chains), and every policy runs in lock step,
+    row p T + t run t of T = runs under the token names[p].  A round index is
+    one RoundBatch, one ranking, one _policy_specs call, one
+    core.stream_seeds call for its RAND seeds and one run_policy_batch
+    call; the T runs' population scores are read by row, not copied per
+    policy.  Yields one ChainRound per round index."""
+    if runs < 1:
+        raise DomainError(f"runs must be >= 1, got {runs}")
+    _check_policies(pop, names)
+    seed = seed_entropy(seed)
+    scores, staff, resigned, positions = _draw_chains(pop, rounds, p_res, seed, runs)
+    chain = np.arange(len(names) * runs) % runs
     rows = chain[:, None]
     employed = staff[chain]
-    for resigned, positions, rand_seeds in per_round:
+    for k in range(rounds):
         best_first = np.argsort(-scores[rows, employed], axis=1, kind="stable")
         employed = np.take_along_axis(employed, best_first, axis=1)
-        sampled = _members(positions[chain], employed)
-        batch = RoundBatch(scores[rows, employed], ~resigned[chain], scores[rows, sampled])
+        sampled = _members(positions[k, chain], employed)
+        batch = RoundBatch(scores[rows, employed], ~resigned[k, chain], scores[rows, sampled])
         specs = _policy_specs(names, pop.n, pop.b, batch.r.tolist(), batch.quality().tolist())
-        results, hired, kept = run_policy_batch(batch, specs, list(rand_seeds) * len(names))
+        rand_seeds = stream_seeds(seed, 0, runs, (1, k, 2))
+        results, hired, kept = run_policy_batch(batch, specs, rand_seeds * len(names))
         cutoffs = tuple(spec.cutoff if spec.variant in CUTOFF_VARIANTS else None for spec in specs)
         yield ChainRound(batch, sampled, cutoffs, hired, kept, results)
         # the kept referents, best first, then the hires in arrival order
@@ -178,21 +173,18 @@ def _chain_rounds(pop: PopulationSpec, names: Sequence[str], scores, staff, per_
 
 
 def run_chains(pop: PopulationSpec, rounds: int, p_res: float, names: Sequence[str],
-               seeds: Sequence) -> list:
-    """Run one multi-round chain per seed under each policy token of names:
-    a list of rounds ChainRounds, the k-th holding round k of every chain,
-    row p T + t that of seeds[t] under names[p].
+               seed, runs: int) -> list:
+    """The rounds that compare_policies(pop, rounds, p_res, names, runs,
+    seed) aggregates, a list of rounds ChainRounds: the k-th holds round k
+    of every run, row p T + t that of run t under the policy token names[p].
 
-    A seed is an integer >= 0 or a sequence of them (core.seed_entropy).
-    Chain t draws from seeds[t] alone, whatever policy runs it, so every
-    policy runs on the same draws, and row p T + t is the one row that
-    run_chains(..., [names[p]], [seeds[t]]) runs.  Round k of every chain
-    runs as one row of a RoundBatch, with its own r, quality, cutoff and
-    band.  The names are checked before anything is drawn.
+    Run t draws from the seed [*seed_entropy(seed), t] alone (a seed is an
+    integer >= 0 or a sequence of them), so it is the same for any runs > t,
+    and every policy runs on its draws: row p T + t is row t of
+    run_chains(..., [names[p]], seed, runs).  Round k of every run is one
+    row of a RoundBatch, with its own r, quality, cutoff and band.
     """
-    _check_policies(pop, names)
-    draws = _draw_chains(pop, rounds, p_res, len(seeds), seeds)
-    return list(_chain_rounds(pop, names, *draws))
+    return list(_chains(pop, rounds, p_res, names, seed, runs))
 
 
 @dataclass(frozen=True)
@@ -216,23 +208,18 @@ def compare_policies(
     runs: int,
     seed: int,
 ) -> dict:
-    """Paired multi-round comparison: the rounds of run_chains on the seeds
-    [*seed_entropy(seed), i], i < runs, aggregated policy by policy.
+    """Paired multi-round comparison: the rounds of run_chains(pop, rounds,
+    p_res, policy_names, seed, runs), aggregated policy by policy.
 
     Run i draws its population, resignations and candidate samples once,
     and every policy runs on those draws: the policies are paired for
     variance reduction.  Each policy's curve is the one it gives alone on
     the same draws.  One round index is held at a time.
     """
-    if runs < 1:
-        raise DomainError(f"runs must be >= 1, got {runs}")
-    _check_policies(pop, policy_names)
-    entropy = seed_entropy(seed)
-    draws = _draw_chains(pop, rounds, p_res, runs, ([*entropy, i] for i in range(runs)))
     # each policy's columns per round index, one entry per run, read as the
     # round index runs
     columns = [[] for _ in policy_names]
-    for cr in _chain_rounds(pop, policy_names, *draws):
+    for cr in _chains(pop, rounds, p_res, policy_names, seed, runs):
         quality = cr.batch.quality()
         for p, cutoff in enumerate(cr.cutoffs):
             block = slice(p * runs, (p + 1) * runs)

@@ -198,7 +198,7 @@ class TestExpectedMaxHires:
 
     @pytest.mark.xfail(
         reason="at (100, 5, 2), c = 39, the Poisson count at a fixed rate gives"
-        " 4.720 against 4.385 simulated (103 standard errors); it omits the"
+        " 4.727 against 4.385 simulated (105 standard errors); it omits the"
         " spread of the learned threshold, 1 - y_b ~ Beta(b, c + 1): the"
         " beta-binomial count alone, ignoring the switch, gives 4.396",
         strict=False,

@@ -234,10 +234,13 @@ class TestSizesThatCannotFit:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "10", "--b", "2", "--c", "3", "--trials", "100000000000000"],
         ["multiround", "--p-res", "0.5", "--runs", "1000000000", "--out", "x.csv"],
-    ], ids=["simulate-trials", "multiround-runs"])
+        ["multiround", "--p-res", "0.5", "--rounds", "100000000", "--runs", "1",
+         "--out", "x.csv"],
+    ], ids=["simulate-trials", "multiround-runs", "multiround-rounds"])
     def test_fail_at_once_with_an_error_line(self, argv, tmp_path):
-        # the results (simulate) and the draws (multiround) are allocated
-        # before any Python list grows with the count
+        # the results (simulate) and the draws of every run and every round
+        # (multiround) are allocated before any Python list grows with the
+        # count
         res = main_under_memory_limit(argv, tmp_path)
         assert (res.returncode, res.stdout) == (5, "")
         assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import seqselect.analytics
 import seqselect.multiround
-from seqselect.core import DomainError, RoundBatch, seed_entropy
+from seqselect.core import DomainError, RoundBatch, seed_entropy, stream_seeds
 from seqselect.multiround import (
     POLICY_NAMES,
     PopulationSpec,
@@ -50,7 +50,7 @@ def _per_run(chain, runs):
 
 class TestRunChain:
     def test_round_structure(self):
-        chain = run_chains(SMALL, 5, 0.4, ["csm-star"], [123])
+        chain = run_chains(SMALL, 5, 0.4, ["csm-star"], 123, 1)
         assert len(chain) == 5
         for cr in chain:
             assert cr.sampled.shape == (1, SMALL.n)
@@ -60,29 +60,29 @@ class TestRunChain:
             assert 0.0 <= cr.batch.quality()[0] <= 1.0
 
     def test_determinism(self):
-        a = run_chains(SMALL, 4, 0.5, ["csm-star"], [9])
-        b = run_chains(SMALL, 4, 0.5, ["csm-star"], [9])
+        a = run_chains(SMALL, 4, 0.5, ["csm-star"], 9, 1)
+        b = run_chains(SMALL, 4, 0.5, ["csm-star"], 9, 1)
         assert [_row(cr, 0) for cr in a] == [_row(cr, 0) for cr in b]
 
     def test_sampled_disjoint_from_employed(self):
         # at p_res = 1 every referent resigns, so the staff of round k + 1 is
         # exactly the hires of round k, and none of them may be sampled again
         for name in ("mean", "csm-star", "acsm-star", "rand"):
-            chain = run_chains(SMALL, 5, 1.0, [name], range(5))
+            chain = run_chains(SMALL, 5, 1.0, [name], 0, 5)
             for k, (prev, cr) in enumerate(zip(chain, chain[1:]), 1):
-                for seed in range(5):
-                    hires = set(prev.sampled[seed][prev.hired[seed]].tolist())
+                for t in range(5):
+                    hires = set(prev.sampled[t][prev.hired[t]].tolist())
                     assert len(hires) == SMALL.b
-                    assert hires.isdisjoint(cr.sampled[seed].tolist()), (name, seed, k)
+                    assert hires.isdisjoint(cr.sampled[t].tolist()), (name, t, k)
 
     def test_full_resignation_every_round(self):
-        for cr in run_chains(SMALL, 3, 1.0, ["csm-star"], [77]):
+        for cr in run_chains(SMALL, 3, 1.0, ["csm-star"], 77, 1):
             assert (~cr.batch.availability).sum() == SMALL.b
             assert cr.results[0, 1] == SMALL.b
 
     def test_no_resignation_regret_trend(self):
         # with a stable staff the selection should improve over rounds
-        chain = run_chains(PopulationSpec(200, 40, 4), 8, 0.0, ["csm-star"], range(40))
+        chain = run_chains(PopulationSpec(200, 40, 4), 8, 0.0, ["csm-star"], 0, 40)
         assert np.mean(chain[-1].results[:, 0]) < np.mean(chain[0].results[:, 0])
 
     def test_ranks_each_round_once(self, monkeypatch):
@@ -94,11 +94,11 @@ class TestRunChain:
         monkeypatch.setattr(RoundBatch, "ranks", counted)
         for name in POLICY_NAMES:
             calls.clear()
-            run_chains(SMALL, 4, 0.5, [name], [8])
+            run_chains(SMALL, 4, 0.5, [name], 8, 1)
             assert calls == [1] * 4, name
             # chains in one call share one ranking per round index
             calls.clear()
-            run_chains(SMALL, 4, 0.5, [name], [8, 9, 10])
+            run_chains(SMALL, 4, 0.5, [name], 8, 3)
             assert calls == [3] * 4, name
         # compare_policies runs every policy's chains of a round index as one
         # batch of policies x runs rows: one ranking, whose quality selects
@@ -117,37 +117,37 @@ class TestRunChain:
     def test_rejects_bad_rounds_and_seeds(self):
         for rounds, seed in ((0, 1), (-2, 1), (2, -1), (2, [3, -1])):
             with pytest.raises(DomainError):
-                run_chains(SMALL, rounds, 0.5, ["csm-0"], [seed])
-        with pytest.raises(DomainError, match="at least one seed"):
-            run_chains(SMALL, 2, 0.5, ["csm-0"], [])
+                run_chains(SMALL, rounds, 0.5, ["csm-0"], seed, 1)
+        with pytest.raises(DomainError, match="runs must be >= 1"):
+            run_chains(SMALL, 2, 0.5, ["csm-0"], 1, 0)
 
     def test_p_res_domain(self):
         with pytest.raises(DomainError):
-            run_chains(SMALL, 2, 1.5, ["csm-0"], [1])
+            run_chains(SMALL, 2, 1.5, ["csm-0"], 1, 1)
 
     @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_a_chain_does_not_depend_on_its_batch_mates(self, name, p_res):
-        # chain t runs in one batch with the others, so it must be the chain
-        # its seed runs alone: this is the pairing compare_policies relies on
-        seeds = [3, [4, 1], 0, 17, [4, 2]]
-        together = run_chains(SMALL, 4, p_res, [name], seeds)
-        for t, seed in enumerate(seeds):
-            alone = run_chains(SMALL, 4, p_res, [name], [seed])
-            assert [_row(cr, t) for cr in together] == [_row(cr, 0) for cr in alone], seed
+        # run t runs in one batch with the others, so it must be the last
+        # run of a call with no later runs: this is the pairing
+        # compare_policies relies on
+        together = run_chains(SMALL, 4, p_res, [name], (4, 1), 5)
+        for t in range(5):
+            alone = run_chains(SMALL, 4, p_res, [name], (4, 1), t + 1)
+            assert [_row(cr, t) for cr in together] == [_row(cr, t) for cr in alone], t
 
     @pytest.mark.parametrize("p_res", (0.0, 0.5, 1.0))
     def test_a_policy_block_is_the_policy_alone(self, p_res):
         # every policy runs in one batch per round index, so row p T + t must
         # be row t of the chains that names[p] runs alone on the same seeds
-        seeds = [3, [4, 1], 0, 17, [4, 2]]
+        runs = 5
         names = list(np.random.default_rng([7, int(10 * p_res)]).permutation(POLICY_NAMES))
-        together = run_chains(SMALL, 3, p_res, names, seeds)
+        together = run_chains(SMALL, 3, p_res, names, 3, runs)
         assert all(len(cr.cutoffs) == len(names) for cr in together)
         for p, name in enumerate(names):
-            alone = run_chains(SMALL, 3, p_res, [name], seeds)
-            for t in range(len(seeds)):
-                assert ([_row(cr, p * len(seeds) + t) for cr in together]
+            alone = run_chains(SMALL, 3, p_res, [name], 3, runs)
+            for t in range(runs):
+                assert ([_row(cr, p * runs + t) for cr in together]
                         == [_row(cr, t) for cr in alone]), (name, t)
 
     def test_names_are_checked_before_any_draw(self, monkeypatch):
@@ -156,11 +156,11 @@ class TestRunChain:
         for names, match in (([], "non-empty"), (["csm-0", "bogus"], "unknown"),
                              (["rand", "csm-0", "rand"], "repeat")):
             with pytest.raises(DomainError, match=match):
-                run_chains(SMALL, 2, 0.5, names, [1])
+                run_chains(SMALL, 2, 0.5, names, 1, 1)
         # the similar setting of a quality near 0 at n = 3,000 has n = 6,003
         for names in (["mean", "csm-star"], ["acsm-star"]):
             with pytest.raises(DomainError, match="cutoff scan"):
-                run_chains(PopulationSpec(4000, 3000, 5), 1, 0.5, names, [1])
+                run_chains(PopulationSpec(4000, 3000, 5), 1, 0.5, names, 1, 1)
         assert chains == []
 
     def test_policy_specs_runs_once_per_round_index(self, monkeypatch):
@@ -174,14 +174,14 @@ class TestRunChain:
             return specs(policies, n, b, r, q)
 
         monkeypatch.setattr(seqselect.multiround, "policy_specs", counting)
-        run_chains(SMALL, 4, 0.5, ["acsm-star"], [1, 2, 3])
+        run_chains(SMALL, 4, 0.5, ["acsm-star"], 1, 3)
         assert calls == [(1, 3, 3)] * 4
         calls.clear()
-        run_chains(SMALL, 4, 0.5, ["acsm-star", "mean", "csm-star"], [1, 2, 3])
+        run_chains(SMALL, 4, 0.5, ["acsm-star", "mean", "csm-star"], 1, 3)
         assert calls == [(3, 9, 9)] * 4
 
     def test_single_round_is_one_selection(self):
-        (cr,) = run_chains(SMALL, 1, 0.0, ["csm-e"], [5])
+        (cr,) = run_chains(SMALL, 1, 0.0, ["csm-e"], 5, 1)
         (cutoffs,) = cr.cutoffs
         assert cutoffs.tolist() == [int(20 / np.e)]
 
@@ -212,12 +212,12 @@ def test_a_sample_is_its_positions_among_the_eligible_members(seed, pool, chains
 
 
 def spawn_tree_draws(pop, rounds, p_res, seeds):
-    """The reference of _draw_chains: each chain's draws from its own
-    SeedSequence spawn tree, one chain and one round at a time, the RAND
-    seeds as the SeedSequences themselves."""
+    """The reference of _draw_chains and of the round loop's RAND seeds:
+    each chain's draws from its own SeedSequence spawn tree, one chain and
+    one round at a time, the RAND seeds as the SeedSequences themselves."""
     scores, staff, per_round = [], [], [([], [], []) for _ in range(rounds)]
     for seed in seeds:
-        pop_ss, stream_ss = np.random.SeedSequence(seed_entropy(seed)).spawn(2)
+        pop_ss, stream_ss = np.random.SeedSequence(seed).spawn(2)
         pop_rng = np.random.default_rng(pop_ss)
         scores.append(pop_rng.uniform(0.0, 1.0, size=pop.size))
         staff.append(pop_rng.choice(pop.size, size=pop.b, replace=False))
@@ -230,29 +230,34 @@ def spawn_tree_draws(pop, rounds, p_res, seeds):
     return np.array(scores), np.array(staff), per_round
 
 
-# int seeds of one and of several words, and sequences of unequal lengths
-CHAIN_SEEDS = st.lists(
-    st.one_of(st.integers(0, 2**70),
-              st.lists(st.integers(0, 2**40), min_size=1, max_size=6)),
-    min_size=1, max_size=5)
+# int seeds of one and of several words, and sequences of 1 to 6 elements
+CHAIN_SEEDS = st.one_of(st.integers(0, 2**70),
+                        st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(CHAIN_SEEDS, st.integers(1, 3), st.floats(0.0, 1.0))
-@example([7, [7], [1, 2, 3], [2**40, 5], 2**33, [0, 0, 0, 0, 0]], 2, 0.5)
-def test_draw_step_is_the_spawn_tree(seeds, rounds, p_res):
-    # the state words derived as arrays seed what each chain's spawn tree
-    # seeds, so every draw and every RAND stream is the tree's
-    scores, staff, per_round = _draw_chains(SMALL, rounds, p_res, len(seeds), seeds)
-    ref_scores, ref_staff, ref_rounds = spawn_tree_draws(SMALL, rounds, p_res, seeds)
+@given(CHAIN_SEEDS, st.integers(1, 5), st.integers(1, 3), st.floats(0.0, 1.0))
+@example([2**40, 5], 3, 2, 0.5)
+@example([0, 0, 0, 0, 0], 2, 1, 0.5)
+def test_draw_step_is_the_spawn_tree(seed, runs, rounds, p_res):
+    # the seeds derived as arrays seed what run i's spawn tree of
+    # [*seed_entropy(seed), i] seeds, so every draw and every RAND stream
+    # (the round loop's stream_seeds call of key (1, k, 2)) is the tree's
+    entropy = seed_entropy(seed)
+    scores, staff, resigned, positions = _draw_chains(SMALL, rounds, p_res, seed, runs)
+    ref_scores, ref_staff, ref_rounds = spawn_tree_draws(
+        SMALL, rounds, p_res, [[*entropy, i] for i in range(runs)])
     assert np.array_equal(scores, ref_scores) and np.array_equal(staff, ref_staff)
-    for (resigned, positions, rand_seeds), (ref_resigned, ref_positions, ref_rand) in zip(
-            per_round, ref_rounds, strict=True):
-        assert np.array_equal(resigned, ref_resigned)
-        assert np.array_equal(positions, ref_positions)
-        assert len(rand_seeds) == len(seeds)
-        for seed, ref in zip(rand_seeds, ref_rand):
-            draws, ref_draws = (np.random.default_rng(x).uniform(size=SMALL.n) for x in (seed, ref))
+    assert resigned.shape == (rounds, runs, SMALL.b)
+    assert positions.shape == (rounds, runs, SMALL.n)
+    for k, (ref_resigned, ref_positions, ref_rand) in enumerate(ref_rounds):
+        assert np.array_equal(resigned[k], ref_resigned)
+        assert np.array_equal(positions[k], ref_positions)
+        rand_seeds = stream_seeds(seed, 0, runs, (1, k, 2))
+        assert len(rand_seeds) == runs
+        for rand_seed, ref in zip(rand_seeds, ref_rand):
+            draws, ref_draws = (np.random.default_rng(x).uniform(size=SMALL.n)
+                                for x in (rand_seed, ref))
             assert np.array_equal(draws, ref_draws)
 
 
@@ -270,7 +275,7 @@ class TestSelectors:
 
     def test_unknown_token(self):
         with pytest.raises(DomainError):
-            run_chains(SMALL, 1, 0.5, ["bogus"], [1])
+            run_chains(SMALL, 1, 0.5, ["bogus"], 1, 1)
 
     def test_star_handles_extreme_quality(self):
         assert self.spec("csm-star", 20, 3, [0], [1.0]).cutoff.tolist() == [0]
@@ -360,14 +365,17 @@ class TestComparePolicies:
 
     def test_each_run_is_drawn_once_for_every_policy(self, monkeypatch):
         # the policies are paired by sharing one draw per run, not by each
-        # drawing the same numbers again from the same seed: the stream
-        # derivation is given each run's entropy once
-        entropies = []
-        words = seqselect.multiround.entropy_words
-        monkeypatch.setattr(seqselect.multiround, "entropy_words",
-                            lambda entropy: entropies.append(entropy) or words(entropy))
-        compare_policies(SMALL, 3, 0.5, ("csm-star", "mean", "rand"), 4, 11)
-        assert sorted(entropies) == [(11, i) for i in range(4)]
+        # drawing the same numbers again from the same seed: each stream key
+        # derives the seeds of every run once, whatever the number of policies
+        calls = []
+        seeds = seqselect.multiround.stream_seeds
+        monkeypatch.setattr(seqselect.multiround, "stream_seeds",
+                            lambda *args: calls.append(args) or seeds(*args))
+        keys = [(0,)] + [(1, k, j) for k in range(3) for j in range(3)]
+        for names in (("csm-star",), ("csm-star", "mean", "rand")):
+            calls.clear()
+            compare_policies(SMALL, 3, 0.5, names, 4, 11)
+            assert sorted(calls) == sorted(((11,), 0, 4, key) for key in keys), names
 
     def test_empty_policy_list(self):
         with pytest.raises(DomainError):
@@ -379,7 +387,7 @@ class TestComparePolicies:
         # runs the seed [seed, i]
         runs, rounds, seed = 4, 3, 11
         (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, seed).values()
-        chain = run_chains(SMALL, rounds, 0.5, [name], [[seed, i] for i in range(runs)])
+        chain = run_chains(SMALL, rounds, 0.5, [name], seed, runs)
         rows = _per_run(chain, runs)
         assert curve.per_run == rows
         assert {row[6] is None for row in rows} == {name in ("mean", "rand")}
@@ -389,7 +397,7 @@ class TestComparePolicies:
         # a seed that is a sequence runs run i on the seed [*seed, i]
         runs, rounds = 3, 2
         (curve,) = compare_policies(SMALL, rounds, 0.5, [name], runs, (1, 2)).values()
-        chain = run_chains(SMALL, rounds, 0.5, [name], [[1, 2, i] for i in range(runs)])
+        chain = run_chains(SMALL, rounds, 0.5, [name], (1, 2), runs)
         assert curve.per_run == _per_run(chain, runs)
 
     @pytest.mark.parametrize("runs", (1, 5))

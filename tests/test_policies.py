@@ -419,7 +419,7 @@ class TestPolicySpecDispatch:
             call = lambda: ExperimentSpec(n=10, b_values=(2,), c_values=(0, 3), q=0.5,
                                           r_values=(0,), policy=variant)
             assert accepts(call, DomainError) == cutoff, variant
-        (cr,) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, POLICY_NAMES, [4])
+        (cr,) = run_chains(PopulationSpec(size=30, n=10, b=2), 1, 0.5, POLICY_NAMES, 4, 1)
         specs = _policy_specs(POLICY_NAMES, 10, 2, cr.batch.r.tolist(), cr.batch.quality().tolist())
         assert {spec.variant for spec in specs} == set(VARIANTS)
         for spec, cutoffs in zip(specs, cr.cutoffs, strict=True):

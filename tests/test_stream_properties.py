@@ -1,14 +1,14 @@
 """Property tests that pin the trial streams and the sampling law to numpy.
 
-A batch of trials derives its SeedSequence state words as arrays
-(stream_words) and hands each trial its row as a PCG64 seed
-(trial_streams).  core._draw_round draws every row's doubles with numpy's
+A batch of trials or of chains derives the seeds of its SeedSequence
+streams at once, as arrays (core.stream_seeds), and hands each row its
+PCG64 seed.  core._draw_round draws every row's doubles with numpy's
 random(n + b); a batch of enough fresh seeds then takes the raw words that
 choice would read and draws the resigned positions of all its rows as
 Floyd's set (core._floyd_resigned), while a Generator seed, a small batch
 and a row that choice would reject make numpy's own choice call.  Every
 piece is a twin of numpy's own, so each is held here to numpy itself: the
-words to SeedSequence's, the seeds to default_rng(trial_stream(...)),
+seeds to SeedSequence's, their draws to default_rng(trial_stream(...)),
 Floyd's set to choice, and every round to the three-call law written out
 below.
 """
@@ -26,8 +26,9 @@ from seqselect.core import (  # noqa: E402
     _floyd_resigned,
     _floyd_word_count,
     sample_rounds,
+    stream_seeds,
 )
-from seqselect.montecarlo import stream_words, trial_stream, trial_streams  # noqa: E402
+from seqselect.montecarlo import trial_stream  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -38,16 +39,22 @@ ELEMENTS = st.one_of(
 )
 # 1 to 6 elements: the entropy is shorter and longer than the pool of 4
 CELL_SEEDS = st.lists(ELEMENTS, min_size=1, max_size=6).map(tuple)
+# an int seed of up to 3 words, or 1 to 6 elements, which with the row
+# index fill the pool of 4 words or pass it, where no zeros are padded
+SEEDS = st.one_of(st.integers(0, 2**70), CELL_SEEDS)
 CHILDREN = st.sampled_from([0, 1])
-# a child, or a spawn key of 0 to 4 elements of one and of several words
-KEYS = st.one_of(CHILDREN, st.lists(ELEMENTS, max_size=4).map(tuple))
+# a child, a chain's round key (1, k, j), or a spawn key of 0 to 4 elements
+# of one and of several words
+KEYS = st.one_of(CHILDREN, st.tuples(st.just(1), st.integers(0, 10**6), st.integers(0, 2)),
+                 st.lists(ELEMENTS, max_size=4).map(tuple))
 
 
 @st.composite
 def index_ranges(draw, max_size=8):
-    """start..stop of trial indices near 0 and near 2**32, where an index
-    would grow a second word and stream_words rejects it."""
-    start = draw(st.one_of(st.integers(0, 1000),
+    """start..stop of row indices near 0, anywhere below 2**32, and near
+    2**32, where an index would grow a second word and stream_seeds
+    rejects it."""
+    start = draw(st.one_of(st.integers(0, 1000), st.integers(0, 2**32),
                            st.integers(2**32 - max_size, 2**32 + max_size)))
     return start, start + draw(st.integers(0, max_size))
 
@@ -64,19 +71,21 @@ def three_call_law(rng, n, b, q, r):
 
 
 @SETTINGS
-@given(CELL_SEEDS, KEYS, index_ranges())
-def test_stream_words_are_seedsequence_words(cell_seed, child, bounds):
+@given(SEEDS, KEYS, index_ranges())
+def test_stream_seeds_are_seedsequence_seeds(seed, key, bounds):
     start, stop = bounds
     if stop > 2**32:
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*32\)"):
-            stream_words(cell_seed, start, stop, child)
+            stream_seeds(seed, start, stop, key)
         return
-    words = stream_words(cell_seed, start, stop, child)
-    key = (child,) if isinstance(child, int) else child
-    expected = [np.random.SeedSequence([*cell_seed, i], spawn_key=key).generate_state(8)
-                for i in range(start, stop)]
-    assert words.dtype == np.uint32 and words.shape == (stop - start, 8)
-    assert words.tolist() == [row.tolist() for row in expected]
+    seeds = stream_seeds(seed, start, stop, key)
+    assert len(seeds) == stop - start
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    spawn_key = (key,) if isinstance(key, int) else key
+    for i, row in zip(range(start, stop), seeds):
+        reference = np.random.SeedSequence([*entropy, i], spawn_key=spawn_key)
+        expected = reference.generate_state(4, np.uint64)
+        assert row.generate_state(4, np.uint64).tolist() == expected.tolist()
 
 
 @SETTINGS
@@ -86,7 +95,7 @@ def test_stream_words_are_seedsequence_words(cell_seed, child, bounds):
 def test_generators_draw_as_the_reference_streams(cell_seed, child, bounds, b_r, low, width):
     start, stop = (min(index, 2**32) for index in bounds)  # indices in range
     b, r = b_r
-    seeds = trial_streams(cell_seed, start, stop, child)
+    seeds = stream_seeds(cell_seed, start, stop, child)
     assert len(seeds) == stop - start
     for i, seed in zip(range(start, stop), seeds):
         rng = np.random.default_rng(seed)
@@ -150,7 +159,7 @@ def assert_rows_follow_the_law(batch, references, n, b, q, r):
 def test_fresh_and_continuing_rows_follow_the_law(n, b, r):
     int_seeds = [0, 1, 2**32 - 1, 2**63 + 11, *range(7, 200, 17)]
     sequences = [np.random.SeedSequence([b, r, k]) for k in range(len(int_seeds))]
-    streams = trial_streams((n, b, r), 0, len(int_seeds), 0)
+    streams = stream_seeds((n, b, r), 0, len(int_seeds), 0)
     for q in (1e-9, 0.3, 0.5, 0.81, 1 - 1e-9):
         for seeds in (int_seeds, sequences, streams):
             batch = sample_rounds(n, b, q, r, seeds)
@@ -252,7 +261,7 @@ def test_a_rejected_row_is_drawn_as_numpy_draws_it(monkeypatch):
 
     monkeypatch.setattr(core, "_floyd_resigned", flag_every_other_row)
     n, b, q, r = 30, 10, 0.81, 3
-    seeds = [11, np.random.SeedSequence(12), *trial_streams((13,), 0, 3, 0), 14]
+    seeds = [11, np.random.SeedSequence(12), *stream_seeds((13,), 0, 3, 0), 14]
     batch = sample_rounds(n, b, q, r, seeds)
     assert_rows_follow_the_law(batch, [np.random.default_rng(s) for s in seeds], n, b, q, r)
 
